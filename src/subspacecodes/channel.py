@@ -12,8 +12,8 @@ import random
 from dataclasses import dataclass, field
 
 from .constructions import SubspaceCode
-from .distances import distance_fast, hamming
-from .errors import InfeasibleParams, TooFewCodewords
+from .distances import distance_fast
+from .errors import AmbientMismatch, InfeasibleParams, TooFewCodewords
 from .matrices import MatGF, rank
 from .subspaces import Subspace, from_span
 
@@ -101,42 +101,24 @@ def transmit(v: Subspace, rho: int, t: int, rng: random.Random) -> Subspace:
     return current
 
 
-def packets_to_subspace(received, spec, n: int) -> Subspace:
-    """Row space of the matrix of received packets (the channel output)."""
-    return from_span(received, spec, n)
-
-
 def min_distance_decode(
     code: SubspaceCode, u: Subspace
 ) -> tuple[Subspace | None, int]:
     """Closest codeword and its distance, ties broken by code order.
 
-    Codewords whose identifying vector is already at Hamming distance >= the
-    current best subspace distance are skipped; the skip is sound because
-    the subspace distance dominates that Hamming distance.
+    One scan over the code's packed view (see ``PackedCode.nearest``):
+    codewords whose identifying vector is already at Hamming distance >= the
+    best subspace distance so far are skipped, which is sound because the
+    subspace distance dominates that Hamming distance.
     """
     if len(code.words) < 1:
         raise TooFewCodewords("decoding needs a nonempty code")
-    if code.spec.order == 2 and code.n <= 64:
-        from . import kernels
-        from .distances import _pack_rows
-
-        ids = [w.id_vector.packed() for w in code.words]
-        gens = [_pack_rows(w) for w in code.words]
-        idx, dist = kernels.nearest(u.id_vector.packed(), _pack_rows(u), ids, gens)
-        return code.words[idx], dist
-
-    best = None
-    best_word = None
-    ub = u.id_vector.bits
-    for w in code.words:
-        if best is not None and hamming(ub, w.id_vector.bits) >= best:
-            continue
-        d = distance_fast(w, u)
-        if best is None or d < best:
-            best = d
-            best_word = w
-    return best_word, best
+    if u.n != code.n or u.spec != code.spec:
+        raise AmbientMismatch("received subspace lives in a different ambient space")
+    view = code.packed
+    qid, qrows = view.pack_word(u)
+    i, d = view.nearest(qid, qrows, range(len(code.words)))
+    return code.words[i], d
 
 
 def _trial_rng(seed: int, trial: int) -> random.Random:

@@ -37,7 +37,7 @@ from .indexing import (
     encode_full,
     encode_full_compact,
 )
-from .subspaces import field_for_order, from_literal, to_literal
+from .subspaces import _prime_power, field_for_order, from_literal, to_literal
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -106,6 +106,7 @@ def _default_special(n: int) -> tuple[int, ...]:
 
 
 def _cmd_bounds(args) -> int:
+    _prime_power(args.q)
     rows = []
     ks = [args.k] if args.k else list(range(1, args.n // 2 + 1))
     for k in ks:

@@ -47,9 +47,13 @@ def loads_code(text: str) -> SubspaceCode:
     q = int(doc["q"])
     n = int(doc["n"])
     spec = field_for_order(q)
+    if not isinstance(doc["codewords"], list):
+        raise ParseError("codewords must be a list of row literals")
     words = []
     seen = set()
     for i, lit in enumerate(doc["codewords"]):
+        if not isinstance(lit, str):
+            raise ParseError(f"codeword {i}: expected a string, got {type(lit).__name__}")
         try:
             w = from_literal(lit, spec, n)
         except ParseError as e:

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .fields import FieldSpec, extension_view
 from .matrices import MatGF, null_space
+from .packed import PackedCode
 from .rankcodes import FerrersRankCode, ZeroPattern, ferrers_d2_code, gabidulin
 from .subspaces import (
     FerrersShape,
@@ -104,6 +105,11 @@ class SubspaceCode:
 
     def __iter__(self):
         return iter(self.words)
+
+    @cached_property
+    def packed(self) -> PackedCode:
+        """Packed identifying vectors, rows and classes, built on first use."""
+        return PackedCode(self.spec, self.n, self.words)
 
     @cached_property
     def dmin(self) -> int:

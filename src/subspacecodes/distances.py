@@ -10,8 +10,11 @@ d = s + 2 * rank(U~ - W~).
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .errors import AmbientMismatch, TooFewCodewords
 from .matrices import MatGF, rank, vconcat
+from .packed import PackedCode
 from .subspaces import Subspace
 
 
@@ -85,48 +88,42 @@ def distance_fast(u: Subspace, w: Subspace) -> int:
     return s + 2 * r
 
 
-def min_distance(code, use_fast: bool = True) -> int:
+def min_distance(code) -> int:
     """Minimum pairwise distance over all unordered codeword pairs.
 
-    Routes GF(2) codes with n <= 64 through the packed kernel (compiled if
-    available); everything else runs the per-pair algorithm.  The Hamming
-    prefilter d >= d_H(ids) soundly skips pairs that cannot improve the
-    current minimum.
+    Exact, and built on the code's structure.  Words sharing an identifying
+    vector form a class; when a class is a coset of a linear space of
+    matrices its minimum is 2 min rank(G_i - G_0) (``PackedCode.coset_min``),
+    otherwise its pairs are scanned.  Pairs of classes then go in order of
+    the Hamming distance of their identifying vectors, a lower bound on
+    every distance between them, until that bound reaches the best so far.
     """
-    words = list(code.words) if hasattr(code, "words") else list(code)
+    words = code.words if hasattr(code, "words") else tuple(code)
     if len(words) < 2:
         raise TooFewCodewords("minimum distance needs at least two codewords")
-
-    spec = words[0].spec
-    n = words[0].n
-    if use_fast and spec.order == 2 and n <= 64:
-        from . import kernels
-
-        ids = [w.id_vector.packed() for w in words]
-        gens = [_pack_rows(w) for w in words]
-        return kernels.code_min_distance(ids, gens)
+    if hasattr(code, "packed"):
+        view = code.packed
+    else:
+        spec, n = words[0].spec, words[0].n
+        if any(w.spec != spec or w.n != n for w in words):
+            raise AmbientMismatch("codewords live in different ambient spaces")
+        view = PackedCode(spec, n, words)
 
     best = None
-    dist = distance_fast if use_fast else distance_naive
-    for i in range(len(words)):
-        wi = words[i]
-        bi = wi.id_vector.bits
-        for j in range(i + 1, len(words)):
-            wj = words[j]
-            if best is not None and hamming(bi, wj.id_vector.bits) >= best:
-                continue
-            d = dist(wi, wj)
+    for members in view.classes.values():
+        if len(members) > 1:
+            d = view.coset_min(members)
+            if d is None:
+                d = view.scan_pairs(members, best)
             if best is None or d < best:
                 best = d
+
+    ids, rows = view.ids, view.rows
+    pairs = sorted(((a ^ b).bit_count(), a, b) for a, b in combinations(view.classes, 2))
+    for h, a, b in pairs:
+        if best is not None and h >= best:
+            break
+        others = view.classes[b]
+        for i in view.classes[a]:
+            _, best = view.nearest(ids[i], rows[i], others, best)
     return best
-
-
-def _pack_rows(u: Subspace) -> list[int]:
-    """Generator rows as big-endian bit integers (column 0 is the high bit)."""
-    out = []
-    for row in u.gen.entries:
-        v = 0
-        for b in row:
-            v = (v << 1) | b
-        out.append(v)
-    return out

@@ -100,7 +100,7 @@ def suffix_family(i: int) -> tuple[Bits, ...]:
         t_len = length - 2 - z_len
         for t in _no_double_zero(t_len):
             out.add((0,) * z_len + (1,) + t + (1,))
-    result = tuple(sorted(out, key=_bits_value))
+    result = tuple(sorted(out))
     assert len(result) == fibonacci(i + 1)
     return result
 
@@ -113,13 +113,6 @@ def _no_double_zero(length: int):
         if not prefix or prefix[-1] == 1:
             yield prefix + (0,)
         yield prefix + (1,)
-
-
-def _bits_value(bits: Bits) -> int:
-    v = 0
-    for b in bits:
-        v = (v << 1) | b
-    return v
 
 
 def gaussian_power_bounds(n: int, k: int, q: int) -> tuple[bool, bool]:

@@ -51,13 +51,6 @@ class IdVector:
     def support(self) -> tuple[int, ...]:
         return tuple(j for j, b in enumerate(self.bits) if b)
 
-    def packed(self) -> int:
-        """Big-endian integer: the string "1100" packs to 0b1100."""
-        v = 0
-        for b in self.bits:
-            v = (v << 1) | b
-        return v
-
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
 
@@ -180,12 +173,6 @@ def from_span(vectors, spec: FieldSpec, n: int) -> Subspace:
         return zero_subspace(spec, n)
     r, rank_, _ = rref(MatGF(spec, vecs))
     return Subspace(spec, n, MatGF(spec, nonzero_rows(r), cols=n))
-
-
-def from_matrix(m: MatGF, n: int | None = None) -> Subspace:
-    """Row space of an arbitrary matrix, canonicalized."""
-    n = m.cols if n is None else n
-    return from_span(m.entries, m.spec, n)
 
 
 def identifying_vector(u: Subspace) -> IdVector:

@@ -5,14 +5,14 @@ import pytest
 from subspacecodes.channel import (
     ChannelConfig,
     min_distance_decode,
-    packets_to_subspace,
     simulate,
     transmit,
 )
 from subspacecodes.constructions import SubspaceCode, multilevel_fixture
 from subspacecodes.distances import distance_fast, distance_naive
-from subspacecodes.errors import InfeasibleParams, TooFewCodewords
+from subspacecodes.errors import AmbientMismatch, InfeasibleParams, TooFewCodewords
 from subspacecodes.matrices import MatGF, mat_mul, rank
+from subspacecodes.fields import make_field
 from subspacecodes.subspaces import from_span
 from .conftest import random_subspace
 
@@ -72,9 +72,9 @@ def test_packets_roundtrip(gf2):
             if rank(h) == 2:
                 break
         y = mat_mul(h, MatGF(gf2, sent))
-        assert packets_to_subspace(y.entries, gf2, 5) == v
-    assert packets_to_subspace([], gf2, 5).k == 0
-    dup = packets_to_subspace([sent[0], sent[0], sent[1]], gf2, 5)
+        assert from_span(y.entries, gf2, 5) == v
+    assert from_span([], gf2, 5).k == 0
+    dup = from_span([sent[0], sent[0], sent[1]], gf2, 5)
     assert dup == v
 
 
@@ -96,7 +96,7 @@ def test_packets_with_error_rows(gf2):
                 if c:
                     row = [a ^ b for a, b in zip(row, src)]
             y.append(tuple(row))
-        u = packets_to_subspace(y, gf2, 5)
+        u = from_span(y, gf2, 5)
         for vec in u.gen.entries:
             assert ve.contains(vec)
 
@@ -124,6 +124,50 @@ def test_decode_matches_unfiltered_scan(gf2):
                 best, best_w = d, w
         assert got_dist == best
         assert got_word == best_w
+
+
+def unfiltered_argmin(code, u):
+    """Index and distance of the first closest word, by the definition."""
+    dists = [distance_naive(w, u) for w in code.words]
+    best = min(dists)
+    return dists.index(best), best
+
+
+def test_decode_ties_go_to_the_first_word(gf2):
+    # every line of GF(2)^2 is at distance 1 from the zero space
+    lines = [from_span([v], gf2, 2) for v in [(1, 0), (0, 1), (1, 1)]]
+    zero = from_span([], gf2, 2)
+    for order in (lines, lines[::-1], lines[1:] + lines[:1]):
+        assert min_distance_decode(SubspaceCode(gf2, 2, order), zero) == (order[0], 1)
+
+
+@pytest.mark.parametrize("q,n,size", [(2, 4, 12), (3, 3, 10), (2, 70, 12)])
+def test_decode_matches_unfiltered_argmin_with_ties(q, n, size):
+    # small random codes of mixed dimension give many equidistant words;
+    # n = 70 checks that the packed rows have no width limit
+    spec = make_field(q, 1)
+    rng = random.Random(q * 1000 + n)
+    ties = 0
+    for _ in range(10):
+        words = {}
+        while len(words) < size:
+            w = random_subspace(spec, n, rng, k=rng.randrange(1, 4))
+            words[w.key()] = w
+        code = SubspaceCode(spec, n, list(words.values()))
+        for _ in range(10):
+            u = random_subspace(spec, n, rng, k=rng.randrange(0, 4))
+            i, d = unfiltered_argmin(code, u)
+            assert min_distance_decode(code, u) == (code.words[i], d)
+            ties += sum(distance_naive(w, u) == d for w in code.words) > 1
+    assert ties > 0
+
+
+def test_decode_rejects_other_ambient_space(gf2, gf3):
+    code = multilevel_fixture("w5k2", gf2)
+    with pytest.raises(AmbientMismatch):
+        min_distance_decode(code, from_span([], gf2, 6))
+    with pytest.raises(AmbientMismatch):
+        min_distance_decode(code, from_span([], gf3, 5))
 
 
 def test_decode_single_erasure(gf2):

@@ -183,6 +183,36 @@ def test_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def _one_error_line(err: str) -> bool:
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "codewords,message",
+    [
+        ([5], "codeword 0: expected a string, got int"),
+        (["10000;01000", None], "codeword 1: expected a string, got NoneType"),
+        ("1000", "codewords must be a list"),
+        ({"0": "1000"}, "codewords must be a list"),
+    ],
+)
+def test_verify_rejects_mistyped_codewords(tmp_path, capsys, codewords, message):
+    path = tmp_path / "bad.json"
+    doc = {"format_version": 1, "q": 2, "n": 5, "kind": "projective", "codewords": codewords}
+    path.write_text(json.dumps(doc))
+    rc, out, err = run_capture(capsys, ["verify", str(path)])
+    assert rc == 1 and out == ""
+    assert _one_error_line(err) and message in err
+
+
+@pytest.mark.parametrize("q", ["1", "6", "0"])
+def test_bounds_rejects_non_prime_power_q(capsys, q):
+    rc, out, err = run_capture(capsys, ["bounds", "--q", q, "--n", "6", "--k", "3", "--delta", "2"])
+    assert rc == 1 and out == ""
+    assert _one_error_line(err) and f"{q} is not a prime power" in err
+
+
 def test_puncture_aligned_pipeline_cli(tmp_path, capsys):
     c = tmp_path / "c8.json"
     rc, _, _ = run_capture(

@@ -1,7 +1,9 @@
 import random
+from itertools import product
 
 import pytest
 
+from subspacecodes.constructions import SubspaceCode, multilevel_fixture, puncture
 from subspacecodes.errors import AmbientMismatch, TooFewCodewords
 from subspacecodes.distances import (
     dim_intersection,
@@ -11,10 +13,15 @@ from subspacecodes.distances import (
     min_distance,
 )
 from subspacecodes.fields import make_field
-from subspacecodes.matrices import rank, vconcat
+from subspacecodes.matrices import MatGF, rank, vconcat
+from subspacecodes.packed import PackedCode, gf2_rank, pack
 from subspacecodes.subspaces import (
+    IdVector,
+    Subspace,
+    echelon_ferrers_shape,
     enumerate_grassmannian,
     from_span,
+    identifying_vectors,
     zero_subspace,
 )
 from .conftest import random_subspace
@@ -61,6 +68,10 @@ def test_ambient_mismatch(gf2, gf3):
         distance_naive(u, zero_subspace(gf2, 5))
     with pytest.raises(AmbientMismatch):
         distance_fast(u, zero_subspace(gf3, 4))
+    with pytest.raises(AmbientMismatch):
+        min_distance([u, zero_subspace(gf2, 5)])
+    with pytest.raises(AmbientMismatch):
+        min_distance([u, zero_subspace(gf3, 4)])
 
 
 def test_oracle_equivalence_exhaustive_g42(gf2):
@@ -190,7 +201,6 @@ def test_min_distance_matches_pairwise_loop(gf2, gf3):
             for b in words[i + 1 :]
         )
         assert min_distance(words) == brute
-        assert min_distance(words, use_fast=False) == brute
     with pytest.raises(TooFewCodewords):
         min_distance([zero_subspace(gf2, 4)])
 
@@ -222,26 +232,180 @@ def test_fast_not_slower_than_naive_smoke(gf2):
     assert t_fast <= t_naive
 
 
-def test_min_distance_kernel_paths_agree(gf2, monkeypatch):
-    from subspacecodes import _kernels_py, kernels
+def pack_row(row_bits):
+    v = 0
+    for b in row_bits:
+        v = (v << 1) | b
+    return v
 
-    rng = random.Random(33)
-    words = []
-    seen = set()
-    while len(words) < 25:
-        u = random_subspace(gf2, 7, rng)
-        if u.key() not in seen and u.k > 0:
-            seen.add(u.key())
-            words.append(u)
-    expected = min(
+
+def test_pack_bit_order_and_width():
+    assert pack((1, 1, 0, 0)) == 0b1100
+    assert pack(()) == 0
+    assert pack((0b101, 0b011), 3) == 0b101011
+    assert pack((1,) + (0,) * 99) == 1 << 99
+
+
+def test_gf2_rank_against_generic(gf2):
+    rng = random.Random(1)
+    for _ in range(300):
+        nrows = rng.randrange(0, 8)
+        ncols = rng.randrange(1, 12)
+        rows = [[rng.randrange(2) for _ in range(ncols)] for _ in range(nrows)]
+        want = rank(MatGF(gf2, rows, cols=ncols))
+        assert gf2_rank([pack_row(r) for r in rows]) == want
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 130])
+def test_n64_boundary(gf2, n):
+    # rows are Python ints, so no word size limits n
+    rng = random.Random(4)
+    rows = [[rng.randrange(2) for _ in range(n)] for _ in range(32)]
+    rows.append([a ^ b for a, b in zip(rows[0], rows[1])])
+    want = rank(MatGF(gf2, rows, cols=n))
+    assert gf2_rank([pack_row(r) for r in rows]) == want
+
+
+def brute_min_distance(words):
+    """Exhaustive pair scan with the definition-level distance."""
+    return min(
         distance_naive(a, b) for i, a in enumerate(words) for b in words[i + 1 :]
     )
-    assert min_distance(words) == expected
-    # force the pure fallback through the same packed interface
-    from subspacecodes.distances import _pack_rows
 
-    ids = [w.id_vector.packed() for w in words]
-    gens = [_pack_rows(w) for w in words]
-    assert _kernels_py.code_min_distance(ids, gens) == expected
-    if kernels.COMPILED:
-        assert kernels.code_min_distance(ids, gens) == expected
+
+@pytest.mark.parametrize(
+    "name,q,puncture_at",
+    [("w5k2", 2, None), ("w6k3", 2, None), ("w5k2", 3, None), ("w6k3", 2, (0, 0, 1, 0, 0, 1))],
+)
+def test_min_distance_bundled_codes_against_pair_scan(name, q, puncture_at):
+    spec = make_field(q, 1)
+    code = multilevel_fixture(name, spec)
+    if puncture_at is not None:
+        code = puncture(code, puncture_at)
+        assert len(code) == 18
+    assert min_distance(code) == brute_min_distance(code.words)
+    assert min_distance(list(code.words)) == code.dmin
+
+
+def _word_from_free(v, free, spec):
+    """The subspace with identifying vector v and these free entries (row-major)."""
+    shape = echelon_ferrers_shape(v)
+    it = iter(free)
+    rows = []
+    for r, p in enumerate(v.support):
+        row = [0] * v.n
+        row[p] = 1
+        for c in shape.free_positions[r]:
+            row[c] = next(it)
+        rows.append(row)
+    return Subspace(spec, v.n, MatGF(spec, rows, cols=v.n))
+
+
+def _span_vectors(gens, q, length):
+    out = set()
+    for coeffs in product(range(q), repeat=len(gens)):
+        out.add(tuple(sum(c * g[j] for c, g in zip(coeffs, gens)) % q for j in range(length)))
+    return out
+
+
+def _structured_class(v, kind, spec, rng):
+    """Words with identifying vector v whose free entries form a linear
+    space, an affine coset of one, or a set that is neither."""
+    q = spec.order
+    dots = echelon_ferrers_shape(v).dot_count
+    if kind == "noncoset":
+        size = rng.choice([s for s in range(3, min(q**dots, 7) + 1) if s not in (q, q * q)])
+        fills = set()
+        while len(fills) < size:
+            fills.add(tuple(rng.randrange(q) for _ in range(dots)))
+    else:
+        gens = [[rng.randrange(q) for _ in range(dots)] for _ in range(rng.randrange(1, 3))]
+        fills = _span_vectors(gens, q, dots)
+        if kind == "coset":
+            offset = [rng.randrange(q) for _ in range(dots)]
+            fills = {tuple((a + b) % q for a, b in zip(f, offset)) for f in fills}
+    words = [_word_from_free(v, f, spec) for f in sorted(fills)]
+    rng.shuffle(words)
+    return words
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_min_distance_structured_random_codes_against_pair_scan(q):
+    # classes that are linear, affine cosets and neither, of mixed dimensions
+    spec = make_field(q, 1)
+    rng = random.Random(100 + q)
+    n = 6
+    kinds_seen = {"linear": 0, "coset": 0, "noncoset": 0}
+    cosets_found = 0
+    for trial in range(40):
+        ids = rng.sample([v for k in range(1, n) for v in identifying_vectors(n, k)], 4)
+        words = []
+        for v in ids:
+            dots = echelon_ferrers_shape(v).dot_count
+            if dots == 0:
+                words.append(_word_from_free(v, (), spec))
+                continue
+            kind = rng.choice(list(kinds_seen))
+            if kind == "noncoset" and q**dots <= 3:
+                kind = "coset"  # every set of 2 or 3 such words is a coset
+            kinds_seen[kind] += 1
+            words.extend(_structured_class(v, kind, spec, rng))
+        words.extend(random_subspace(spec, n, rng) for _ in range(3))
+        words = list({w.key(): w for w in words}.values())
+        rng.shuffle(words)
+        if len(words) < 2:
+            continue
+        code = SubspaceCode(spec, n, words)
+        assert min_distance(code) == brute_min_distance(words), trial
+        for members in code.packed.classes.values():
+            if len(members) > 1 and code.packed.coset_min(members) is not None:
+                cosets_found += 1
+                assert code.packed.coset_min(members) == code.packed.scan_pairs(members)
+    assert all(kinds_seen.values()) and cosets_found and len({w.k for w in words}) > 1
+
+
+def test_coset_test_rejects_non_cosets(gf2, gf3):
+    for spec in (gf2, gf3):
+        v = IdVector((1, 0, 0, 0, 1, 0))
+        rng = random.Random(spec.order)
+        linear = _structured_class(v, "linear", spec, rng)
+        view = PackedCode(spec, 6, linear)
+        (members,) = view.classes.values()
+        assert view.coset_min(members) is not None
+        odd = _structured_class(v, "noncoset", spec, rng)
+        view = PackedCode(spec, 6, odd)
+        (members,) = view.classes.values()
+        assert view.coset_min(members) is None
+
+
+def test_min_distance_counts_repeated_words(gf2):
+    # a repeated word is at distance 0; its class must not pass for a coset
+    v = IdVector((1, 0, 0, 1, 0, 0))
+    u, w, x = (_word_from_free(v, free, gf2) for free in ((0,) * 6, (1,) + (0,) * 5, (0,) * 5 + (1,)))
+    assert min_distance([u, w, x]) == 2
+    assert min_distance([u, w, w, x]) == 0 == brute_min_distance([u, w, w, x])
+
+
+def test_min_distance_beyond_64_columns(gf2):
+    # a GF(2) code with n > 64: classes of lifted words plus random words
+    rng = random.Random(70)
+    n = 70
+    words = {}
+    for pivots in ((0, 1, 2), (0, 1, 3), (5,)):
+        v = IdVector.from_support(n, pivots)
+        dots = echelon_ferrers_shape(v).dot_count
+        base = [rng.randrange(2) for _ in range(dots)]
+        for _ in range(6):
+            free = list(base)
+            for _ in range(2):
+                free[rng.randrange(dots)] ^= 1
+            w = _word_from_free(v, free, gf2)
+            words[w.key()] = w
+    while len(words) < 30:
+        w = random_subspace(gf2, n, rng, k=rng.randrange(1, 4))
+        words[w.key()] = w
+    words = list(words.values())
+    rng.shuffle(words)
+    want = brute_min_distance(words)
+    assert min_distance(words) == want == min_distance(SubspaceCode(gf2, n, words))
+    assert want <= 4  # the flipped classes give close pairs
