@@ -101,10 +101,6 @@ def _ceil(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 
 
-def _floor_frac(num: int, den: int) -> int:
-    return num // den
-
-
 def johnson_chain(n: int, k: int, delta: int, q: int) -> int:
     """Nested-floor recursion ending at the trivial single-codeword level."""
     value = 1
@@ -136,11 +132,9 @@ def cdc_bounds(n: int, k: int, delta: int, q: int) -> BoundReport:
     kk = ek
     t = (delta - 1) // 2
     g = gaussian(n, kk, q)
-    packing = _floor_frac(g, sphere_volume(n, kk, t, q))
+    packing = g // sphere_volume(n, kk, t, q)
     singleton = gaussian(n - delta + 1, kk - delta + 1, q)
-    anticode = _floor_frac(
-        gaussian(n, kk - delta + 1, q), gaussian(kk, kk - delta + 1, q)
-    )
+    anticode = gaussian(n, kk - delta + 1, q) // gaussian(kk, kk - delta + 1, q)
     johnson = johnson_chain(n, kk, delta, q)
     covering = Fraction(g, sphere_volume(n, kk, delta - 1, q))
     if delta >= 2:

@@ -29,14 +29,7 @@ from .distances import distance_fast, min_distance
 from .errors import BadParams, SubspaceCodesError
 from .fields import extension_view, make_field
 from .fixtures import CONSTANT_WEIGHT_WORDS
-from .indexing import (
-    decode_extended,
-    decode_full,
-    decode_full_compact,
-    encode_extended,
-    encode_full,
-    encode_full_compact,
-)
+from .indexing import _class_tables, _compact_tables, _extended_tables, _from_bits, _to_bits
 from .subspaces import _prime_power, field_for_order, from_literal, to_literal
 
 
@@ -137,39 +130,41 @@ def _cmd_distance(args) -> int:
     return 0
 
 
+# Per mode: bits beyond k(n-k), and the cached (tail_of, id_of) tables.
+_INDEX_MODES = {
+    "extended": (1, _extended_tables),
+    "full": (2, _class_tables),
+    "compact": (2, _compact_tables),
+}
+
+
 def _cmd_index(args) -> int:
-    kw = args.k * (args.n - args.k)
-    expected = kw + 1 if args.mode == "extended" else kw + 2
+    extra, tables = _INDEX_MODES[args.mode]
+    tail_of, id_of = tables(args.n, args.k)
     if args.what == "encode":
-        bits = _parse_bits(args.vector, expected)
-        if args.mode == "extended":
-            u = encode_extended(bits, args.n, args.k)
-        elif args.mode == "compact":
-            u = decode_full_compact(bits, args.n, args.k)
-        else:
-            u = decode_full(bits, args.n, args.k)
+        length = args.k * (args.n - args.k) + extra
+        u = _from_bits(_parse_bits(args.vector, length), length, id_of, tail_of)
         _emit(to_literal(u) + "\n", args.out)
-        return 0
-    spec = make_field(2, 1)
-    u = from_literal(args.subspace, spec, args.n)
-    if args.mode == "extended":
-        bits = decode_extended(u, args.n, args.k)
-    elif args.mode == "compact":
-        bits = encode_full_compact(u)
     else:
-        bits = encode_full(u)
-    _emit("".join(str(b) for b in bits) + "\n", args.out)
+        u = from_literal(args.subspace, make_field(2, 1), args.n)
+        bits = _to_bits(u, args.n, args.k, tail_of)
+        _emit("".join(map(str, bits)) + "\n", args.out)
     return 0
 
 
 def _parse_bits(s: str, expected_len: int) -> tuple[int, ...]:
     s = s.strip()
     if s.startswith(("0x", "0X")):
-        val = int(s, 16)
-        if val >= 1 << expected_len:
+        try:
+            val = int(s, 16)
+        except ValueError:
+            raise BadParams(f"not a hex value: {s!r}") from None
+        if val.bit_length() > expected_len:
             raise BadParams(f"hex value does not fit in {expected_len} bits")
         return tuple((val >> (expected_len - 1 - i)) & 1 for i in range(expected_len))
-    return tuple(int(c) for c in s)
+    if not set(s) <= {"0", "1"}:
+        raise BadParams(f"not a bit string: {s!r}")
+    return tuple(map(int, s))
 
 
 def _cmd_simulate(args) -> int:

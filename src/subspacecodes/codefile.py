@@ -39,13 +39,18 @@ def loads_code(text: str) -> SubspaceCode:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
+    if not isinstance(doc, dict):
+        raise ParseError(f"expected a JSON object, got {type(doc).__name__}")
     for key in ("format_version", "q", "n", "kind", "codewords"):
         if key not in doc:
             raise ParseError(f"missing field {key!r}")
     if doc["format_version"] != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {doc['format_version']!r}")
-    q = int(doc["q"])
-    n = int(doc["n"])
+    q, n = doc["q"], doc["n"]
+    if not _is_int(q) or q < 2:
+        raise ParseError(f"q must be an integer >= 2, got {q!r}")
+    if not _is_int(n) or n < 0:
+        raise ParseError(f"n must be a non-negative integer, got {n!r}")
     spec = field_for_order(q)
     if not isinstance(doc["codewords"], list):
         raise ParseError("codewords must be a list of row literals")
@@ -67,6 +72,10 @@ def loads_code(text: str) -> SubspaceCode:
         seen.add(w.key())
         words.append(w)
     return SubspaceCode(spec, n, words, kind=doc["kind"])
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def load_code(path: str) -> SubspaceCode:

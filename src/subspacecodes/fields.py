@@ -309,7 +309,8 @@ class FieldElement:
         return self.rep == other
 
     def __hash__(self) -> int:
-        return hash((id(self.spec), self.rep))
+        # equal elements of equal fields, and an element and its int, hash alike
+        return hash(self.rep)
 
     def __repr__(self) -> str:
         return f"FieldElement({self.rep} in GF({self.spec.order}))"

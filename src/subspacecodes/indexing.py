@@ -9,21 +9,26 @@ class's free entries become the prefix and the tail is the marker 100
 followed by one of F(i+1) suffix vectors; feasibility holds because the
 number of classes at deficit i is a box-partition count p_box(i) <= p(i)
 <= F(i+1).
+
+Every mode (extended, full, compact) is the same codec: the free entries of
+the echelon form in row-major order, then the tail of the identifying-vector
+class (_to_bits, _from_bits).  The modes differ only in their cached
+class-to-tail tables.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from .errors import BadLength, BadParams, TooLarge
 from .fields import make_field
-from .matrices import MatGF
 from .subspaces import (
     ENUMERATION_CAP,
     IdVector,
     Subspace,
     echelon_ferrers_shape,
-    fill_shape,
+    fill_free_entries,
     free_entries_row_major,
     gaussian,
     identifying_vectors,
@@ -132,110 +137,91 @@ def gaussian_power_bounds(n: int, k: int, q: int) -> tuple[bool, bool]:
     return (q**e < g, g < q ** (e + 1))
 
 
-# -- injection of length k(n-k)+1 vectors -------------------------------------
+# -- the one codec: free entries plus a class tail ----------------------------
 
 _GF2 = make_field(2, 1)
 
 
-def _check_extended_params(n: int, k: int) -> None:
-    if k < 2 or n - k < 2:
-        raise BadParams("extended encoding needs k >= 2 and n-k >= 2")
-
-
-def _blocks(x: Bits, count: int, w: int) -> list[Bits]:
-    return [x[i * w : (i + 1) * w] for i in range(count)]
-
-
 def _as_bits(v) -> Bits:
-    bits = tuple(int(b) for b in v)
-    if any(b not in (0, 1) for b in bits):
+    bits = tuple(map(int, v))
+    if not set(bits) <= {0, 1}:
         raise BadParams("expected a 0/1 vector")
     return bits
+
+
+def _to_bits(u: Subspace, n: int, k: int, tail_of: dict[Bits, Bits]) -> Bits:
+    """The free entries of u's echelon form in row-major order, then the
+    tail of its identifying-vector class."""
+    if u.spec.order != 2:
+        raise BadParams("the index encodings are defined over GF(2)")
+    if u.n != n or u.k != k:
+        raise BadParams(
+            f"expected a {k}-subspace of GF(2)^{n}, got a {u.k}-subspace of GF(2)^{u.n}"
+        )
+    tail = tail_of.get(u.id_vector.bits)
+    if tail is None:
+        raise BadParams("subspace is not in the image of the encoding")
+    return free_entries_row_major(u) + tail
+
+
+def _from_bits(
+    bits, length: int, id_of: dict[Bits, IdVector], tail_of: dict[Bits, Bits]
+) -> Subspace:
+    """Inverse of _to_bits: the shortest tail naming a class whose filled
+    echelon form re-encodes to exactly these bits."""
+    bits = _as_bits(bits)
+    if len(bits) != length:
+        raise BadLength(f"expected {length} bits, got {len(bits)}")
+    for cut in range(length - 1, -1, -1):
+        v = id_of.get(bits[cut:])
+        if v is None:
+            continue
+        u = fill_free_entries(v, bits[:cut], _GF2)
+        if _to_bits(u, u.n, u.k, tail_of) == bits:
+            return u
+    raise BadParams("bit vector is not in the image of the encoding")
+
+
+def _inverse(tail_of: dict[Bits, Bits]) -> tuple[dict[Bits, Bits], dict[Bits, IdVector]]:
+    """(tail per identifying vector, identifying vector per tail)."""
+    return tail_of, {tail: IdVector(idbits) for idbits, tail in tail_of.items()}
+
+
+# -- injection of length k(n-k)+1 vectors -------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _extended_tables(n: int, k: int):
+    """Four classes: the lifted identity (deficit 0) with tail 1, the one
+    class of deficit 1 with tail 10, and the two of deficit 2 with tails 100
+    and 000."""
+    if k < 2 or n - k < 2:
+        raise BadParams("extended encoding needs k >= 2 and n-k >= 2")
+    w = n - k
+    return _inverse(
+        {
+            (1,) * k + (0,) * w: (1,),
+            (1,) * (k - 1) + (0, 1) + (0,) * (w - 1): (1, 0),
+            (1,) * (k - 1) + (0, 0, 1) + (0,) * (w - 2): (1, 0, 0),
+            (1,) * (k - 2) + (0, 1, 1) + (0,) * (w - 1): (0, 0, 0),
+        }
+    )
 
 
 def encode_extended(v, n: int, k: int) -> Subspace:
     """Injective map of length k(n-k)+1 bit vectors into G_2(n,k).
 
-    The trailing bits choose one of four identifying vectors (cases ...1,
-    ...10, ...100, ...000); the remaining bits fill that echelon form's free
-    entries.  decode_extended inverts exactly.
+    The trailing bits choose one of four identifying vectors (tails 1, 10,
+    100, 000); the remaining bits fill that echelon form's free entries in
+    row-major order.  decode_extended inverts exactly.
     """
-    _check_extended_params(n, k)
-    v = _as_bits(v)
-    w = n - k
-    if len(v) != k * w + 1:
-        raise BadLength(f"expected {k * w + 1} bits, got {len(v)}")
-
-    if v[-1] == 1:
-        bl = _blocks(v[: k * w], k, w)
-        rows = [(0,) * r + (1,) + (0,) * (k - 1 - r) + bl[r] for r in range(k)]
-    elif v[-2:] == (1, 0):
-        x = v[: k * w - 1]
-        bl = _blocks(x, k - 1, w)
-        tail = x[(k - 1) * w :]  # w-1 bits
-        rows = [
-            (0,) * r + (1,) + (0,) * (k - 2 - r) + (bl[r][0], 0) + bl[r][1:]
-            for r in range(k - 1)
-        ]
-        rows.append((0,) * (k - 1) + (0, 1) + tail)
-    elif v[-3:] == (1, 0, 0):
-        x = v[: k * w - 2]
-        bl = _blocks(x, k - 1, w)
-        tail = x[(k - 1) * w :]  # w-2 bits
-        rows = [
-            (0,) * r + (1,) + (0,) * (k - 2 - r) + bl[r][:2] + (0,) + bl[r][2:]
-            for r in range(k - 1)
-        ]
-        rows.append((0,) * (k - 1) + (0, 0, 1) + tail)
-    else:  # ...000
-        x = v[: k * w - 2]
-        bl = _blocks(x, k - 1, w)
-        tail = x[(k - 1) * w :]  # w-2 bits: the k-th block minus two entries
-        rows = [
-            (0,) * r + (1,) + (0,) * (k - 3 - r) + (bl[r][0], 0, 0) + bl[r][1:]
-            for r in range(k - 2)
-        ]
-        rows.append((0,) * (k - 1) + (1, 0) + bl[k - 2][:-1])
-        rows.append((0,) * k + (1,) + (bl[k - 2][-1],) + tail)
-    return Subspace(_GF2, n, MatGF(_GF2, tuple(rows), cols=n))
-
-
-def _extended_ids(n: int, k: int) -> dict[Bits, int]:
-    w = n - k
-    id1 = (1,) * k + (0,) * w
-    id2 = (1,) * (k - 1) + (0, 1) + (0,) * (w - 1)
-    id3 = (1,) * (k - 1) + (0, 0, 1) + (0,) * (w - 2)
-    id4 = (1,) * (k - 2) + (0, 1, 1) + (0,) * (w - 1)
-    return {id1: 1, id2: 2, id3: 3, id4: 4}
+    tail_of, id_of = _extended_tables(n, k)
+    return _from_bits(v, k * (n - k) + 1, id_of, tail_of)
 
 
 def decode_extended(u: Subspace, n: int, k: int) -> Bits:
     """Inverse of encode_extended on its image."""
-    _check_extended_params(n, k)
-    if u.n != n or u.k != k:
-        raise BadParams("subspace has the wrong ambient dimension or dimension")
-    w = n - k
-    case = _extended_ids(n, k).get(u.id_vector.bits)
-    g = u.gen.entries
-    if case is None:
-        raise BadParams("subspace is not in the image of the encoding")
-    if case == 1:
-        x = tuple(b for r in range(k) for b in g[r][k:])
-        return x + (1,)
-    if case == 2:
-        blocks = [(g[r][k - 1],) + g[r][k + 1 :] for r in range(k - 1)]
-        tail = g[k - 1][k + 1 :]
-        return tuple(b for bl in blocks for b in bl) + tail + (1, 0)
-    if case == 3:
-        blocks = [g[r][k - 1 : k + 1] + g[r][k + 2 :] for r in range(k - 1)]
-        tail = g[k - 1][k + 2 :]
-        return tuple(b for bl in blocks for b in bl) + tail + (1, 0, 0)
-    blocks = [(g[r][k - 2],) + g[r][k + 1 :] for r in range(k - 2)]
-    block_km1 = g[k - 2][k + 1 :] + (g[k - 1][k + 1],)
-    tail = g[k - 1][k + 2 :]
-    return (
-        tuple(b for bl in blocks for b in bl) + block_km1 + tail + (0, 0, 0)
-    )
+    return _to_bits(u, n, k, _extended_tables(n, k)[0])
 
 
 # -- total map on the Grassmannian --------------------------------------------
@@ -244,27 +230,31 @@ def decode_extended(u: Subspace, n: int, k: int) -> Bits:
 @lru_cache(maxsize=None)
 def _class_tables(n: int, k: int):
     """Per identifying vector: the tail bits of its vectors; and the reverse
-    lookup keyed by (deficit, tail)."""
-    if gaussian(n, k, 2) > ENUMERATION_CAP:
+    lookup from tail to identifying vector."""
+    # the lifted-identity class alone holds 2^(k(n-k)) subspaces, so a large
+    # k(n-k) exceeds the cap without computing the Gaussian coefficient
+    if k * (n - k) >= ENUMERATION_CAP.bit_length() or gaussian(n, k, 2) > ENUMERATION_CAP:
         raise TooLarge(f"Grassmannian of ({n},{k}) exceeds the enumeration cap")
-    kw = k * (n - k)
-    by_deficit: dict[int, list[Bits]] = {}
-    for v in identifying_vectors(n, k):
-        dots = echelon_ferrers_shape(v).dot_count
-        by_deficit.setdefault(kw - dots, []).append(v.bits)
     tail_of: dict[Bits, Bits] = {}
-    id_of: dict[Bits, Bits] = {}
-    for i, ids in by_deficit.items():
+    for i, ids in _classes_by_deficit(n, k).items():
         if i == 0:
             suffixes: tuple[Bits, ...] = ((1, 0),)
         else:
             suffixes = tuple((1, 0, 0) + s for s in suffix_family(i))
         if len(ids) > len(suffixes):
             raise AssertionError("not enough suffixes for the classes")
-        for idbits, tail in zip(ids, suffixes):
-            tail_of[idbits] = tail
-            id_of[tail] = idbits
-    return tail_of, id_of
+        tail_of.update(zip(ids, suffixes))
+    return _inverse(tail_of)
+
+
+def _classes_by_deficit(n: int, k: int) -> dict[int, list[Bits]]:
+    """Identifying vectors keyed by deficit k(n-k) - #free entries, each list
+    in enumeration order."""
+    kw = k * (n - k)
+    by_deficit: dict[int, list[Bits]] = {}
+    for v in identifying_vectors(n, k):
+        by_deficit.setdefault(kw - echelon_ferrers_shape(v).dot_count, []).append(v.bits)
+    return by_deficit
 
 
 def encode_full(u: Subspace) -> Bits:
@@ -273,41 +263,13 @@ def encode_full(u: Subspace) -> Bits:
     Prefix: the free entries of the canonical generator matrix in row-major
     order; tail: the marker and suffix of the subspace's echelon class.
     """
-    if u.spec.order != 2:
-        raise BadParams("the full encoding is defined over GF(2)")
-    tail_of, _ = _class_tables(u.n, u.k)
-    tail = tail_of[u.id_vector.bits]
-    return free_entries_row_major(u) + tail
+    return _to_bits(u, u.n, u.k, _class_tables(u.n, u.k)[0])
 
 
 def decode_full(bits, n: int, k: int) -> Subspace:
     """Inverse of encode_full, by locating the unique parsing tail."""
-    bits = _as_bits(bits)
-    kw = k * (n - k)
-    if len(bits) != kw + 2:
-        raise BadLength(f"expected {kw + 2} bits, got {len(bits)}")
-    _, id_of = _class_tables(n, k)
-    for i in range(kw + 1):
-        tail = bits[kw - i :]
-        idbits = id_of.get(tail)
-        if idbits is None:
-            continue
-        u = _fill_from_prefix(IdVector(idbits), bits[: kw - i])
-        if encode_full(u) == bits:
-            return u
-    raise BadParams("bit vector is not in the image of the encoding")
-
-
-def _fill_from_prefix(v: IdVector, prefix: Bits) -> Subspace:
-    shape = echelon_ferrers_shape(v)
-    cols = shape.box_columns
-    col_of = {c: j for j, c in enumerate(cols)}
-    mat = [[0] * len(cols) for _ in range(v.weight)]
-    it = iter(prefix)
-    for r in range(v.weight):
-        for c in shape.free_positions[r]:
-            mat[r][col_of[c]] = next(it)
-    return fill_shape(v, mat, _GF2)
+    tail_of, id_of = _class_tables(n, k)
+    return _from_bits(bits, k * (n - k) + 2, id_of, tail_of)
 
 
 # -- compact variant -----------------------------------------------------------
@@ -315,11 +277,15 @@ def _fill_from_prefix(v: IdVector, prefix: Bits) -> Subspace:
 
 @lru_cache(maxsize=None)
 def _compact_tables(n: int, k: int):
-    """Threshold x and the assignment of final-x patterns to shallow-suffix
-    classes (deficit <= x-3 keeps the standard tails; deeper classes get a
-    reserved final-x pattern padded with zeros)."""
+    """The full tables with the deep classes reassigned.
+
+    With threshold x, classes of deficit <= x-3 keep their standard tails;
+    each deeper class gets a final-x pattern that no shallow tail reaches,
+    padded on the left with zeros.
+    """
     from math import comb
 
+    tail_of = dict(_class_tables(n, k)[0])
     kw = k * (n - k)
     coeffs = box_partition_coeffs(n, k)
     total_classes = comb(n, k)
@@ -335,73 +301,27 @@ def _compact_tables(n: int, k: int):
     if x is None:
         raise BadParams("no feasible threshold for the compact encoding")
 
-    tail_of, _ = _class_tables(n, k)
-    kept_tails = []
-    by_deficit: dict[int, list[Bits]] = {}
-    for v in identifying_vectors(n, k):
-        dots = echelon_ferrers_shape(v).dot_count
-        i = kw - dots
-        if i <= x - 3:
-            kept_tails.append(tail_of[v.bits])
-        else:
-            by_deficit.setdefault(i, []).append(v.bits)
-
+    by_deficit = _classes_by_deficit(n, k)
     blocked = set()
-    for tail in kept_tails:
-        pad = x - len(tail)
-        for m in range(2**pad):
-            free_bits = tuple((m >> (pad - 1 - s)) & 1 for s in range(pad))
-            blocked.add(free_bits + tail)
-    free_patterns = [
-        pat
-        for m in range(2**x)
-        if (pat := tuple((m >> (x - 1 - s)) & 1 for s in range(x))) not in blocked
-    ]
-
-    assign: dict[Bits, Bits] = {}
-    reverse: dict[Bits, Bits] = {}
-    slot = 0
+    for i in range(min(x - 2, kw + 1)):
+        for idbits in by_deficit.get(i, ()):
+            tail = tail_of[idbits]
+            blocked.update(pad + tail for pad in product((0, 1), repeat=x - len(tail)))
+    free_patterns = (pat for pat in product((0, 1), repeat=x) if pat not in blocked)
     for i in sorted(by_deficit):
-        for idbits in by_deficit[i]:
-            pat = free_patterns[slot]
-            slot += 1
-            tail = (0,) * (i + 2 - x) + pat
-            assign[idbits] = tail
-            reverse[tail] = idbits
-    return x, assign, reverse
+        if i > x - 3:
+            for idbits in by_deficit[i]:
+                tail_of[idbits] = (0,) * (i + 2 - x) + next(free_patterns)
+    return _inverse(tail_of)
 
 
 def encode_full_compact(u: Subspace) -> Bits:
     """Compact variant: deep classes reuse final-bit patterns unreachable by
     the shallow classes, shortening no vector but wasting fewer suffixes."""
-    if u.spec.order != 2:
-        raise BadParams("the full encoding is defined over GF(2)")
-    _, assign, _ = _compact_tables(u.n, u.k)
-    idbits = u.id_vector.bits
-    if idbits in assign:
-        return free_entries_row_major(u) + assign[idbits]
-    return encode_full(u)
+    return _to_bits(u, u.n, u.k, _compact_tables(u.n, u.k)[0])
 
 
 def decode_full_compact(bits, n: int, k: int) -> Subspace:
-    bits = _as_bits(bits)
-    kw = k * (n - k)
-    if len(bits) != kw + 2:
-        raise BadLength(f"expected {kw + 2} bits, got {len(bits)}")
-    _, assign, reverse = _compact_tables(n, k)
-    for i in range(kw + 1):
-        tail = bits[kw - i :]
-        idbits = reverse.get(tail)
-        if idbits is not None:
-            u = _fill_from_prefix(IdVector(idbits), bits[: kw - i])
-            if encode_full_compact(u) == bits:
-                return u
-    _, id_of = _class_tables(n, k)
-    for i in range(kw + 1):
-        tail = bits[kw - i :]
-        idbits = id_of.get(tail)
-        if idbits is not None and idbits not in assign:
-            u = _fill_from_prefix(IdVector(idbits), bits[: kw - i])
-            if encode_full_compact(u) == bits:
-                return u
-    raise BadParams("bit vector is not in the image of the compact encoding")
+    """Inverse of encode_full_compact."""
+    tail_of, id_of = _compact_tables(n, k)
+    return _from_bits(bits, k * (n - k) + 2, id_of, tail_of)

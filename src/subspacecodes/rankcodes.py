@@ -129,13 +129,6 @@ class GabidulinCode:
                     best = r
         return best
 
-    def sample(self, rng, count: int):
-        """Encode-on-demand with random messages; the route for codes too
-        large to materialize."""
-        ext_order = self.view.ext.order
-        for _ in range(count):
-            yield self.encode([rng.randrange(ext_order) for _ in range(self.k)])
-
 
 def gabidulin(view: ExtensionView, n: int, d: int) -> GabidulinCode:
     return GabidulinCode(view, n, d)
@@ -295,43 +288,6 @@ def _monotone_floor(zeros) -> tuple[int, ...]:
     for i in range(len(out) - 2, -1, -1):
         out[i] = min(out[i], out[i + 1])
     return tuple(out)
-
-
-def ferrers_d2_closed_form(v, q: int) -> dict:
-    """Closed-form size candidates for the optimal distance-2 code of an
-    identifying vector, reported for comparison only.
-
-    The formula q^(kn - k(k-1)/2 - sum(pivots) - b) leaves the second term
-    of b = max(n-k-i1+1, k - #ones-before-?) ambiguous; both readings (ones
-    left of the last zero / left of the first zero) are returned, and each
-    disagrees with the constructed size on some inputs.  Never assert on
-    these values; use ferrers_d2_code / ferrers_bound instead.
-    """
-    from .subspaces import IdVector
-
-    if not isinstance(v, IdVector):
-        v = IdVector(tuple(int(b) for b in v))
-    n = v.n
-    k = v.weight
-    pivots_1 = [p + 1 for p in v.support]
-    dots = k * n - k * (k - 1) // 2 - sum(pivots_1)
-    zeros_1 = [j + 1 for j, b in enumerate(v.bits) if b == 0]
-    ones_before_last_zero = (
-        sum(1 for p in pivots_1 if p < zeros_1[-1]) if zeros_1 else 0
-    )
-    ones_before_first_zero = (
-        sum(1 for p in pivots_1 if p < zeros_1[0]) if zeros_1 else k
-    )
-    i1 = pivots_1[0] if pivots_1 else 0
-    b_last = max(n - k - i1 + 1, k - ones_before_last_zero)
-    b_first = max(n - k - i1 + 1, k - ones_before_first_zero)
-    return {
-        "dots": dots,
-        "exponent_last_zero_reading": dots - b_last,
-        "exponent_first_zero_reading": dots - b_first,
-        "size_last_zero_reading": q ** max(0, dots - b_last),
-        "size_first_zero_reading": q ** max(0, dots - b_first),
-    }
 
 
 # -- distance-2 construction -------------------------------------------------

@@ -11,10 +11,12 @@ subspaces sharing that identifying vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations, product
 from typing import Iterator
 
-from .errors import BadParams, LengthMismatch, ParseError, ShapeViolation, TooLarge
-from .fields import FieldSpec, make_field
+from .errors import BadParams, FieldTooLarge, LengthMismatch, ParseError, ShapeViolation, TooLarge
+from .fields import MAX_ORDER, FieldSpec, make_field
 from .matrices import MatGF, nonzero_rows, null_space, rref
 
 ENUMERATION_CAP = 10**7
@@ -179,6 +181,7 @@ def identifying_vector(u: Subspace) -> IdVector:
     return u.id_vector
 
 
+@lru_cache(maxsize=4096)
 def echelon_ferrers_shape(v: IdVector) -> FerrersShape:
     """Free positions of the echelon form whose pivots sit at v's ones."""
     sup = v.support
@@ -229,17 +232,29 @@ def fill_shape(v: IdVector, point_part, spec: FieldSpec) -> Subspace:
     rows = [tuple(int(x) for x in r) for r in point_part]
     if not fits_shape(shape, rows):
         raise ShapeViolation(f"matrix does not fit the echelon form of {v}")
-    cols = shape.box_columns
-    col_of = {c: j for j, c in enumerate(cols)}
+    col_of = {c: j for j, c in enumerate(shape.box_columns)}
+    entries = [rows[r][col_of[c]] for r, free in enumerate(shape.free_positions) for c in free]
+    return fill_free_entries(v, entries, spec)
+
+
+def fill_free_entries(v: IdVector, entries, spec: FieldSpec) -> Subspace:
+    """Inverse of free_entries_row_major: the subspace with identifying
+    vector v whose free entries, in row-major dot order, are `entries`."""
+    shape = echelon_ferrers_shape(v)
+    entries = tuple(entries)
+    if len(entries) != shape.dot_count:
+        raise LengthMismatch(f"{len(entries)} free entries, the form of {v} has {shape.dot_count}")
+    it = iter(entries)
     gen = []
-    for r, p in enumerate(v.support):
+    for p, free in zip(v.support, shape.free_positions):
         row = [0] * v.n
         row[p] = 1
-        for c in shape.free_positions[r]:
-            row[c] = rows[r][col_of[c]]
-        gen.append(tuple(row))
-    m = MatGF(spec, tuple(gen), cols=v.n)
-    return Subspace(spec, v.n, m)
+        for c, x in zip(free, it):  # zip takes from `it` only while `free` lasts
+            row[c] = x
+        gen.append(row)
+    u = Subspace(spec, v.n, MatGF(spec, gen, cols=v.n))
+    u._id = v  # the pivots sit at v's ones by construction
+    return u
 
 
 def read_point_part(u: Subspace) -> tuple[tuple[int, ...], ...]:
@@ -252,11 +267,7 @@ def read_point_part(u: Subspace) -> tuple[tuple[int, ...], ...]:
 def free_entries_row_major(u: Subspace) -> tuple[int, ...]:
     """Free entries of the generator matrix in row-major dot order."""
     shape = echelon_ferrers_shape(u.id_vector)
-    out = []
-    for r in range(u.k):
-        for c in shape.free_positions[r]:
-            out.append(u.gen.entries[r][c])
-    return tuple(out)
+    return tuple(row[c] for row, free in zip(u.gen.entries, shape.free_positions) for c in free)
 
 
 def gaussian(n: int, k: int, q: int) -> int:
@@ -274,8 +285,6 @@ def gaussian(n: int, k: int, q: int) -> int:
 
 def identifying_vectors(n: int, k: int) -> Iterator[IdVector]:
     """All weight-k identifying vectors in lexicographically descending order."""
-    from itertools import combinations
-
     for sup in combinations(range(n), k):
         yield IdVector.from_support(n, sup)
 
@@ -286,21 +295,8 @@ def subspaces_with_id(v: IdVector, spec: FieldSpec) -> Iterator[Subspace]:
     Free entries are the base-q digits (most significant first) of an index
     running over row-major dot positions.
     """
-    shape = echelon_ferrers_shape(v)
-    cols = shape.box_columns
-    col_of = {c: j for j, c in enumerate(cols)}
-    dots = [(r, col_of[c]) for r in range(v.weight) for c in shape.free_positions[r]]
-    q = spec.order
-    total = q ** len(dots)
-    k = v.weight
-    w = len(cols)
-    for idx in range(total):
-        mat = [[0] * w for _ in range(k)]
-        t = idx
-        for r, j in reversed(dots):
-            mat[r][j] = t % q
-            t //= q
-        yield fill_shape(v, mat, spec)
+    for entries in product(range(spec.order), repeat=echelon_ferrers_shape(v).dot_count):
+        yield fill_free_entries(v, entries, spec)
 
 
 def enumerate_grassmannian(
@@ -335,6 +331,8 @@ def _prime_power(q: int) -> tuple[int, int]:
 
 
 def field_for_order(q: int) -> FieldSpec:
+    if q > MAX_ORDER:  # before factoring, which takes up to q trial divisions
+        raise FieldTooLarge(f"field order {q} exceeds {MAX_ORDER}")
     return make_field(*_prime_power(q))
 
 
@@ -360,7 +358,7 @@ def from_literal(s: str, spec: FieldSpec, n: int) -> Subspace:
     for i, part in enumerate(s.split(";")):
         row = []
         for j, c in enumerate(part):
-            if not c.isdigit() or int(c) >= spec.order:
+            if c not in "0123456789" or int(c) >= spec.order:
                 raise ParseError(f"row {i}, column {j}: invalid digit {c!r} for GF({spec.order})")
             row.append(int(c))
         if len(row) != n:

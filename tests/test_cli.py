@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspacecodes import codefile
 from subspacecodes.cli import run
 from subspacecodes.constructions import multilevel_fixture
-from subspacecodes.errors import InvariantViolation, ParseError
+from subspacecodes.errors import FieldTooLarge, InvariantViolation, ParseError
+from subspacecodes.subspaces import field_for_order, from_span, to_literal
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -211,6 +217,133 @@ def test_bounds_rejects_non_prime_power_q(capsys, q):
     rc, out, err = run_capture(capsys, ["bounds", "--q", q, "--n", "6", "--k", "3", "--delta", "2"])
     assert rc == 1 and out == ""
     assert _one_error_line(err) and f"{q} is not a prime power" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["encode", "--n", "6", "--k", "3", "--vector", "0001x"], "not a bit string"),
+        (["encode", "--n", "6", "--k", "3", "--vector", "0xzz"], "not a hex value"),
+        (["encode", "--n", "4", "--k", "5", "--vector", "0"], "need 0 <= k <= n"),
+        (["decode", "--n", "4", "--k", "5", "--subspace", "1000"], "need 0 <= k <= n"),
+        (["decode", "--n", "4", "--k", "2", "--subspace", "1000"], "expected a 2-subspace"),
+        (["decode", "--n", "5", "--k", "2", "--mode", "compact", "--subspace", "10000"], "a 2-subspace"),
+        (["decode", "--n", "5", "--k", "2", "--mode", "extended", "--subspace", "10000"], "a 2-subspace"),
+    ],
+)
+def test_index_rejects_bad_input(capsys, argv, message):
+    rc, out, err = run_capture(capsys, ["index", *argv])
+    assert rc == 1 and out == ""
+    assert _one_error_line(err) and message in err
+
+
+def _doc(**fields) -> str:
+    return json.dumps({"format_version": 1, "q": 2, "n": 4, "kind": "p", "codewords": [], **fields})
+
+
+@pytest.mark.parametrize(
+    "text,error,message",
+    [
+        ("5", ParseError, "expected a JSON object, got int"),
+        (_doc(q="x"), ParseError, "q must be an integer"),
+        (_doc(n=-1), ParseError, "n must be a non-negative integer"),
+        (_doc(n=4.0), ParseError, "n must be a non-negative integer"),
+        (_doc(n="4"), ParseError, "n must be a non-negative integer"),
+        # a prime this large would take that many trial divisions to factor
+        (_doc(q=10**12 + 39), FieldTooLarge, "field order 1000000000039 exceeds"),
+    ],
+    ids=["not-an-object", "q-text", "n-negative", "n-float", "n-text", "q-huge"],
+)
+def test_verify_rejects_malformed_fields(tmp_path, capsys, text, error, message):
+    with pytest.raises(error, match=message):
+        codefile.loads_code(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    rc, out, err = run_capture(capsys, ["verify", str(path)])
+    assert rc == 1 and out == ""
+    assert _one_error_line(err) and message in err
+
+
+def _run_quietly(argv) -> tuple[int, str, str]:
+    """run() with stdout and stderr captured; argparse's exits become codes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = run(argv)
+        except SystemExit as e:
+            rc = e.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _check_outcome(rc, out, err):
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err
+    if rc == 0:
+        assert out and "error:" not in err
+    else:
+        assert out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+@st.composite
+def _index_argv(draw):
+    """Mostly well-formed `index` calls, some with one argument replaced by junk."""
+    what = draw(st.sampled_from(["encode", "decode"]))
+    mode = draw(st.sampled_from(["extended", "full", "compact"]))
+    k = draw(st.integers(-1, 5))
+    n = k + draw(st.integers(-1, 4))
+    if what == "encode":
+        size = max(k * (n - k) + (1 if mode == "extended" else 2) + draw(st.sampled_from([0, 0, -1, 1])), 0)
+        value = draw(st.text("01", min_size=size, max_size=size) | st.integers(0, 2**40).map(hex))
+    else:
+        row = st.text("01", min_size=max(n, 0), max_size=max(n, 0))
+        value = ";".join(draw(st.lists(row, min_size=max(k, 0), max_size=max(k, 0) + 1)))
+    flag = "--vector" if what == "encode" else "--subspace"
+    argv = ["index", what, "--n", str(n), "--k", str(k), "--mode", mode, flag, value]
+    if draw(st.integers(0, 3)) == 0:
+        # short junk: an index call's work and memory grow with n, so a junk
+        # --n stays below 2223
+        argv[draw(st.integers(1, len(argv) - 1))] = draw(st.text("01xX2;- ", max_size=4))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_index_argv())
+def test_index_cli_fuzz(argv):
+    _check_outcome(*_run_quietly(argv))
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-3, 10) | st.floats(allow_nan=False) | st.text(max_size=4)
+)
+
+
+@st.composite
+def _code_doc(draw):
+    """A valid code file's fields, each of which may be replaced by junk."""
+    q, n = draw(st.sampled_from([2, 3, 4])), draw(st.integers(0, 5))
+    rows = st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), max_size=3)
+    words = {to_literal(from_span(r, field_for_order(q), n)) for r in draw(st.lists(rows, max_size=5))}
+    doc = {"format_version": 1, "q": q, "n": n, "kind": "projective", "codewords": sorted(words)}
+    for key in draw(st.sets(st.sampled_from(sorted(doc)))):
+        junk = {
+            "q": st.sampled_from([2**20 + 1, 10**12 + 39, 6]),
+            "codewords": st.lists(st.text(alphabet="0123;x²", max_size=14) | _JSON_SCALARS, max_size=4),
+        }.get(key, _JSON_SCALARS)
+        doc[key] = draw(junk | _JSON_SCALARS)
+    if draw(st.booleans()):
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_code_doc() | st.recursive(_JSON_SCALARS, lambda xs: st.lists(xs, max_size=3), max_leaves=5))
+def test_verify_cli_fuzz(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "code.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        _check_outcome(*_run_quietly(["verify", path]))
 
 
 def test_puncture_aligned_pipeline_cli(tmp_path, capsys):

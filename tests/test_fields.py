@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from subspacecodes.errors import BadParams, FieldTooLarge, NoExtensionView, NotPrime
 from subspacecodes.fields import (
     FieldElement,
+    FieldSpec,
     collapse_coords,
     expand_coords,
     extension_view,
@@ -173,6 +174,15 @@ def test_field_element_operators():
     assert a**0 == FieldElement(f9, 1)
     with pytest.raises(BadParams):
         FieldElement(f9, 9)
+
+
+def test_field_element_hash_agrees_with_eq():
+    # two equal but distinct FieldSpec objects, and an element against its int
+    x = FieldElement(FieldSpec(3, 1, (0, 1)), 2)
+    y = FieldElement(FieldSpec(3, 1, (0, 1)), 2)
+    assert x.spec is not y.spec
+    assert x == y and len({x, y}) == 1
+    assert x == 2 and hash(x) == hash(2) and len({x, 2}) == 1
 
 
 def test_frobenius_requires_view():

@@ -1,6 +1,9 @@
+import hashlib
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspacecodes.errors import BadLength, BadParams
 from subspacecodes.indexing import (
@@ -17,7 +20,15 @@ from subspacecodes.indexing import (
     partition_fib,
     suffix_family,
 )
-from subspacecodes.subspaces import enumerate_grassmannian, gaussian
+from subspacecodes.fields import make_field
+from subspacecodes.subspaces import (
+    enumerate_grassmannian,
+    free_entries_row_major,
+    from_literal,
+    from_span,
+    gaussian,
+    to_literal,
+)
 
 
 def partitions_in_box_oracle(total, k, w):
@@ -240,3 +251,92 @@ def test_decode_full_rejects_garbage():
     with pytest.raises(BadParams):
         # all-zero vector has no valid tail (tail must contain the marker)
         decode_full((0,) * 8, 5, 2)
+
+
+def _bit_string(bits) -> str:
+    return "".join(map(str, bits))
+
+
+# sha256 over every (subspace, bits) line, fixed when the three modes were
+# separate code paths; any change to an encoding changes its digest
+GRASSMANNIAN_DIGESTS = [
+    ("full", 6, 3, "041703389e5fa53c1f94f7a8cd132a8d5689a430dc89a4a92a9e252a99ea0243"),
+    ("compact", 6, 3, "3da70d0162c7c55204052199117cf4ca226d5515450299d02b5128054105e4dd"),
+    ("full", 7, 3, "bbfc416c48c384aaab484cb562b5ef39e168e889f59da991c62ab0c13180909f"),
+    ("compact", 7, 3, "3170892a358a126ecc06d64a09ca0416b53260c028de521145a7b8bbf16d661a"),
+]
+EXTENDED_DIGESTS = [
+    (5, 2, "995b41d445b3d4bff884224e86a27cc6048faef3f257ed6f0993e58ee0f49593"),
+    (6, 3, "ff8c17124e460e9d4f3ff17015e21bed839b5224a49d450e9ed291977b4ff068"),
+    (7, 3, "5904e4c8ce072b08583734ca84ed39ff1d00abd1be22cf080910bbf9ee2ac22f"),
+]
+ENCODERS = {"full": encode_full, "compact": encode_full_compact}
+DECODERS = {"full": decode_full, "compact": decode_full_compact}
+
+
+@pytest.mark.parametrize(
+    "mode,n,k,digest", GRASSMANNIAN_DIGESTS, ids=[f"{m}-{n}-{k}" for m, n, k, _ in GRASSMANNIAN_DIGESTS]
+)
+def test_grassmannian_encodings_pinned(mode, n, k, digest):
+    enc = ENCODERS[mode]
+    lines = (f"{to_literal(u)} {_bit_string(enc(u))}" for u in enumerate_grassmannian(n, k, 2))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n,k,digest", EXTENDED_DIGESTS, ids=[f"{n}-{k}" for n, k, _ in EXTENDED_DIGESTS])
+def test_extended_encoding_pinned(n, k, digest):
+    lines = (
+        f"{_bit_string(b)} {to_literal(encode_extended(b, n, k))}"
+        for b in product((0, 1), repeat=k * (n - k) + 1)
+    )
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+def test_extended_is_free_entries_plus_tail():
+    n, k = 6, 3
+    tails = {(1,), (1, 0), (1, 0, 0), (0, 0, 0)}
+    for b in product((0, 1), repeat=k * (n - k) + 1):
+        u = encode_extended(b, n, k)
+        free = free_entries_row_major(u)
+        assert b[: len(free)] == free and b[len(free) :] in tails
+
+
+def _subspaces(n, k):
+    rows = st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=k, max_size=k)
+    gf2 = make_field(2, 1)
+    return rows.map(lambda r: from_span(r, gf2, n)).filter(lambda u: u.k == k)
+
+
+@pytest.mark.parametrize("mode", ["full", "compact"])
+@pytest.mark.parametrize("n,k", [(8, 4), (9, 4)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_grassmannian_roundtrip_at_benchmark_sizes(mode, n, k, data):
+    u = data.draw(_subspaces(n, k))
+    bits = ENCODERS[mode](u)
+    assert len(bits) == k * (n - k) + 2
+    assert DECODERS[mode](bits, n, k) == u
+
+
+@pytest.mark.parametrize("n,k", [(8, 4), (12, 6)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_extended_roundtrip_at_benchmark_sizes(n, k, data):
+    bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=k * (n - k) + 1, max_size=k * (n - k) + 1)))
+    u = encode_extended(bits, n, k)
+    assert (u.n, u.k) == (n, k)
+    assert decode_extended(u, n, k) == bits
+
+
+def test_encoders_check_field_and_dimensions():
+    gf2, gf3 = make_field(2, 1), make_field(3, 1)
+    with pytest.raises(BadParams):
+        encode_full(from_literal("1000;0100", gf3, 4))
+    with pytest.raises(BadParams):
+        encode_full_compact(from_literal("1000;0120", gf3, 4))
+    with pytest.raises(BadParams):
+        decode_extended(from_literal("10000", gf2, 5), 5, 2)  # a 1-subspace
+    with pytest.raises(BadParams):
+        decode_extended(from_literal("1000;0100", gf2, 4), 5, 2)  # another ambient space
+    with pytest.raises(BadParams):
+        decode_extended(from_literal("0010;0001", gf2, 4), 4, 2)  # not in the image

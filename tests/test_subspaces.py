@@ -9,7 +9,9 @@ from subspacecodes.subspaces import (
     count_with_id,
     echelon_ferrers_shape,
     enumerate_grassmannian,
+    fill_free_entries,
     fill_shape,
+    free_entries_row_major,
     from_literal,
     from_span,
     full_space,
@@ -18,6 +20,7 @@ from subspacecodes.subspaces import (
     identifying_vectors,
     orthogonal_complement,
     read_point_part,
+    subspaces_with_id,
     to_literal,
     zero_subspace,
 )
@@ -111,6 +114,21 @@ def test_fill_shape_roundtrip_small(gf2, gf3):
             assert again == u
 
 
+def test_fill_free_entries_inverts_free_entries_row_major(gf2, gf3):
+    for spec, n, k in [(gf2, 5, 2), (gf2, 6, 3), (gf3, 4, 2), (gf3, 5, 3)]:
+        for u in enumerate_grassmannian(n, k, spec.order):
+            assert fill_free_entries(u.id_vector, free_entries_row_major(u), spec) == u
+    v = IdVector.from_string("0110100")
+    with pytest.raises(LengthMismatch):
+        fill_free_entries(v, (1,) * 6, gf2)  # the form has 7 free entries
+
+
+def test_subspaces_with_id_integer_order(gf3):
+    v = IdVector.from_string("1010")
+    got = [free_entries_row_major(u) for u in subspaces_with_id(v, gf3)]
+    assert got == list(product(range(3), repeat=3))
+
+
 def test_gaussian_values():
     assert gaussian(4, 0, 2) == 1 and gaussian(4, 4, 2) == 1
     assert gaussian(4, 2, 2) == 35
@@ -196,6 +214,8 @@ def test_literals(gf2, gf3):
         from_literal("1030", gf3, 4)  # digit 3 invalid over GF(3)
     with pytest.raises(ParseError):
         from_literal("10;0100", gf2, 4)
+    with pytest.raises(ParseError):
+        from_literal("10²0", gf3, 4)  # a digit to str.isdigit, not to int()
 
 
 def test_subspace_membership(gf2):
