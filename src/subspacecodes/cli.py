@@ -64,8 +64,13 @@ def _save_or_print(code, out: str | None) -> None:
 
 
 def _cmd_construct(args) -> int:
-    q = args.q
-    spec = field_for_order(q)
+    if args.what == "puncture":  # the input code file fixes q
+        base = codefile.load_code(args.code)
+        special = tuple(int(c) for c in args.special) if args.special else _default_special(base.n)
+        code = puncture(base, special, add_trivial=args.add_trivial)
+        _save_or_print(code, args.out)
+        return 0
+    spec = field_for_order(args.q)
     if args.what == "multilevel":
         if args.fixture:
             code = multilevel_fixture(
@@ -82,14 +87,8 @@ def _cmd_construct(args) -> int:
     elif args.what == "lift":
         view = extension_view(spec, args.m)
         code = lift_gabidulin(view, args.len, args.dist)
-    elif args.what == "spread":
+    else:  # spread; argparse restricts the choices
         code = spread_like(args.n, args.k, spec)
-    elif args.what == "puncture":
-        base = codefile.load_code(args.code)
-        special = tuple(int(c) for c in args.special) if args.special else _default_special(base.n)
-        code = puncture(base, special, add_trivial=args.add_trivial)
-    else:  # pragma: no cover - argparse restricts choices
-        raise BadParams(f"unknown construction {args.what}")
     _save_or_print(code, args.out)
     return 0
 
@@ -256,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     pu.add_argument("--code", required=True, help="input code file")
     pu.add_argument("--special", help="vector outside the hyperplane (digit string)")
     pu.add_argument("--add-trivial", action="store_true", help="append {0} and the full space")
-    pu.add_argument("--q", type=int, default=2, help=argparse.SUPPRESS)
     pu.add_argument("--out")
     pu.set_defaults(func=_cmd_construct)
 

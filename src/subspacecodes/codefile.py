@@ -3,8 +3,9 @@
 A code file is canonical JSON (sorted keys, two-space indent, LF endings,
 one trailing newline) with fields format_version, q, n, kind, codewords.
 Each codeword is the ';'-joined row literal of a canonical generator matrix
-(the zero subspace is the empty string).  Loading validates canonical form
-and uniqueness, so load followed by save is byte-identical.
+(the zero subspace is the empty string).  Loading builds each Subspace from
+the rows as written, so the Subspace constructor is the canonical-form check;
+with the uniqueness check, load followed by save is byte-identical.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import json
 
 from .constructions import SubspaceCode
-from .errors import InvariantViolation, ParseError
-from .subspaces import field_for_order, from_literal, to_literal
+from .errors import BadParams, InvariantViolation, ParseError
+from .matrices import MatGF
+from .subspaces import Subspace, field_for_order, literal_rows, to_literal
 
 FORMAT_VERSION = 1
 
@@ -60,13 +62,15 @@ def loads_code(text: str) -> SubspaceCode:
         if not isinstance(lit, str):
             raise ParseError(f"codeword {i}: expected a string, got {type(lit).__name__}")
         try:
-            w = from_literal(lit, spec, n)
+            rows = literal_rows(lit, spec, n)
         except ParseError as e:
             raise ParseError(f"codeword {i}: {e}") from e
-        if to_literal(w) != lit.strip():
+        try:
+            w = Subspace(spec, n, MatGF(spec, rows, cols=n))
+        except BadParams:
             raise InvariantViolation(
                 f"codeword {i}: rows are not a reduced echelon generator matrix"
-            )
+            ) from None
         if w.key() in seen:
             raise InvariantViolation(f"codeword {i}: duplicate subspace")
         seen.add(w.key())

@@ -20,15 +20,18 @@ MAX_ORDER = 1 << 20
 _TABLE_LIMIT = 1 << 16
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
+def smallest_prime_factor(n: int) -> int:
+    """Smallest prime dividing n >= 2, by trial division up to sqrt(n)."""
     d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
+    while d * d <= n:
+        if n % d == 0:
+            return d
         d += 1
-    return True
+    return n
+
+
+def is_prime(p: int) -> bool:
+    return p >= 2 and smallest_prime_factor(p) == p
 
 
 def _poly_mul_mod_p(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -125,7 +128,7 @@ class FieldSpec:
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self.default_view: ExtensionView | None = None
-        if 2 < order <= _TABLE_LIMIT:
+        if order <= _TABLE_LIMIT:
             self._build_tables()
 
     # -- representation helpers ------------------------------------------
@@ -226,27 +229,14 @@ class FieldSpec:
         n = self.order - 1
         factors = []
         m = n
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                factors.append(d)
-                while m % d == 0:
-                    m //= d
-            d += 1
-        if m > 1:
-            factors.append(m)
-
-        def poly_pow(a: int, e: int) -> int:
-            out = 1
-            while e:
-                if e & 1:
-                    out = self._mul_poly(out, a)
-                a = self._mul_poly(a, a)
-                e >>= 1
-            return out
-
-        for cand in range(2, self.order):
-            if all(poly_pow(cand, n // f) != 1 for f in factors):
+        while m > 1:
+            factors.append(smallest_prime_factor(m))
+            while m % factors[-1] == 0:
+                m //= factors[-1]
+        # self.pow multiplies polynomials here: the tables do not exist yet.
+        # Over GF(2), n = 1 has no prime factors and 1 generates.
+        for cand in range(1, self.order):
+            if all(self.pow(cand, n // f) != 1 for f in factors):
                 return cand
         raise AssertionError("no generator found")  # unreachable
 

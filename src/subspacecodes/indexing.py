@@ -69,24 +69,23 @@ def box_partition_coeffs(n: int, k: int) -> tuple[int, ...]:
     """Coefficients a_0..a_{k(n-k)} of the Gaussian polynomial [n k]_q.
 
     a_l is the number of partitions of l whose diagram fits a k by n-k box;
-    computed by the Pascal-type recurrence G(n,k) = G(n-1,k-1) + q^k G(n-1,k).
+    computed row by row with the Pascal-type recurrence
+    G(n,k) = G(n-1,k-1) + q^k G(n-1,k), where G(n-1,n) = 0.
     """
     if not 0 <= k <= n:
         raise BadParams(f"need 0 <= k <= n, got n={n} k={k}")
-
-    def poly(nn: int, kk: int) -> list[int]:
-        if kk == 0 or kk == nn:
-            return [1]
-        a = poly(nn - 1, kk - 1)
-        b = poly(nn - 1, kk)
-        out = [0] * (kk * (nn - kk) + 1)
-        for i, c in enumerate(a):
-            out[i] += c
-        for i, c in enumerate(b):
-            out[i + kk] += c
-        return out
-
-    return tuple(poly(n, k))
+    row = [[1]]  # G(nn, kk) for kk = 0..min(nn, k), starting at nn = 0
+    for nn in range(1, n + 1):
+        new = [[1]]
+        for kk in range(1, min(nn, k) + 1):
+            out = [0] * (kk * (nn - kk) + 1)
+            for i, c in enumerate(row[kk - 1]):
+                out[i] += c
+            for i, c in enumerate(row[kk] if kk < nn else ()):
+                out[i + kk] += c
+            new.append(out)
+        row = new
+    return tuple(row[k])
 
 
 def suffix_family(i: int) -> tuple[Bits, ...]:

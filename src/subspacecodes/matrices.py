@@ -14,7 +14,7 @@ from .fields import FieldSpec
 
 
 class MatGF:
-    __slots__ = ("spec", "rows", "cols", "entries", "_rref")
+    __slots__ = ("spec", "rows", "cols", "entries")
 
     def __init__(self, spec: FieldSpec, entries, cols: int | None = None) -> None:
         rows = tuple(tuple(int(x) for x in row) for row in entries)
@@ -32,7 +32,6 @@ class MatGF:
         self.rows = len(rows)
         self.cols = cols
         self.entries = rows
-        self._rref: tuple[MatGF, int, tuple[int, ...]] | None = None
 
     @classmethod
     def zero(cls, spec: FieldSpec, rows: int, cols: int) -> MatGF:
@@ -98,14 +97,9 @@ def rref(m: MatGF) -> tuple[MatGF, int, tuple[int, ...]]:
     Idempotent: rref of the returned matrix is itself.  The returned matrix
     keeps the input shape (zero rows stay at the bottom).
     """
-    if m._rref is not None:
-        return m._rref
     work = [list(row) for row in m.entries]
     rank, pivots = _rref_rows(m.spec, work, m.cols)
-    out = MatGF(m.spec, work, cols=m.cols)
-    out._rref = (out, rank, pivots)
-    m._rref = (out, rank, pivots)
-    return m._rref
+    return MatGF(m.spec, work, cols=m.cols), rank, pivots
 
 
 def rank(m: MatGF) -> int:
@@ -171,9 +165,3 @@ def null_space(m: MatGF) -> MatGF:
             vec[pc] = spec.neg(r.entries[i][fc])
         basis.append(tuple(vec))
     return MatGF(spec, tuple(basis)) if basis else MatGF.zero(spec, 0, m.cols)
-
-
-def row_in_span(m: MatGF, vec) -> bool:
-    """True iff vec lies in the row space of m."""
-    v = MatGF(m.spec, (tuple(vec),))
-    return rank(vconcat(m, v)) == rank(m)

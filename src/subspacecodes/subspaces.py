@@ -15,9 +15,10 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator
 
-from .errors import BadParams, FieldTooLarge, LengthMismatch, ParseError, ShapeViolation, TooLarge
-from .fields import MAX_ORDER, FieldSpec, make_field
-from .matrices import MatGF, nonzero_rows, null_space, rref
+from .errors import BadParams, FieldTooLarge, LengthMismatch, ParseError, ShapeMismatch
+from .errors import ShapeViolation, TooLarge
+from .fields import MAX_ORDER, FieldSpec, make_field, smallest_prime_factor
+from .matrices import MatGF, _rref_rows, null_space
 
 ENUMERATION_CAP = 10**7
 
@@ -96,37 +97,45 @@ class FerrersShape:
 
 
 class Subspace:
-    """A k-dimensional subspace of GF(q)^n in canonical form."""
+    """A k-dimensional subspace of GF(q)^n in canonical form.
 
-    __slots__ = ("spec", "n", "k", "gen", "_id")
+    The generator must be the subspace's full-rank reduced echelon form:
+    each row's first nonzero entry is 1, these pivots move strictly right,
+    and every pivot column is zero in the other rows.  The constructor
+    checks this in one scan and keeps the pivots as ``id_vector``.
+    """
+
+    __slots__ = ("spec", "n", "k", "gen", "id_vector")
 
     def __init__(self, spec: FieldSpec, n: int, gen: MatGF):
         if gen.cols != n:
             raise LengthMismatch(f"generator has {gen.cols} columns, ambient is {n}")
-        r, rank_, pivots = rref(gen)
-        if rank_ != gen.rows or nonzero_rows(r) != gen.entries:
-            raise BadParams("generator matrix is not a full-rank reduced echelon form")
+        rows = gen.entries
+        bits = [0] * n
+        last = -1
+        for i, row in enumerate(rows):
+            p = next((j for j, x in enumerate(row) if x), -1)
+            # rows below have zeros left of their pivots, so only the rows
+            # above this one can be nonzero in its pivot column
+            if p <= last or row[p] != 1 or any(rows[h][p] for h in range(i)):
+                raise BadParams("generator matrix is not a full-rank reduced echelon form")
+            bits[p] = 1
+            last = p
         self.spec = spec
         self.n = n
         self.k = gen.rows
         self.gen = gen
-        self._id: IdVector | None = None
-
-    @property
-    def id_vector(self) -> IdVector:
-        if self._id is None:
-            pivots = rref(self.gen)[2]
-            self._id = IdVector.from_support(self.n, pivots)
-        return self._id
+        self.id_vector = IdVector(tuple(bits))
 
     def contains(self, vec) -> bool:
-        from .matrices import row_in_span
-
-        if len(tuple(vec)) != self.n:
-            raise LengthMismatch("vector length differs from ambient dimension")
-        if self.k == 0:
-            return not any(vec)
-        return row_in_span(self.gen, vec)
+        v = _vector(vec, self.spec, self.n)
+        add, mul, neg = self.spec.add, self.spec.mul, self.spec.neg
+        # each pivot row clears its pivot column and leaves the others alone
+        for row, p in zip(self.gen.entries, self.id_vector.support):
+            if v[p]:
+                f = neg(v[p])
+                v = [add(x, mul(f, y)) for x, y in zip(v, row)]
+        return not any(v)
 
     def vectors(self) -> Iterator[tuple[int, ...]]:
         """All q^k elements of the subspace (exponential; small k only)."""
@@ -167,14 +176,20 @@ def full_space(spec: FieldSpec, n: int) -> Subspace:
 
 def from_span(vectors, spec: FieldSpec, n: int) -> Subspace:
     """Canonical subspace spanned by the given vectors (possibly dependent)."""
-    vecs = [tuple(int(x) for x in v) for v in vectors]
-    for v in vecs:
-        if len(v) != n:
-            raise LengthMismatch(f"vector of length {len(v)}, ambient is {n}")
-    if not vecs:
-        return zero_subspace(spec, n)
-    r, rank_, _ = rref(MatGF(spec, vecs))
-    return Subspace(spec, n, MatGF(spec, nonzero_rows(r), cols=n))
+    rows = [_vector(v, spec, n) for v in vectors]
+    rank, _ = _rref_rows(spec, rows, n)
+    return Subspace(spec, n, MatGF(spec, rows[:rank], cols=n))
+
+
+def _vector(v, spec: FieldSpec, n: int) -> list[int]:
+    """v as a list of integers, checked to be a vector of GF(q)^n."""
+    out = [int(x) for x in v]
+    if len(out) != n:
+        raise LengthMismatch(f"vector of length {len(out)}, ambient is {n}")
+    bad = next((x for x in out if not 0 <= x < spec.order), None)
+    if bad is not None:
+        raise ShapeMismatch(f"entry {bad} outside GF({spec.order})")
+    return out
 
 
 def identifying_vector(u: Subspace) -> IdVector:
@@ -252,9 +267,7 @@ def fill_free_entries(v: IdVector, entries, spec: FieldSpec) -> Subspace:
         for c, x in zip(free, it):  # zip takes from `it` only while `free` lasts
             row[c] = x
         gen.append(row)
-    u = Subspace(spec, v.n, MatGF(spec, gen, cols=v.n))
-    u._id = v  # the pivots sit at v's ones by construction
-    return u
+    return Subspace(spec, v.n, MatGF(spec, gen, cols=v.n))
 
 
 def read_point_part(u: Subspace) -> tuple[tuple[int, ...], ...]:
@@ -317,21 +330,18 @@ def enumerate_grassmannian(
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            m = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                m += 1
-            if t != 1:
-                raise BadParams(f"{q} is not a prime power")
+    if q >= 2:
+        p, m, t = smallest_prime_factor(q), 0, q
+        while t % p == 0:
+            t //= p
+            m += 1
+        if t == 1:
             return p, m
     raise BadParams(f"{q} is not a prime power")
 
 
 def field_for_order(q: int) -> FieldSpec:
-    if q > MAX_ORDER:  # before factoring, which takes up to q trial divisions
+    if q > MAX_ORDER:  # before factoring, which takes up to sqrt(q) trial divisions
         raise FieldTooLarge(f"field order {q} exceeds {MAX_ORDER}")
     return make_field(*_prime_power(q))
 
@@ -349,11 +359,11 @@ def to_literal(u: Subspace) -> str:
     return ";".join("".join(str(x) for x in row) for row in u.gen.entries)
 
 
-def from_literal(s: str, spec: FieldSpec, n: int) -> Subspace:
-    """Parse a ';'-joined row literal into a canonical subspace."""
+def literal_rows(s: str, spec: FieldSpec, n: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of a ';'-joined row literal, as written; '' has none."""
     s = s.strip()
     if not s:
-        return zero_subspace(spec, n)
+        return ()
     rows = []
     for i, part in enumerate(s.split(";")):
         row = []
@@ -364,4 +374,9 @@ def from_literal(s: str, spec: FieldSpec, n: int) -> Subspace:
         if len(row) != n:
             raise ParseError(f"row {i}: length {len(row)}, expected {n}")
         rows.append(tuple(row))
-    return from_span(rows, spec, n)
+    return tuple(rows)
+
+
+def from_literal(s: str, spec: FieldSpec, n: int) -> Subspace:
+    """Parse a ';'-joined row literal into a canonical subspace."""
+    return from_span(literal_rows(s, spec, n), spec, n)

@@ -3,6 +3,8 @@ import io
 import json
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -111,6 +113,8 @@ def test_construct_puncture(tmp_path, capsys):
     doc = json.loads(text)
     assert doc["size"] == 18 and doc["min_distance"] == 3 and doc["n"] == 5
     check_golden("verify_punctured_18.json", text)
+    rc, out, err = run_capture(capsys, ["construct", "puncture", "--code", str(c), "--special", "002001"])
+    assert rc == 1 and out == "" and _one_error_line(err) and "entry 2 outside GF(2)" in err
 
 
 def test_bounds_json_and_csv(capsys):
@@ -217,6 +221,30 @@ def test_bounds_rejects_non_prime_power_q(capsys, q):
     rc, out, err = run_capture(capsys, ["bounds", "--q", q, "--n", "6", "--k", "3", "--delta", "2"])
     assert rc == 1 and out == ""
     assert _one_error_line(err) and f"{q} is not a prime power" in err
+
+
+def test_bounds_factors_a_large_prime_quickly():
+    # factoring q by trial division up to q itself did not end
+    argv = ["bounds", "--q", "1000000000039", "--n", "4", "--k", "2", "--delta", "2"]
+    src = pathlib.Path(codefile.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "subspacecodes.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0 and json.loads(proc.stdout)[0]["q"] == 1000000000039
+
+
+def test_puncture_takes_q_from_the_code_file(tmp_path, capsys):
+    c = tmp_path / "c.json"
+    run_capture(capsys, ["construct", "multilevel", "--fixture", "w5k2", "--q", "3", "--out", str(c)])
+    rc, text, _ = run_capture(capsys, ["construct", "puncture", "--code", str(c)])
+    assert rc == 0 and json.loads(text)["q"] == 3
+    with pytest.raises(SystemExit) as exc:
+        run(["construct", "puncture", "--code", str(c), "--q", "3"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(
@@ -346,6 +374,33 @@ def test_verify_cli_fuzz(doc):
         _check_outcome(*_run_quietly(["verify", path]))
 
 
+@st.composite
+def _distance_argv(draw):
+    """`distance` calls on small literals, some with one argument replaced by junk."""
+    q = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(0, 5))
+    row = st.text("0123"[:q], min_size=n, max_size=n)
+    a, b = (";".join(draw(st.lists(row, max_size=3))) for _ in range(2))
+    argv = ["distance", "--q", str(q), a, b]
+    if draw(st.booleans()):
+        argv[3:3] = ["--n", str(n)]
+    if draw(st.integers(0, 2)) == 0:
+        argv[draw(st.integers(1, len(argv) - 1))] = draw(st.text("01239x;- ", max_size=4))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_distance_argv())
+def test_distance_cli_fuzz(argv):
+    _check_outcome(*_run_quietly(argv))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-2, 9999).map(str) | st.text("0123456789x.- ", max_size=4))
+def test_bounds_cli_fuzz(q):
+    _check_outcome(*_run_quietly(["bounds", "--q", q, "--n", "6", "--k", "3", "--delta", "2"]))
+
+
 def test_puncture_aligned_pipeline_cli(tmp_path, capsys):
     c = tmp_path / "c8.json"
     rc, _, _ = run_capture(
@@ -385,10 +440,12 @@ def test_codefile_rejects_duplicates_and_noncanonical(gf2):
     dup["codewords"] = [base["codewords"][0]] * 2
     with pytest.raises(InvariantViolation):
         codefile.loads_code(json.dumps(dup))
-    bad = dict(base)
-    bad["codewords"] = ["11000;10000"]  # spans the same space, not reduced
-    with pytest.raises(InvariantViolation):
-        codefile.loads_code(json.dumps(bad))
+    not_echelon = "rows are not a reduced echelon generator matrix"
+    # not reduced; a zero row; a zero row alone; pivots out of order
+    for lit in ["11000;10000", "10000;00000", "00000", " 01000;10000 "]:
+        bad = dict(base, codewords=[base["codewords"][0], lit])
+        with pytest.raises(InvariantViolation, match=f"^codeword 1: {not_echelon}$"):
+            codefile.loads_code(json.dumps(bad))
     q3 = dict(base)
     q3["q"] = 3
     q3["codewords"] = ["13000"]

@@ -50,6 +50,22 @@ def test_gf4_full_table_matches_polynomial_oracle():
         assert f4.mul(a, b) == want
 
 
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)])
+def test_tables_agree_with_polynomial_arithmetic(p, m):
+    # every field of order <= 16; GF(2) multiplies through tables too
+    f = make_field(p, m)
+    assert f._exp is not None
+    for a in range(f.order):
+        power = 1
+        for e in range(f.order + 1):
+            assert f.pow(a, e) == power
+            power = f._mul_poly(power, a)
+        for b in range(f.order):
+            assert f.mul(a, b) == f._mul_poly(a, b)
+        if a:
+            assert f._mul_poly(a, f.inv(a)) == 1
+
+
 def test_make_field_errors():
     with pytest.raises(NotPrime):
         make_field(4, 1)

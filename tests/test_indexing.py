@@ -76,6 +76,14 @@ def test_box_coeffs_examples():
     assert box_partition_coeffs(8, 4)[5] == 5 == partitions_in_box_oracle(5, 4, 4)
 
 
+def test_box_coeffs_of_large_boxes():
+    assert box_partition_coeffs(1200, 1) == (1,) * 1200  # no recursion depth limit
+    coeffs = box_partition_coeffs(20, 10)
+    assert len(coeffs) == 101 and coeffs == coeffs[::-1]
+    for l in (0, 1, 7, 16, 25):
+        assert coeffs[l] == partitions_in_box_oracle(l, 10, 10)
+
+
 def test_box_coeffs_match_bruteforce_oracle():
     for n, k in [(4, 2), (5, 2), (6, 3), (7, 3), (8, 4)]:
         w = n - k

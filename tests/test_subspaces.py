@@ -1,11 +1,23 @@
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subspacecodes.errors import LengthMismatch, ParseError, ShapeViolation, TooLarge
-from subspacecodes.matrices import row_space_equal
+from subspacecodes.errors import (
+    BadParams,
+    LengthMismatch,
+    ParseError,
+    ShapeMismatch,
+    ShapeViolation,
+    TooLarge,
+)
+from subspacecodes.fields import make_field
+from subspacecodes.matrices import MatGF, nonzero_rows, rank, row_space_equal, rref
 from subspacecodes.subspaces import (
     IdVector,
+    Subspace,
+    _prime_power,
     count_with_id,
     echelon_ferrers_shape,
     enumerate_grassmannian,
@@ -37,6 +49,8 @@ def test_from_span_known(gf2):
     assert span_size(gf2, [(1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 1, 0)], 4) == 4
     with pytest.raises(LengthMismatch):
         from_span([(1, 0)], gf2, 4)
+    with pytest.raises(ShapeMismatch, match="entry 2 outside GF"):
+        from_span([(1, 0, 2, 0)], gf2, 4)
 
 
 def test_identifying_vector_examples(gf2):
@@ -223,9 +237,74 @@ def test_subspace_membership(gf2):
     assert u.contains((1, 1, 0, 1))
     assert not u.contains((0, 0, 1, 0))
     assert zero_subspace(gf2, 4).contains((0, 0, 0, 0))
+    with pytest.raises(ShapeMismatch, match="entry 2 outside GF"):
+        u.contains((1, 2, 0, 1))
+    with pytest.raises(LengthMismatch):
+        u.contains((1, 1, 0))
     assert set(u.vectors()) == {
         (0, 0, 0, 0),
         (1, 0, 0, 0),
         (0, 1, 0, 1),
         (1, 1, 0, 1),
     }
+
+
+def test_prime_power_factors_large_squares():
+    p = 1_000_003  # prime; trial division stops at its square root
+    assert _prime_power(p * p) == (p, 2)
+    assert _prime_power(2**20) == (2, 20)
+    for q in (-1, 0, 1, 6, p * 1_000_033):  # the last: two primes above 10**6
+        with pytest.raises(BadParams):
+            _prime_power(q)
+
+
+@st.composite
+def _generators(draw):
+    """A field, n and a k x n matrix: random, or a canonical form with at
+    most one entry changed, so that both outcomes of the check occur."""
+    spec = make_field(draw(st.sampled_from([2, 3])), 1)
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, n))
+    rows = st.lists(st.integers(0, spec.order - 1), min_size=n, max_size=n)
+    m = [list(r) for r in draw(st.lists(rows, min_size=k, max_size=k))]
+    if draw(st.booleans()):
+        m = [list(r) for r in nonzero_rows(rref(MatGF(spec, m, cols=n))[0])]
+    if m and draw(st.booleans()):
+        i, j = draw(st.integers(0, len(m) - 1)), draw(st.integers(0, n - 1))
+        m[i][j] = draw(st.integers(0, spec.order - 1))
+    return spec, n, MatGF(spec, m, cols=n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_generators(), st.data())
+def test_subspace_accepts_exactly_the_reduced_echelon_forms(case, data):
+    spec, n, x = case
+    r, rk, pivots = rref(x)
+    canonical = rk == x.rows and nonzero_rows(r) == x.entries
+    if not canonical:
+        with pytest.raises(BadParams):
+            Subspace(spec, n, x)
+        return
+    u = Subspace(spec, n, x)
+    assert u.k == rk and u.id_vector.support == pivots
+    v = data.draw(st.lists(st.integers(0, spec.order - 1), min_size=n, max_size=n))
+    assert u.contains(v) == (rank(MatGF(spec, [*x.entries, v], cols=n)) == u.k)
+
+
+@pytest.mark.parametrize(
+    "q,rows",
+    [
+        (2, ["1000", "0000"]),  # a zero row
+        (2, ["0000"]),
+        (3, ["2000"]),  # a pivot that is not 1
+        (3, ["1000", "0210"]),
+        (2, ["0100", "1000"]),  # pivots out of order
+        (2, ["1000", "1100"]),  # two rows share a pivot column
+        (2, ["1100", "0100"]),  # a nonzero entry in a pivot column
+        (3, ["1020", "0010"]),
+    ],
+)
+def test_subspace_rejects_non_canonical_generators(q, rows):
+    spec = make_field(q, 1)
+    with pytest.raises(BadParams, match="not a full-rank reduced echelon form"):
+        Subspace(spec, 4, MatGF(spec, [tuple(map(int, r)) for r in rows]))
