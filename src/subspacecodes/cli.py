@@ -30,7 +30,7 @@ from .errors import BadParams, SubspaceCodesError
 from .fields import extension_view, make_field
 from .fixtures import CONSTANT_WEIGHT_WORDS
 from .indexing import _class_tables, _compact_tables, _extended_tables, _from_bits, _to_bits
-from .subspaces import _prime_power, field_for_order, from_literal, to_literal
+from .subspaces import _prime_power, field_for_order, from_literal, literal_rows, to_literal
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -66,7 +66,12 @@ def _save_or_print(code, out: str | None) -> None:
 def _cmd_construct(args) -> int:
     if args.what == "puncture":  # the input code file fixes q
         base = codefile.load_code(args.code)
-        special = tuple(int(c) for c in args.special) if args.special else _default_special(base.n)
+        special = _default_special(base.n)
+        if args.special:
+            rows = literal_rows(args.special, base.spec, base.n)
+            if len(rows) != 1:
+                raise BadParams(f"--special needs one vector, got {len(rows)}")
+            (special,) = rows
         code = puncture(base, special, add_trivial=args.add_trivial)
         _save_or_print(code, args.out)
         return 0

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .errors import AmbientMismatch, TooFewCodewords
 from .matrices import MatGF, rank, vconcat
-from .packed import PackedCode
+from .packed import PackedCode, meet_exponent
 from .subspaces import Subspace
 
 
@@ -95,8 +95,15 @@ def min_distance(code) -> int:
     vector form a class; when a class is a coset of a linear space of
     matrices its minimum is 2 min rank(G_i - G_0) (``PackedCode.coset_min``),
     otherwise its pairs are scanned.  Pairs of classes then go in order of
-    the Hamming distance of their identifying vectors, a lower bound on
-    every distance between them, until that bound reaches the best so far.
+    the Hamming distance h of their identifying vectors, a lower bound on
+    every distance between them, until h reaches the best so far.
+
+    With S the pivots two classes share, d(U, W) = h + 2(|S| - dim(U ∩ W)),
+    so d = h exactly when U and W share a subspace with pivot set S, and
+    d >= h + 2 otherwise.  When listing those subspaces (``meet_keys``)
+    costs no more than the |A| |B| pairs, a hash join settles the class
+    pair: a shared key gives d = h; with none, the pair can only matter if
+    the best so far exceeds h + 2, and only then are its pairs scanned.
     """
     words = code.words if hasattr(code, "words") else tuple(code)
     if len(words) < 2:
@@ -118,12 +125,29 @@ def min_distance(code) -> int:
             if best is None or d < best:
                 best = d
 
-    ids, rows = view.ids, view.rows
+    ids, rows, q = view.ids, view.rows, view.spec.order
     pairs = sorted(((a ^ b).bit_count(), a, b) for a, b in combinations(view.classes, 2))
     for h, a, b in pairs:
         if best is not None and h >= best:
             break
-        others = view.classes[b]
-        for i in view.classes[a]:
+        ours, others = view.classes[a], view.classes[b]
+        s, x, y = a & b, a & ~b, b & ~a
+        cost = len(ours) * q ** meet_exponent(s, x) + len(others) * q ** meet_exponent(s, y)
+        if cost <= len(ours) * len(others):
+            if _meets(view, ours, x, others, y):
+                best = h
+                continue
+            if best is not None and best <= h + 2:
+                continue
+        for i in ours:
             _, best = view.nearest(ids[i], rows[i], others, best)
     return best
+
+
+def _meets(view, ours, x, others, y) -> bool:
+    """Whether a word of ``ours`` and one of ``others`` share a subspace on
+    their shared pivots; ``x`` and ``y`` are each side's exclusive pivots."""
+    keys = set()
+    for i in ours:
+        keys |= view.meet_keys(i, x)
+    return any(not keys.isdisjoint(view.meet_keys(j, y)) for j in others)

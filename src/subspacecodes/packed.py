@@ -15,7 +15,7 @@ d(U, W) = 2 rank(G_U - G_W); otherwise d = 2 rank([G_U; G_W]) - k_U - k_W.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, product
 
 from .matrices import _rref_rows
 
@@ -46,15 +46,23 @@ def gf2_rank(rows) -> int:
     return len(lead)
 
 
-def _xor_rows(a, b) -> list[int]:
-    return [x ^ y for x, y in zip(a, b)]
+def meet_exponent(shared: int, exclusive: int) -> int:
+    """Number of pairs (p, i), p a column of ``shared`` and i one of
+    ``exclusive`` (both packed column sets), with i right of p."""
+    e = 0
+    while shared:
+        low = shared & -shared  # the rightmost column left in shared
+        e += (exclusive & (low - 1)).bit_count()
+        shared ^= low
+    return e
 
 
 class PackedCode:
     """The words of a code with packed identifying vectors and rows, grouped
     into classes by identifying vector (each class in code order).
 
-    ``rank(rows)`` and ``difference(a, b)`` (row-wise a - b) act on rows as
+    ``rank(rows)``, ``sub_row(x, y)`` (x - y), ``difference(a, b)`` (row-wise
+    a - b) and ``multiples(row)`` (every c * row, c in GF(q)) act on rows as
     this view stores them.
     """
 
@@ -64,10 +72,13 @@ class PackedCode:
         self.words = tuple(words)
         if spec.order == 2:
             self.rank = gf2_rank
-            self.difference = _xor_rows
+            self.sub_row = int.__xor__
+            self.multiples = lambda row: (0, row)
         else:
             self.rank = self._gfq_rank
-            self.difference = self._gfq_difference
+            sub, mul = spec.sub, spec.mul
+            self.sub_row = lambda x, y: tuple(map(sub, x, y))
+            self.multiples = lambda row: [tuple(mul(c, x) for x in row) for c in range(spec.order)]
         packed = [self.pack_word(w) for w in self.words]
         self.ids = [v for v, _ in packed]
         self.rows = [r for _, r in packed]
@@ -87,9 +98,8 @@ class PackedCode:
             return 0
         return _rref_rows(self.spec, [list(r) for r in rows], len(rows[0]))[0]
 
-    def _gfq_difference(self, a, b) -> list[tuple[int, ...]]:
-        sub = self.spec.sub
-        return [tuple(map(sub, x, y)) for x, y in zip(a, b)]
+    def difference(self, a, b) -> list:
+        return list(map(self.sub_row, a, b))
 
     def nearest(self, qid: int, qrows, candidates, best: int | None = None):
         """First candidate strictly closer to the query than ``best``.
@@ -143,3 +153,27 @@ class PackedCode:
         if len(set(flat)) != len(flat) or len(flat) != self.spec.order ** self.rank(flat):
             return None
         return 2 * min(self.rank(d) for d in diffs[1:])
+
+    def meet_keys(self, i: int, exclusive: int) -> set:
+        """One key per subspace X of word i whose pivots are the word's
+        pivots outside ``exclusive`` (a packed set of its pivot columns).
+
+        With S the other pivots and I = ``exclusive``, such an X has the
+        reduced rows x_p = u_p + sum of c_(p,j) u_j over j in I right of p,
+        for p in S and any c in GF(q); so there are q^e of them, e =
+        ``meet_exponent(S, I)``.  The key is the tuple of X's rows, so two
+        words share such a subspace exactly when they share a key.
+        """
+        n, wid = self.n, self.ids[i]
+        later, choices = [], []
+        # rows from the right, each beside its pivot's bit
+        for row, bit in zip(reversed(self.rows[i]), (b for b in range(n) if wid >> b & 1)):
+            if exclusive >> bit & 1:
+                later.append(self.multiples(row))
+                continue
+            rows = [row]
+            for multiples in later:
+                rows = [self.sub_row(x, m) for x in rows for m in multiples]
+            choices.append(rows)
+        choices.reverse()
+        return set(product(*choices))

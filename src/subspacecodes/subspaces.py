@@ -154,7 +154,7 @@ class Subspace:
             yield tuple(acc)
 
     def key(self) -> tuple:
-        return (self.spec.order, self.n, self.gen.entries)
+        return (self.spec, self.n, self.gen.entries)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Subspace) and self.key() == other.key()
@@ -176,9 +176,15 @@ def full_space(spec: FieldSpec, n: int) -> Subspace:
 
 def from_span(vectors, spec: FieldSpec, n: int) -> Subspace:
     """Canonical subspace spanned by the given vectors (possibly dependent)."""
+    _check_ambient(n)
     rows = [_vector(v, spec, n) for v in vectors]
     rank, _ = _rref_rows(spec, rows, n)
     return Subspace(spec, n, MatGF(spec, rows[:rank], cols=n))
+
+
+def _check_ambient(n: int) -> None:
+    if n < 0:
+        raise BadParams(f"ambient dimension must be >= 0, got {n}")
 
 
 def _vector(v, spec: FieldSpec, n: int) -> list[int]:
@@ -361,6 +367,7 @@ def to_literal(u: Subspace) -> str:
 
 def literal_rows(s: str, spec: FieldSpec, n: int) -> tuple[tuple[int, ...], ...]:
     """The rows of a ';'-joined row literal, as written; '' has none."""
+    _check_ambient(n)
     s = s.strip()
     if not s:
         return ()

@@ -114,7 +114,32 @@ def test_construct_puncture(tmp_path, capsys):
     assert doc["size"] == 18 and doc["min_distance"] == 3 and doc["n"] == 5
     check_golden("verify_punctured_18.json", text)
     rc, out, err = run_capture(capsys, ["construct", "puncture", "--code", str(c), "--special", "002001"])
-    assert rc == 1 and out == "" and _one_error_line(err) and "entry 2 outside GF(2)" in err
+    assert rc == 1 and out == "" and _one_error_line(err) and "invalid digit '2' for GF(2)" in err
+
+
+@pytest.mark.parametrize(
+    "special,message",
+    [
+        ("00x001", "row 0, column 2: invalid digit 'x' for GF(2)"),
+        ("003001", "row 0, column 2: invalid digit '3' for GF(2)"),
+        ("00101", "row 0: length 5, expected 6"),
+        ("0010010", "row 0: length 7, expected 6"),
+        ("001001;000001", "--special needs one vector, got 2"),
+        (" ", "--special needs one vector, got 0"),
+        ("000000", "special vector must have a nonzero last coordinate"),
+    ],
+)
+def test_puncture_rejects_bad_special(w6k3_file, capsys, special, message):
+    argv = ["construct", "puncture", "--code", w6k3_file, "--special", special]
+    rc, out, err = run_capture(capsys, argv)
+    assert rc == 1 and out == "" and _one_error_line(err) and message in err
+
+
+@pytest.fixture(scope="module")
+def w6k3_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("codes") / "w6k3.json"
+    codefile.save_code(multilevel_fixture("w6k3", field_for_order(2)), str(path))
+    return str(path)
 
 
 def test_bounds_json_and_csv(capsys):
@@ -138,6 +163,11 @@ def test_bounds_json_and_csv(capsys):
 def test_distance_command(capsys):
     rc, text, _ = run_capture(capsys, ["distance", "--q", "2", "1000;0100", "1000;0101"])
     assert rc == 0 and text.strip() == "2"
+    rc, out, err = run_capture(capsys, ["distance", "--n", "-1", "", ""])
+    assert rc == 1 and out == "" and _one_error_line(err)
+    assert "ambient dimension must be >= 0, got -1" in err
+    rc, text, _ = run_capture(capsys, ["distance", "--n", "0", "", ""])
+    assert rc == 0 and text == "0\n"
 
 
 def test_index_roundtrip_cli(capsys):
@@ -399,6 +429,13 @@ def test_distance_cli_fuzz(argv):
 @given(st.integers(-2, 9999).map(str) | st.text("0123456789x.- ", max_size=4))
 def test_bounds_cli_fuzz(q):
     _check_outcome(*_run_quietly(["bounds", "--q", q, "--n", "6", "--k", "3", "--delta", "2"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text("0123x;- ", max_size=4) | st.text("01", min_size=5, max_size=7))
+def test_puncture_cli_fuzz(w6k3_file, special):
+    argv = ["construct", "puncture", "--code", w6k3_file, "--special", special]
+    _check_outcome(*_run_quietly(argv))
 
 
 def test_puncture_aligned_pipeline_cli(tmp_path, capsys):

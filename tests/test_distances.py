@@ -1,7 +1,11 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from subspacecodes import distances
 
 from subspacecodes.constructions import SubspaceCode, multilevel_fixture, puncture
 from subspacecodes.errors import AmbientMismatch, TooFewCodewords
@@ -14,14 +18,16 @@ from subspacecodes.distances import (
 )
 from subspacecodes.fields import make_field
 from subspacecodes.matrices import MatGF, rank, vconcat
-from subspacecodes.packed import PackedCode, gf2_rank, pack
+from subspacecodes.packed import PackedCode, gf2_rank, meet_exponent, pack
 from subspacecodes.subspaces import (
     IdVector,
     Subspace,
     echelon_ferrers_shape,
     enumerate_grassmannian,
+    fill_free_entries,
     from_span,
     identifying_vectors,
+    literal_rows,
     zero_subspace,
 )
 from .conftest import random_subspace
@@ -409,3 +415,184 @@ def test_min_distance_beyond_64_columns(gf2):
     want = brute_min_distance(words)
     assert min_distance(words) == want == min_distance(SubspaceCode(gf2, n, words))
     assert want <= 4  # the flipped classes give close pairs
+
+
+def _row_key(spec, rows):
+    """Rows as a PackedCode stores them: packed ints over GF(2), else tuples."""
+    return tuple(pack(r) if spec.order == 2 else tuple(r) for r in rows)
+
+
+@pytest.mark.parametrize("q,sizes", [(2, range(1, 7)), (3, range(1, 6))])
+def test_meet_keys_against_brute_force(q, sizes):
+    # every X inside U whose pivots are U's pivots outside I, by filtering
+    # the whole Grassmannian
+    spec = make_field(q, 1)
+    rng = random.Random(20 + q)
+    by_support = {}
+    checked = several = 0
+    for n in sizes:
+        for _ in range(3 if q == 2 else 2):
+            u = random_subspace(spec, n, rng, k=rng.randrange(1, min(n, 4) + 1))
+            view = PackedCode(spec, n, [u])
+            pivots = u.id_vector.support
+            for r in range(len(pivots) + 1):
+                for excl in combinations(pivots, r):
+                    shared = tuple(p for p in pivots if p not in excl)
+                    key = (n, len(shared))
+                    if key not in by_support:
+                        by_support[key] = {}
+                        for x in enumerate_grassmannian(n, len(shared), q):
+                            by_support[key].setdefault(x.id_vector.support, []).append(x)
+                    want = {
+                        _row_key(spec, x.gen.entries)
+                        for x in by_support[key].get(shared, [])
+                        if all(u.contains(row) for row in x.gen.entries)
+                    }
+                    mask_i, mask_s = (pack(IdVector.from_support(n, c).bits) for c in (excl, shared))
+                    got = view.meet_keys(0, mask_i)
+                    assert got == want, (u, excl)
+                    assert len(got) == q ** meet_exponent(mask_s, mask_i)
+                    checked += 1
+                    several += len(got) > 1
+    assert checked > 50 and several > 10
+
+
+def _subspace_on(u, pivots, rng):
+    """A random subspace of u with the given pivots (a subset of u's): for
+    each p, u's row at p plus a random combination of u's later rows."""
+    spec, rows = u.spec, u.gen.entries
+    at = {p: i for i, p in enumerate(u.id_vector.support)}
+    vecs = []
+    for p in pivots:
+        vec = list(rows[at[p]])
+        for row in rows[at[p] + 1 :]:
+            c = rng.randrange(spec.order)
+            vec = [spec.add(a, spec.mul(c, b)) for a, b in zip(vec, row)]
+        vecs.append(vec)
+    return vecs
+
+
+def _join_code(q, n, rng):
+    """Classes of one identifying vector a and, beside each, a class with a
+    pivot of a dropped (h = 1) or moved to a column outside a (h = 2).  A
+    word of the second class either shares a subspace on the shared pivots
+    with a word of the first (d = h) or is at d >= h + 2 from all of them.
+    Words of one class are at distance >= ``far``; with far = 4 the class
+    pairs at h = 2 are reached, and misses at h = 1 must be scanned."""
+    spec = make_field(q, 1)
+    far = rng.choice([2, 4])
+
+    def grow(make, count):
+        out = []
+        for _ in range(4 * count):
+            w = make()
+            if w is not None and all(distance_naive(w, x) >= far for x in out):
+                out.append(w)
+            if len(out) == count:
+                break
+        return out
+
+    def free_word(v):
+        dots = echelon_ferrers_shape(v).dot_count
+        return fill_free_entries(v, [rng.randrange(q) for _ in range(dots)], spec)
+
+    words = {}
+    for _ in range(rng.randrange(1, 3)):
+        while True:  # forms with room for several words in each class
+            a = sorted(rng.sample(range(n), rng.randrange(2, n)))
+            drop = rng.choice(a)
+            shared = [p for p in a if p != drop]
+            moved = rng.choice([None] + [c for c in range(n) if c not in a])
+            va = IdVector.from_support(n, a)
+            vb = IdVector.from_support(n, shared + ([moved] if moved is not None else []))
+            if min(echelon_ferrers_shape(v).dot_count for v in (va, vb)) >= 2:
+                break
+        parents = grow(lambda: free_word(va), rng.randrange(2, 9))
+        h = 1 if moved is None else 2
+        plant = rng.choice([0.0, 0.0, 0.2, 0.5])
+
+        def child():
+            if rng.random() < plant:
+                vecs = _subspace_on(rng.choice(parents), shared, rng)
+                if moved is not None:
+                    vecs.append([0] * moved + [1] + [rng.randrange(q) for _ in range(n - moved - 1)])
+                w = from_span(vecs, spec, n)
+                assert w.id_vector == vb
+                return w
+            w = free_word(vb)
+            return w if all(distance_naive(w, u) >= h + 2 for u in parents) else None
+
+        for w in parents + grow(child, rng.randrange(2, 9)):
+            words[w.key()] = w
+    words = list(words.values())
+    rng.shuffle(words)
+    return words
+
+
+@pytest.fixture
+def join_outcomes(monkeypatch):
+    """The result of every join that min_distance runs, in order."""
+    outcomes = []
+    meets = distances._meets
+
+    def spy(*args):
+        outcomes.append(meets(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(distances, "_meets", spy)
+    return outcomes
+
+
+def test_min_distance_joins_against_pair_scan(join_outcomes):
+    # mixed-dimension codes over GF(2) and GF(3) whose class pairs go
+    # through the join; both outcomes must occur
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(4, 6), st.integers(0, 2**32))
+    def check(q, n, seed):
+        words = _join_code(q, n, random.Random(seed))
+        if len(words) >= 2:
+            assert min_distance(words) == brute_min_distance(words)
+
+    check()
+    assert join_outcomes.count(True) >= 5 and join_outcomes.count(False) >= 5
+
+
+def _words(spec, n, literals):
+    return [Subspace(spec, n, MatGF(spec, literal_rows(lit, spec, n), cols=n)) for lit in literals]
+
+
+def test_join_hit_needs_the_exclusive_rows(gf2, join_outcomes):
+    # x_0 = u_0 + u_1 lies in U1 and U2 and is a word of B, so d = h = 1;
+    # B's key 1101 arises from A only through the exclusive row u_1
+    a = _words(gf2, 4, ["1000;0100", "1001;0100", "1010;0111"])
+    b = _words(gf2, 4, ["1101", "1011", "1111"])
+    assert min_distance(a + b) == 1 == brute_min_distance(a + b)
+    assert join_outcomes == [True]
+
+
+def test_join_miss_scans_when_best_exceeds_h_plus_2(gf2, join_outcomes):
+    # classes of distance 4 inside, h = 1 between; no word of B lies in a
+    # word of A, but pairs at d = 3 do, so the miss must fall back to the scan
+    a = _words(gf2, 6, ["100000;010000;001000", "100111;010011;001000"])
+    b = _words(gf2, 6, ["010100;001000", "010010;001001"])
+    assert min_distance(a + b) == 3 == brute_min_distance(a + b)
+    assert join_outcomes == [False]
+
+
+def test_gf3_w6k3_shortening_against_pair_scan(gf3):
+    code = puncture(multilevel_fixture("w6k3", gf3), (0, 0, 1, 0, 0, 1))
+    ids = code.packed.ids
+    assert len(code) == 56
+    assert sum((x ^ y).bit_count() == 1 for x, y in combinations(ids, 2)) == 729
+    assert min_distance(code) == brute_min_distance(code.words)
+
+
+def test_shortened_w8k4_against_flat_scan(gf2):
+    # the 573-word shortening: the class step and the join against the
+    # scan of all 163,878 pairs
+    code = puncture(
+        multilevel_fixture("w8k4", gf2, puncture_aligned=True), (1, 0, 0, 0, 0, 0, 0, 1), add_trivial=True
+    )
+    assert len(code) == 573
+    view = code.packed
+    assert min_distance(code) == view.scan_pairs(range(len(code))) == 3

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subspacecodes.constructions import SubspaceCode
 from subspacecodes.errors import (
     BadParams,
     LengthMismatch,
@@ -12,7 +13,7 @@ from subspacecodes.errors import (
     ShapeViolation,
     TooLarge,
 )
-from subspacecodes.fields import make_field
+from subspacecodes.fields import FieldSpec, make_field
 from subspacecodes.matrices import MatGF, nonzero_rows, rank, row_space_equal, rref
 from subspacecodes.subspaces import (
     IdVector,
@@ -24,6 +25,7 @@ from subspacecodes.subspaces import (
     fill_free_entries,
     fill_shape,
     free_entries_row_major,
+    literal_rows,
     from_literal,
     from_span,
     full_space,
@@ -230,6 +232,30 @@ def test_literals(gf2, gf3):
         from_literal("10;0100", gf2, 4)
     with pytest.raises(ParseError):
         from_literal("10²0", gf3, 4)  # a digit to str.isdigit, not to int()
+
+
+def test_negative_ambient_dimension_is_rejected(gf2):
+    with pytest.raises(BadParams, match="ambient dimension must be >= 0, got -1"):
+        literal_rows("", gf2, -1)
+    with pytest.raises(BadParams, match="ambient dimension must be >= 0, got -1"):
+        from_literal("", gf2, -1)
+    with pytest.raises(BadParams, match="ambient dimension must be >= 0, got -2"):
+        from_span([], gf2, -2)
+    assert from_literal("", gf2, 0).k == 0 == from_span([], gf2, 0).n
+
+
+def test_key_tells_fields_of_one_order_apart():
+    # GF(8) from x^3+x+1 and from x^3+x^2+1: same order, different fields
+    f1, f2 = FieldSpec(2, 3, (1, 1, 0, 1)), FieldSpec(2, 3, (1, 0, 1, 1))
+    u1, u2 = (from_span([(1, 5, 0), (0, 0, 1)], f, 3) for f in (f1, f2))
+    assert u1.gen.entries == u2.gen.entries and f1.order == f2.order
+    assert u1 != u2 and u1.key() != u2.key()
+    assert len({u1, u2}) == 2
+    # one field, built twice: still one key
+    again = from_span([(1, 5, 0), (0, 0, 1)], FieldSpec(2, 3, (1, 1, 0, 1)), 3)
+    assert again == u1 and hash(again) == hash(u1) and len({u1, again}) == 1
+    with pytest.raises(BadParams, match="duplicate codewords"):
+        SubspaceCode(f1, 3, [u1, again])
 
 
 def test_subspace_membership(gf2):
