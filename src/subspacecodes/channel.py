@@ -4,6 +4,10 @@ The channel maps an input subspace V to H(V) + E: H projects V onto a
 uniformly random (dim V - rho)-dimensional subspace of V, and E is a random
 t-dimensional error space intersecting H(V) trivially.  A minimum-distance
 decoder recovers V whenever 2(t + rho) is below the code's minimum distance.
+With errors only, the received space contains the sent word; with erasures
+only, it lies inside it.  The decoder finds such a word by one linear solve
+per coset class of the code, and leaves anything else to the
+nearest-codeword scan.
 """
 
 from __future__ import annotations
@@ -106,10 +110,14 @@ def min_distance_decode(
 ) -> tuple[Subspace | None, int]:
     """Closest codeword and its distance, ties broken by code order.
 
-    One scan over the code's packed view (see ``PackedCode.nearest``):
-    codewords whose identifying vector is already at Hamming distance >= the
-    best subspace distance so far are skipped, which is sound because the
-    subspace distance dominates that Hamming distance.
+    First the containment stage (``PackedCode.contained``): per coset class,
+    one linear solve finds a word U with U ⊆ u or u ⊆ U, at distance
+    d = |dim u - dim U|.  When 2d is below a lower bound on the code's
+    minimum distance, U is the unique closest word and decoding stops.
+    Otherwise one scan over the code's packed view (``PackedCode.nearest``)
+    decides: codewords whose identifying vector is already at Hamming
+    distance >= the best subspace distance so far are skipped, which is
+    sound because the subspace distance dominates that Hamming distance.
     """
     if len(code.words) < 1:
         raise TooFewCodewords("decoding needs a nonempty code")
@@ -117,7 +125,8 @@ def min_distance_decode(
         raise AmbientMismatch("received subspace lives in a different ambient space")
     view = code.packed
     qid, qrows = view.pack_word(u)
-    i, d = view.nearest(qid, qrows, range(len(code.words)))
+    found = view.contained(qid, qrows)
+    i, d = found if found is not None else view.nearest(qid, qrows, range(len(code.words)))
     return code.words[i], d
 
 
@@ -159,11 +168,9 @@ def simulate(
     words = code.words
     if not words:
         raise TooFewCodewords("cannot simulate an empty code")
-    for w in words:
-        if cfg.rho > w.k or cfg.t > code.n - (w.k - cfg.rho):
-            raise InfeasibleParams(
-                f"(rho={cfg.rho}, t={cfg.t}) infeasible for a {w.k}-dim codeword"
-            )
+    for k in code.dims:
+        if cfg.rho > k or cfg.t > code.n - (k - cfg.rho):
+            raise InfeasibleParams(f"(rho={cfg.rho}, t={cfg.t}) infeasible for a {k}-dim codeword")
     max_dim = code.max_dim
     successes = 0
     outcomes: list[TrialOutcome] = []

@@ -5,7 +5,9 @@ one trailing newline) with fields format_version, q, n, kind, codewords.
 Each codeword is the ';'-joined row literal of a canonical generator matrix
 (the zero subspace is the empty string).  Loading builds each Subspace from
 the rows as written, so the Subspace constructor is the canonical-form check;
-with the uniqueness check, load followed by save is byte-identical.
+with the uniqueness check, load followed by save is byte-identical.  Equal
+rows of different codewords are one shared tuple: a code has few distinct
+rows, so this keeps a loaded code small.
 """
 
 from __future__ import annotations
@@ -58,11 +60,12 @@ def loads_code(text: str) -> SubspaceCode:
         raise ParseError("codewords must be a list of row literals")
     words = []
     seen = set()
+    shared = {}  # one tuple per distinct row, kept by every word that has it
     for i, lit in enumerate(doc["codewords"]):
         if not isinstance(lit, str):
             raise ParseError(f"codeword {i}: expected a string, got {type(lit).__name__}")
         try:
-            rows = literal_rows(lit, spec, n)
+            rows = [shared.setdefault(r, r) for r in literal_rows(lit, spec, n)]
         except ParseError as e:
             raise ParseError(f"codeword {i}: {e}") from e
         try:

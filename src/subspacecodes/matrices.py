@@ -17,7 +17,11 @@ class MatGF:
     __slots__ = ("spec", "rows", "cols", "entries")
 
     def __init__(self, spec: FieldSpec, entries, cols: int | None = None) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        # a row that is already a tuple of ints is kept, so callers can share it
+        rows = tuple(
+            row if type(row) is tuple and all(type(x) is int for x in row) else tuple(map(int, row))
+            for row in entries
+        )
         if rows:
             cols = len(rows[0])
         elif cols is None:

@@ -1,4 +1,5 @@
-"""The packed codebook and the one nearest-codeword scan.
+"""The packed codebook, the one nearest-codeword scan and the containment
+decoder.
 
 A code's identifying vectors are packed into integers once (column 0 in
 the highest bit), and over GF(2) so are its generator rows; over GF(q),
@@ -11,11 +12,18 @@ vectors, d(U, W) >= d_H(v(U), v(W)), so a word whose identifying vector is
 already that far from a query cannot beat the best distance so far.  Words
 sharing an identifying vector differ only in their free entries, and then
 d(U, W) = 2 rank(G_U - G_W); otherwise d = 2 rank([G_U; G_W]) - k_U - k_W.
+
+A class whose words form a coset G_0 + span(D_1..D_r) is linear in r
+unknowns, so whether one of its words contains a query, or lies inside it,
+is one elimination (``PackedCode.contained``).
 """
 
 from __future__ import annotations
 
-from itertools import chain, product
+from functools import cached_property, reduce
+from itertools import chain, combinations, product
+from operator import getitem
+from typing import NamedTuple
 
 from .matrices import _rref_rows
 
@@ -57,13 +65,37 @@ def meet_exponent(shared: int, exclusive: int) -> int:
     return e
 
 
+def _first_nonzero(row):
+    """(column, entry) of a tuple row's first nonzero entry, or None."""
+    for c, x in enumerate(row):
+        if x:
+            return c, x
+    return None
+
+
+class CosetClass(NamedTuple):
+    """A class G_0 + span(D_1..D_r) as the containment decoder reads it."""
+
+    cid: int
+    k: int
+    base: list | tuple  # the rows of G_0
+    base_pivots: list  # (pivot, multiples of G_0's row there)
+    basis: list  # per D_j: its rows, its (pivot, multiples) pairs, unit row e_j
+    index: list  # word index by the code of its coordinates x
+    zero: object  # the zero row of length r
+
+
 class PackedCode:
     """The words of a code with packed identifying vectors and rows, grouped
     into classes by identifying vector (each class in code order).
 
     ``rank(rows)``, ``sub_row(x, y)`` (x - y), ``difference(a, b)`` (row-wise
-    a - b) and ``multiples(row)`` (every c * row, c in GF(q)) act on rows as
-    this view stores them.
+    a - b), ``multiples(row)`` (every c * row, c in GF(q)), ``entry(row, p)``
+    (the entry in column p), ``lead(row)`` (a key for the first nonzero
+    column and that entry, or None for zero), ``flatten(rows)`` (the rows
+    joined into one vector), ``row_of(entries)`` (a tuple of entries as a
+    row) and ``code(row)`` (the integer whose base-q digits are the row's
+    entries) act on rows as this view stores them.
     """
 
     def __init__(self, spec, n: int, words):
@@ -74,11 +106,21 @@ class PackedCode:
             self.rank = gf2_rank
             self.sub_row = int.__xor__
             self.multiples = lambda row: (0, row)
+            self.entry = lambda row, p: row >> (n - 1 - p) & 1
+            self.lead = lambda row: (row.bit_length(), 1) if row else None
+            self.flatten = lambda rows: pack(rows, n)
+            self.row_of = pack
+            self.code = int
         else:
             self.rank = self._gfq_rank
             sub, mul = spec.sub, spec.mul
             self.sub_row = lambda x, y: tuple(map(sub, x, y))
             self.multiples = lambda row: [tuple(mul(c, x) for x in row) for c in range(spec.order)]
+            self.entry = getitem
+            self.lead = _first_nonzero
+            self.flatten = lambda rows: tuple(chain.from_iterable(rows))
+            self.row_of = tuple
+            self.code = lambda row: reduce(lambda a, x: a * spec.order + x, row, 0)
         packed = [self.pack_word(w) for w in self.words]
         self.ids = [v for v, _ in packed]
         self.rows = [r for _, r in packed]
@@ -134,25 +176,159 @@ class PackedCode:
             _, best = self.nearest(ids[i], rows[i], members[pos + 1 :], best)
         return best
 
-    def coset_min(self, members) -> int | None:
-        """Minimum distance inside a class that is a coset of a linear space.
+    def coset(self, members):
+        """A class that is a coset of a linear space of matrices, or None.
 
         The differences G_i - G_0, each flattened to one vector, include
         the zero one; they form a linear space exactly when they are
         distinct and number q^r, r the rank of their span.  Then every
-        pairwise difference is one of them and the minimum is
-        2 min rank(G_i - G_0) over i > 0.  None if the class is not a coset.
+        pairwise difference is one of them.  Returns (dmin, index): the
+        class minimum 2 min rank(G_i - G_0) over i > 0 (None for one word),
+        and a dict from each flattened difference to its word, in class
+        order.
         """
         rows = self.rows
         base = rows[members[0]]
         diffs = [self.difference(rows[i], base) for i in members]
-        if self.spec.order == 2:
-            flat = [pack(d, self.n) for d in diffs]
-        else:
-            flat = [tuple(chain.from_iterable(d)) for d in diffs]
-        if len(set(flat)) != len(flat) or len(flat) != self.spec.order ** self.rank(flat):
+        index = dict(zip(map(self.flatten, diffs), members))
+        if len(index) != len(members) or len(members) != self.spec.order ** self.rank(list(index)):
             return None
-        return 2 * min(self.rank(d) for d in diffs[1:])
+        return (2 * min(map(self.rank, diffs[1:])) if len(diffs) > 1 else None), index
+
+    def coset_min(self, members) -> int | None:
+        """Minimum distance inside a class of two or more words, if it is a
+        coset of a linear space (see ``coset``); None otherwise."""
+        coset = self.coset(members)
+        return None if coset is None else coset[0]
+
+    @cached_property
+    def decoder(self):
+        """The containment decoder's table, built on first use.
+
+        Returns (bound, cosets).  ``bound`` is a lower bound L on the
+        minimum distance (None for at most one word): the least of each
+        coset class's minimum, 2 for each other class of two or more words,
+        and the least Hamming distance between two classes' identifying
+        vectors.  ``cosets`` holds a ``CosetClass`` per coset class.
+        """
+        lows, cosets = [], []
+        for cid, members in self.classes.items():
+            coset = self.coset(members)
+            if coset is None:
+                lows.append(2)
+                continue
+            low, index = coset
+            if low is not None:
+                lows.append(low)
+            q, r = self.spec.order, 0
+            while q**r < len(members):
+                r += 1
+            eye = [self.row_of(tuple(int(i == j) for i in range(r))) for j in range(r)]
+            zero = self.row_of((0,) * r)
+            pivots = self.pivots(cid)
+            base = self.rows[members[0]]
+            # a basis D_1..D_r of the differences; at decode time each D_j
+            # tracks its unit row e_j, so a solution tracks its coordinates
+            basis, flats, spanned = [], [next(iter(index))], {}
+            for f, i in index.items():
+                if len(basis) == r:
+                    break
+                unit = eye[len(basis)]
+                if self._insert(spanned, f, unit):
+                    d = self.difference(self.rows[i], base)
+                    basis.append((d, self._by_pivot(pivots, d), unit))
+                    # every c * D_j added to every difference so far, c in
+                    # GF(q) order: the coordinates' codes count up
+                    plus = self.multiples(self.multiples(f)[self.spec.neg(1)])
+                    flats = [self.sub_row(g, m) for g in flats for m in plus]
+            by_coords = [index[f] for f in flats]
+            cosets.append(CosetClass(cid, len(base), base, self._by_pivot(pivots, base), basis, by_coords, zero))
+        hamming = ((a ^ b).bit_count() for a, b in combinations(self.classes, 2))
+        return min(chain(lows, hamming), default=None), cosets
+
+    def pivots(self, vid: int) -> list[int]:
+        """The columns of a packed identifying vector, ascending."""
+        return [p for p in range(self.n) if vid >> (self.n - 1 - p) & 1]
+
+    def _by_pivot(self, pivots, rows) -> list:
+        return [(p, self.multiples(row)) for p, row in zip(pivots, rows)]
+
+    def _reduce_rows(self, v, by_pivot):
+        """v less v[p] times row p over the (p, multiples of row p) pairs;
+        each row is zero at the other rows' p."""
+        entry, sub = self.entry, self.sub_row
+        for p, multiples in by_pivot:
+            c = entry(v, p)
+            if c:
+                v = sub(v, multiples[c])
+        return v
+
+    def _reduce(self, spanned, v, w):
+        """Subtract from v multiples of the stored rows until v's lead is no
+        stored row's, and from w the same multiples of their tracked rows.
+        ``spanned`` maps a lead column to (multiples of a row with lead
+        entry 1, multiples of its tracked row).  Returns (v, w, v's lead)."""
+        lead, sub = self.lead, self.sub_row
+        while True:
+            at = lead(v)
+            if at is None or at[0] not in spanned:
+                return v, w, at
+            vs, ws = spanned[at[0]]
+            v, w = sub(v, vs[at[1]]), sub(w, ws[at[1]])
+
+    def _insert(self, spanned, v, w) -> bool:
+        """Add v, tracking w, to ``spanned`` unless v is in its span."""
+        v, w, at = self._reduce(spanned, v, w)
+        if at is None:
+            return False
+        if at[1] != 1:
+            s = self.spec.inv(at[1])
+            v, w = self.multiples(v)[s], self.multiples(w)[s]
+        spanned[at[0]] = (self.multiples(v), self.multiples(w))
+        return True
+
+    def contained(self, qid: int, qrows):
+        """(index, distance) of the nearest word to the query Y, when a
+        containment proves it; None otherwise.
+
+        For each coset class G_0 + span(D_1..D_r) whose identifying vector
+        holds the query's or lies inside it, one elimination in r unknowns
+        decides whether a word U of the class has U ⊆ Y, or Y ⊆ U:
+        R(G_0) + sum x_j R(D_j) = 0 with R the reduction modulo Y's rows,
+        or y = sum of y[p] u_p over U's pivots p for every row y of Y.  A
+        solution gives the word at distance d = |dim Y - dim U|; when
+        2d < L (``decoder``) every other word is farther than d from Y.
+        """
+        bound, cosets = self.decoder
+        kq = len(qrows)
+        y_by_pivot = self._by_pivot(self.pivots(qid), qrows)
+        reduce_rows, flatten, sub, n = self._reduce_rows, self.flatten, self.sub_row, self.n
+        for cid, k, base, base_pivots, basis, index, zero in cosets:
+            d = abs(kq - k)
+            if bound is not None and 2 * d >= bound:
+                continue
+            if not cid & ~qid:  # U ⊆ Y
+                v = flatten([reduce_rows(r, y_by_pivot) for r in base])
+                # the D_j are zero in U's pivot columns, so only Y's rows
+                # at the other pivots can reduce them
+                outside = [(p, m) for p, m in y_by_pivot if not cid >> (n - 1 - p) & 1]
+                system = [(flatten([reduce_rows(r, outside) for r in rows]), e) for rows, _, e in basis]
+            elif not qid & ~cid:  # Y ⊆ U
+                v = flatten([reduce_rows(y, base_pivots) for y in qrows])
+                system = [
+                    (flatten([sub(reduce_rows(y, pivots), y) for y in qrows]), e)
+                    for _, pivots, e in basis
+                ]
+            else:
+                continue
+            spanned = {}
+            for a, e in system:
+                self._insert(spanned, a, e)
+            # reducing v to zero tracks the x with v + sum x_j a_j = 0
+            v, x, at = self._reduce(spanned, v, zero)
+            if at is None:
+                return index[self.code(x)], d
+        return None
 
     def meet_keys(self, i: int, exclusive: int) -> set:
         """One key per subspace X of word i whose pivots are the word's

@@ -243,9 +243,10 @@ def test_criterion_7_bounds_consistency():
 def test_criterion_8_channel_guarantee():
     ok = True
     details = []
-    for name in ("w5k2", "w6k3"):
+    inside = [(0, 0), (1, 0), (0, 1)]
+    for name, mixes in [("w5k2", inside), ("w6k3", inside), ("w8k4", inside[1:])]:
         code = multilevel_fixture(name, GF2)
-        for t, rho in [(0, 0), (1, 0), (0, 1)]:
+        for t, rho in mixes:
             stats = simulate(code, ChannelConfig(rho=rho, t=t, seed=2026, trials=1000))
             again = simulate(code, ChannelConfig(rho=rho, t=t, seed=2026, trials=1000))
             details.append(f"{name} t={t} rho={rho}: {stats.success_rate}")

@@ -1,6 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspacecodes.channel import (
     ChannelConfig,
@@ -13,8 +16,9 @@ from subspacecodes.distances import distance_fast, distance_naive
 from subspacecodes.errors import AmbientMismatch, InfeasibleParams, TooFewCodewords
 from subspacecodes.matrices import MatGF, mat_mul, rank
 from subspacecodes.fields import make_field
-from subspacecodes.subspaces import from_span
+from subspacecodes.subspaces import IdVector, echelon_ferrers_shape, fill_free_entries, from_span
 from .conftest import random_subspace
+from .test_distances import _structured_class
 
 
 def test_transmit_identity(gf2):
@@ -223,3 +227,124 @@ def test_trial_outcomes(gf2):
         assert outcome.success == (outcome.decoded == outcome.sent)
         assert outcome.received.k == outcome.sent.k + 1
         assert outcome.channel_distance == 1  # t=1 error dim, disjoint by construction
+
+
+def brute_min_distance(words):
+    return min(distance_naive(u, w) for u, w in combinations(words, 2))
+
+
+def _decoding_case(rng: random.Random):
+    """A small code over GF(2) or GF(3) of mixed dimensions whose classes are
+    single words, linear spaces, cosets or neither, and received spaces:
+    channel outputs of its words within and past the decoding radius, and
+    random spaces.  One code in four has one word, and it may be the zero
+    space."""
+    spec = make_field(rng.choice([2, 3]), 1)
+    q, n = spec.order, rng.randrange(0, 6)
+    words = {}
+    if rng.randrange(4) == 0:
+        w = random_subspace(spec, n, rng, k=rng.choice([0, n]))
+        words[w.key()] = w
+    else:
+        for _ in range(rng.randrange(1, 4)):
+            v = IdVector.from_support(n, rng.sample(range(n), rng.randrange(n + 1)))
+            dots = echelon_ferrers_shape(v).dot_count
+            kind = rng.choice(["one", "linear", "coset", "noncoset"])
+            if dots == 0 or kind == "one" or (kind == "noncoset" and q**dots <= 3):
+                fill = [fill_free_entries(v, [rng.randrange(q) for _ in range(dots)], spec)]
+            else:
+                fill = _structured_class(v, kind, spec, rng)
+            words.update((w.key(), w) for w in fill)
+        for _ in range(rng.randrange(3)):
+            w = random_subspace(spec, n, rng)
+            words[w.key()] = w
+    code = SubspaceCode(spec, n, list(words.values()))
+    received = [random_subspace(spec, n, rng) for _ in range(3)]
+    for _ in range(4):
+        sent = rng.choice(code.words)
+        rho = rng.randrange(sent.k + 1)
+        t = rng.randrange(n - sent.k + rho + 1)
+        received.append(transmit(sent, min(rho, 1), min(t, 1), rng))
+        received.append(transmit(sent, rho, t, rng))
+    return code, received
+
+
+def _check_decoding_case(code, received) -> dict:
+    """Every decoder stage against the definition; returns what was seen."""
+    view = code.packed
+    bound, _ = view.decoder
+    seen = {"hits": 0, "scans": 0, "ties": 0, "noncoset": 0, "zero_dim": 0 in code.dims}
+    if len(code) > 1:
+        assert bound <= brute_min_distance(code.words)
+    else:
+        assert bound is None
+    seen["noncoset"] = sum(len(m) > 1 and view.coset(m) is None for m in view.classes.values())
+    for u in received:
+        i, d = unfiltered_argmin(code, u)
+        assert min_distance_decode(code, u) == (code.words[i], d)
+        qid, qrows = view.pack_word(u)
+        assert view.nearest(qid, qrows, range(len(code))) == (i, d)
+        dists = [distance_naive(w, u) for w in code.words]
+        seen["ties"] += dists.count(d) > 1
+        hit = view.contained(qid, qrows)
+        if hit is None:
+            seen["scans"] += 1
+            continue
+        seen["hits"] += 1
+        assert hit == (i, d) and dists.count(d) == 1
+        assert len(code) == 1 or 2 * d < brute_min_distance(code.words)
+        assert code.words[i].k == u.k + d or code.words[i].k == u.k - d
+    return seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_containment_stage_against_flat_scan_and_definition(seed):
+    _check_decoding_case(*_decoding_case(random.Random(seed)))
+
+
+def test_containment_cases_cover_hits_scans_ties_and_non_cosets():
+    totals = {"hits": 0, "scans": 0, "ties": 0, "noncoset": 0, "zero_dim": 0}
+    one_word = 0
+    for seed in range(120):
+        code, received = _decoding_case(random.Random(seed))
+        one_word += len(code) == 1
+        for key, value in _check_decoding_case(code, received).items():
+            totals[key] += value
+    assert all(totals.values()) and one_word, totals
+
+
+@pytest.mark.parametrize("name,q", [("w8k4", 2), ("w6k3", 3)])
+def test_containment_solve_returns_the_sent_word(name, q):
+    # inside the radius a single error or erasure always leaves a containment
+    code = multilevel_fixture(name, make_field(q, 1))
+    view = code.packed
+    rng = random.Random(q)
+    for t, rho in [(1, 0), (0, 1)]:
+        for _ in range(100):
+            j = rng.randrange(len(code))
+            u = transmit(code.words[j], rho, t, rng)
+            assert view.contained(*view.pack_word(u)) == (j, 1)
+
+
+def test_containment_bound_on_bundled_codes(gf2, gf3):
+    for name, spec in [("w5k2", gf2), ("w6k3", gf2), ("w5k2", gf3)]:
+        code = multilevel_fixture(name, spec)
+        assert code.packed.decoder[0] == code.dmin == 4
+    one = SubspaceCode(gf2, 3, [from_span([(1, 0, 0)], gf2, 3)])
+    assert one.packed.decoder[0] is None
+    assert min_distance_decode(one, from_span([], gf2, 3)) == (one.words[0], 1)
+
+
+def test_simulate_names_the_smallest_infeasible_dimension(gf2):
+    words = [from_span(rows, gf2, 4) for rows in ([(1, 0, 0, 0)], [(0, 1, 0, 0), (0, 0, 1, 0)], [])]
+    code = SubspaceCode(gf2, 4, words)
+    with pytest.raises(InfeasibleParams, match="for a 1-dim codeword"):
+        simulate(SubspaceCode(gf2, 4, words[:2]), ChannelConfig(rho=2, t=0, trials=1))
+    with pytest.raises(InfeasibleParams, match="for a 0-dim codeword"):
+        simulate(code, ChannelConfig(rho=1, t=0, trials=1))
+    with pytest.raises(InfeasibleParams, match="for a 1-dim codeword"):
+        simulate(code, ChannelConfig(rho=0, t=4, trials=1))
+    with pytest.raises(InfeasibleParams, match="for a 2-dim codeword"):
+        simulate(code, ChannelConfig(rho=0, t=3, trials=1))
+    assert simulate(code, ChannelConfig(rho=0, t=2, trials=3)).trials == 3

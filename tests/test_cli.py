@@ -471,6 +471,12 @@ def test_codefile_roundtrip_byte_identical(tmp_path, gf2):
     assert text.endswith("\n")
 
 
+def test_loaded_code_shares_equal_rows(gf2):
+    code = codefile.loads_code(codefile.dumps_code(multilevel_fixture("w6k3", gf2)))
+    rows = [row for w in code.words for row in w.gen.entries]
+    assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)
+
+
 def test_codefile_rejects_duplicates_and_noncanonical(gf2):
     base = json.loads(codefile.dumps_code(multilevel_fixture("w5k2", gf2)))
     dup = dict(base)
@@ -501,3 +507,46 @@ def test_save_load_order_preserved(tmp_path, gf2):
     codefile.save_code(code, str(path))
     loaded = codefile.load_code(str(path))
     assert [w.key() for w in loaded.words] == [w.key() for w in code.words]
+
+
+_SIMULATE_CODES = {
+    "empty": (2, 3, []),
+    "one-word": (2, 3, ["100;001"]),
+    "zero-dim": (3, 2, [""]),
+    "mixed-dim": (2, 4, ["", "1000", "0100;0010", "1001;0101;0011"]),
+    "gf3-mixed": (3, 3, ["102", "010;001"]),
+}
+
+
+@pytest.fixture(scope="module")
+def simulate_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("simulate")
+    paths = {}
+    for name, (q, n, words) in _SIMULATE_CODES.items():
+        path = root / f"{name}.json"
+        path.write_text(_doc(q=q, n=n, codewords=words))
+        paths[name] = str(path)
+    return paths
+
+
+@st.composite
+def _simulate_argv(draw):
+    """`simulate` on small code files, --t and --rho up to and past the
+    ambient limits, some with one argument replaced by junk; never more
+    than 3 trials."""
+    name = draw(st.sampled_from(sorted(_SIMULATE_CODES)))
+    n = _SIMULATE_CODES[name][1]
+    dims = st.integers(0, 1) | st.integers(-1, n + 2) | st.sampled_from([n, 10**9])
+    argv = ["simulate", "--code", name, "--t", str(draw(dims)), "--rho", str(draw(dims))]
+    argv += ["--trials", str(draw(st.integers(0, 3))), "--seed", str(draw(st.integers(-2, 2**40)))]
+    if draw(st.integers(0, 3)) == 0:
+        # junk with no digits, so that a junk --trials is never large
+        argv[draw(st.integers(1, len(argv) - 1))] = draw(st.text("x;.- e", max_size=3))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_simulate_argv())
+def test_simulate_cli_fuzz(simulate_files, argv):
+    argv = [simulate_files.get(a, a) if i == 2 else a for i, a in enumerate(argv)]
+    _check_outcome(*_run_quietly(argv))

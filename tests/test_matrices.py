@@ -25,6 +25,14 @@ def test_rref_identity(gf2):
     assert r == m and rk == 4 and piv == (0, 1, 2, 3)
 
 
+def test_rows_of_ints_are_kept_and_others_converted(gf2):
+    row = (1, 0, 1)
+    assert MatGF(gf2, [row]).entries[0] is row
+    m = MatGF(gf2, [[1, 0, 1], (True, False, 1)])
+    assert m.entries == ((1, 0, 1), (1, 0, 1))
+    assert all(type(x) is int for r in m.entries for x in r)
+
+
 def test_rref_duplicate_row(gf2):
     m = MatGF(gf2, [(1, 0), (1, 0)])
     r, rk, piv = rref(m)
