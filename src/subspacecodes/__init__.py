@@ -20,11 +20,8 @@ from .constructions import (
 from .distances import distance_fast, distance_naive, min_distance
 from .fields import (
     ExtensionView,
-    FieldElement,
     FieldSpec,
-    expand_coords,
     extension_view,
-    frobenius_pow,
     make_field,
 )
 from .indexing import (

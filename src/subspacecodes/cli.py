@@ -188,7 +188,10 @@ def _cmd_experiment(args) -> int:
 
     spec = field_for_order(args.q)
     if args.what == "bound-attainability":
-        zeros = tuple(int(z) for z in args.zeros.split(","))
+        try:
+            zeros = tuple(int(z) for z in args.zeros.split(","))
+        except ValueError:
+            raise BadParams(f"--zeros needs comma-separated integers, got {args.zeros!r}") from None
         doc = experiments.bound_attainability(
             zeros, args.cols, args.dist, spec, tries=args.tries, seed=args.seed
         )

@@ -5,9 +5,11 @@ one trailing newline) with fields format_version, q, n, kind, codewords.
 Each codeword is the ';'-joined row literal of a canonical generator matrix
 (the zero subspace is the empty string).  Loading builds each Subspace from
 the rows as written, so the Subspace constructor is the canonical-form check;
-with the uniqueness check, load followed by save is byte-identical.  Equal
-rows of different codewords are one shared tuple: a code has few distinct
-rows, so this keeps a loaded code small.
+with the uniqueness check, load followed by save is byte-identical.  A code
+has few distinct rows, so the loader parses each distinct row literal once,
+and equal rows of different codewords are one shared tuple, which keeps a
+loaded code small.  Every codeword still gets its own matrix, canonical-form
+and uniqueness checks.
 """
 
 from __future__ import annotations
@@ -60,12 +62,12 @@ def loads_code(text: str) -> SubspaceCode:
         raise ParseError("codewords must be a list of row literals")
     words = []
     seen = set()
-    shared = {}  # one tuple per distinct row, kept by every word that has it
+    parsed = {}  # row literal -> its tuple, parsed once and kept by every word that has it
     for i, lit in enumerate(doc["codewords"]):
         if not isinstance(lit, str):
             raise ParseError(f"codeword {i}: expected a string, got {type(lit).__name__}")
         try:
-            rows = [shared.setdefault(r, r) for r in literal_rows(lit, spec, n)]
+            rows = literal_rows(lit, spec, n, parsed)
         except ParseError as e:
             raise ParseError(f"codeword {i}: {e}") from e
         try:

@@ -61,6 +61,10 @@ class ConstantWeightCode:
 
     @classmethod
     def from_strings(cls, words) -> ConstantWeightCode:
+        words = tuple(words)
+        bad = next((w for w in words if not set(w) <= {"0", "1"}), None)
+        if bad is not None:
+            raise BadParams(f"not a 0/1 word: {bad!r}")
         tup = tuple(tuple(int(c) for c in w) for w in words)
         if not tup:
             raise BadParams("empty word list")
@@ -345,6 +349,8 @@ def greedy_constant_weight(n: int, k: int, d: int) -> ConstantWeightCode:
     keeping words at Hamming distance >= d from everything kept so far."""
     from itertools import combinations
 
+    if not 0 <= k <= n:
+        raise BadParams(f"need 0 <= k <= n, got n={n} k={k}")
     kept: list[tuple[int, ...]] = []
     for sup in combinations(range(n), k):
         w = tuple(1 if j in set(sup) else 0 for j in range(n))

@@ -92,18 +92,26 @@ def min_distance(code) -> int:
     """Minimum pairwise distance over all unordered codeword pairs.
 
     Exact, and built on the code's structure.  Words sharing an identifying
-    vector form a class; when a class is a coset of a linear space of
-    matrices its minimum is 2 min rank(G_i - G_0) (``PackedCode.coset_min``),
-    otherwise its pairs are scanned.  Pairs of classes then go in order of
-    the Hamming distance h of their identifying vectors, a lower bound on
-    every distance between them, until h reaches the best so far.
+    vector form a class, and two words of a class are at distance 0, 2 or
+    at least 4.  When a class is a coset of a linear space of matrices its
+    minimum is 2 min rank(G_i - G_0) (``PackedCode.coset_minima``).  Otherwise
+    equal rows give 0, and two words at distance 2 share a hyperplane, a
+    (k-1)-subspace, whose pivots are all but one of the class's: listing
+    each word's hyperplanes (``meet_keys`` once per pivot) settles the class
+    as 2 when two words share one.  A class with no shared hyperplane has
+    minimum at least 4; that is only a lower bound, so it never becomes the
+    best so far, and the class's pairs are scanned at the end, only if the
+    best then exceeds 4.
 
-    With S the pivots two classes share, d(U, W) = h + 2(|S| - dim(U ∩ W)),
-    so d = h exactly when U and W share a subspace with pivot set S, and
-    d >= h + 2 otherwise.  When listing those subspaces (``meet_keys``)
-    costs no more than the |A| |B| pairs, a hash join settles the class
-    pair: a shared key gives d = h; with none, the pair can only matter if
-    the best so far exceeds h + 2, and only then are its pairs scanned.
+    Pairs of classes go in order of the Hamming distance h of their
+    identifying vectors, a lower bound on every distance between them,
+    until h reaches the best so far.  With S the pivots two classes share,
+    d(U, W) = h + 2(|S| - dim(U ∩ W)), so d = h exactly when U and W share
+    a subspace with pivot set S, and d >= h + 2 otherwise.  When listing
+    those subspaces (``meet_keys``) costs no more than the |A| |B| pairs, a
+    hash join settles the class pair: a shared key gives d = h; with none,
+    the pair can only matter if the best so far exceeds h + 2, and only
+    then are its pairs scanned.
     """
     words = code.words if hasattr(code, "words") else tuple(code)
     if len(words) < 2:
@@ -116,16 +124,23 @@ def min_distance(code) -> int:
             raise AmbientMismatch("codewords live in different ambient spaces")
         view = PackedCode(spec, n, words)
 
-    best = None
-    for members in view.classes.values():
-        if len(members) > 1:
-            d = view.coset_min(members)
-            if d is None:
-                d = view.scan_pairs(members, best)
-            if best is None or d < best:
-                best = d
+    ids, rows, q, minima = view.ids, view.rows, view.spec.order, view.coset_minima
+    best, deferred = None, []
+    for cid, members in view.classes.items():
+        if len(members) < 2:
+            continue
+        if cid in minima:
+            d = minima[cid]
+        elif len({tuple(rows[i]) for i in members}) < len(members):
+            d = 0  # a repeated word; the hyperplane join would say 2
+        elif _shares_hyperplane(view, cid, members):
+            d = 2
+        else:
+            deferred.append(members)
+            continue
+        if best is None or d < best:
+            best = d
 
-    ids, rows, q = view.ids, view.rows, view.spec.order
     pairs = sorted(((a ^ b).bit_count(), a, b) for a, b in combinations(view.classes, 2))
     for h, a, b in pairs:
         if best is not None and h >= best:
@@ -141,7 +156,26 @@ def min_distance(code) -> int:
                 continue
         for i in ours:
             _, best = view.nearest(ids[i], rows[i], others, best)
+
+    for members in deferred:  # each class's minimum is at least 4
+        if best is None or best > 4:
+            best = view.scan_pairs(members, best)
     return best
+
+
+def _shares_hyperplane(view, cid, members) -> bool:
+    """Whether two words of one class (``cid`` its packed identifying
+    vector) share a hyperplane.  Each hyperplane of a word has as pivots
+    all of the word's pivots but one, so ``meet_keys`` with that one pivot
+    exclusive lists it, and lists it once."""
+    pivots = [1 << b for b in range(view.n) if cid >> b & 1]
+    seen = set()
+    for i in members:
+        keys = set().union(*(view.meet_keys(i, b) for b in pivots))
+        if not seen.isdisjoint(keys):
+            return True
+        seen |= keys
+    return False
 
 
 def _meets(view, ours, x, others, y) -> bool:

@@ -127,7 +127,6 @@ class FieldSpec:
         self.order = order
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
-        self.default_view: ExtensionView | None = None
         if order <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -240,9 +239,6 @@ class FieldSpec:
                 return cand
         raise AssertionError("no generator found")  # unreachable
 
-    def element(self, rep: int) -> FieldElement:
-        return FieldElement(self, rep % self.order)
-
     def __repr__(self) -> str:
         return f"FieldSpec(GF({self.p}^{self.m_total}))"
 
@@ -255,55 +251,6 @@ class FieldSpec:
 
     def __hash__(self) -> int:
         return hash((self.p, self.modulus))
-
-
-class FieldElement:
-    """A field element: FieldSpec plus canonical integer representation."""
-
-    __slots__ = ("spec", "rep")
-
-    def __init__(self, spec: FieldSpec, rep: int):
-        if not 0 <= rep < spec.order:
-            raise BadParams(f"representation {rep} outside [0, {spec.order})")
-        self.spec = spec
-        self.rep = rep
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.spec != self.spec:
-                raise BadParams("elements of different fields")
-            return other.rep
-        return int(other) % self.spec.order
-
-    def __add__(self, other):
-        return FieldElement(self.spec, self.spec.add(self.rep, self._coerce(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.spec, self.spec.sub(self.rep, self._coerce(other)))
-
-    def __mul__(self, other):
-        return FieldElement(self.spec, self.spec.mul(self.rep, self._coerce(other)))
-
-    def __truediv__(self, other):
-        return FieldElement(self.spec, self.spec.div(self.rep, self._coerce(other)))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg(self.rep))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.spec, self.spec.pow(self.rep, e))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.spec == other.spec and self.rep == other.rep
-        return self.rep == other
-
-    def __hash__(self) -> int:
-        # equal elements of equal fields, and an element and its int, hash alike
-        return hash(self.rep)
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.rep} in GF({self.spec.order}))"
 
 
 @lru_cache(maxsize=None)
@@ -359,8 +306,6 @@ class ExtensionView:
             self._embed_root = self._find_embedding_root()
             self._setup_coordinate_solver()
         self._check_basis_independent()
-        if ext.default_view is None:
-            ext.default_view = self
 
     def _find_embedding_root(self) -> int:
         """Element of ext that is a root of base.modulus, defining GF(q) -> GF(q^m)."""
@@ -441,34 +386,3 @@ def extension_view(base: FieldSpec, m: int) -> ExtensionView:
     """Build (and cache) the view of GF(base.order^m) over base."""
     ext = make_field(base.p, base.m_total * m)
     return ExtensionView(base, ext)
-
-
-def _as_element(x) -> FieldElement:
-    if isinstance(x, FieldElement):
-        return x
-    raise BadParams("expected a FieldElement")
-
-
-def frobenius_pow(x: FieldElement, i: int, view: ExtensionView | None = None) -> FieldElement:
-    """x^[i] with [i] = q^(i mod m); a base-field-linear automorphism."""
-    x = _as_element(x)
-    if view is None:
-        view = x.spec.default_view
-    if view is None or view.ext != x.spec:
-        raise NoExtensionView("element's field has no registered extension view")
-    return FieldElement(x.spec, view.frobenius(x.rep, i))
-
-
-def expand_coords(x: FieldElement, view: ExtensionView | None = None) -> tuple[FieldElement, ...]:
-    """Coordinates of x over the view's base field, as base FieldElements."""
-    x = _as_element(x)
-    if view is None:
-        view = x.spec.default_view
-    if view is None or view.ext != x.spec:
-        raise NoExtensionView("element's field has no registered extension view")
-    return tuple(FieldElement(view.base, c) for c in view.expand(x.rep))
-
-
-def collapse_coords(coords, view: ExtensionView) -> FieldElement:
-    reps = [c.rep if isinstance(c, FieldElement) else int(c) for c in coords]
-    return FieldElement(view.ext, view.collapse(reps))

@@ -125,6 +125,7 @@ class PackedCode:
         self.ids = [v for v, _ in packed]
         self.rows = [r for _, r in packed]
         self.classes: dict[int, list[int]] = {}
+        self._meet_plans: dict[tuple[int, int], list] = {}
         for i, v in enumerate(self.ids):
             self.classes.setdefault(v, []).append(i)
 
@@ -176,30 +177,32 @@ class PackedCode:
             _, best = self.nearest(ids[i], rows[i], members[pos + 1 :], best)
         return best
 
-    def coset(self, members):
-        """A class that is a coset of a linear space of matrices, or None.
+    @cached_property
+    def coset_minima(self) -> dict:
+        """The classes that are cosets of a linear space of matrices, by
+        identifying vector, each with its minimum (None for one word).
 
         The differences G_i - G_0, each flattened to one vector, include
         the zero one; they form a linear space exactly when they are
         distinct and number q^r, r the rank of their span.  Then every
-        pairwise difference is one of them.  Returns (dmin, index): the
-        class minimum 2 min rank(G_i - G_0) over i > 0 (None for one word),
-        and a dict from each flattened difference to its word, in class
-        order.
+        pairwise difference is one of them, and the class minimum is
+        2 min rank(G_i - G_0) over i > 0.  Computed once, for both
+        ``min_distance`` and the decoder table.
         """
+        minima, q = {}, self.spec.order
+        for cid, members in self.classes.items():
+            diffs, index = self._differences(members)
+            if len(index) == len(members) == q ** self.rank(list(index)):
+                minima[cid] = 2 * min(map(self.rank, diffs[1:])) if len(diffs) > 1 else None
+        return minima
+
+    def _differences(self, members) -> tuple[list, dict]:
+        """The differences G_i - G_0 over a class's words i, and a dict from
+        each, flattened, to its word, in class order."""
         rows = self.rows
         base = rows[members[0]]
         diffs = [self.difference(rows[i], base) for i in members]
-        index = dict(zip(map(self.flatten, diffs), members))
-        if len(index) != len(members) or len(members) != self.spec.order ** self.rank(list(index)):
-            return None
-        return (2 * min(map(self.rank, diffs[1:])) if len(diffs) > 1 else None), index
-
-    def coset_min(self, members) -> int | None:
-        """Minimum distance inside a class of two or more words, if it is a
-        coset of a linear space (see ``coset``); None otherwise."""
-        coset = self.coset(members)
-        return None if coset is None else coset[0]
+        return diffs, dict(zip(map(self.flatten, diffs), members))
 
     @cached_property
     def decoder(self):
@@ -213,13 +216,13 @@ class PackedCode:
         """
         lows, cosets = [], []
         for cid, members in self.classes.items():
-            coset = self.coset(members)
-            if coset is None:
+            if cid not in self.coset_minima:
                 lows.append(2)
                 continue
-            low, index = coset
+            low = self.coset_minima[cid]
             if low is not None:
                 lows.append(low)
+            _, index = self._differences(members)
             q, r = self.spec.order, 0
             while q**r < len(members):
                 r += 1
@@ -340,16 +343,23 @@ class PackedCode:
         ``meet_exponent(S, I)``.  The key is the tuple of X's rows, so two
         words share such a subspace exactly when they share a key.
         """
-        n, wid = self.n, self.ids[i]
-        later, choices = [], []
-        # rows from the right, each beside its pivot's bit
-        for row, bit in zip(reversed(self.rows[i]), (b for b in range(n) if wid >> b & 1)):
-            if exclusive >> bit & 1:
-                later.append(self.multiples(row))
-                continue
-            rows = [row]
-            for multiples in later:
-                rows = [self.sub_row(x, m) for x in rows for m in multiples]
-            choices.append(rows)
-        choices.reverse()
+        wid = self.ids[i]
+        plan = self._meet_plans.get((wid, exclusive))
+        if plan is None:
+            plan = self._meet_plans[wid, exclusive] = self._meet_plan(wid, exclusive)
+        rows, sub, multiples = self.rows[i], self.sub_row, self.multiples
+        choices = []
+        for p, later in plan:
+            xs = [rows[p]]
+            for j in later:
+                xs += [sub(x, m) for x in xs for m in multiples(rows[j])[1:]]
+            choices.append(xs)
         return set(product(*choices))
+
+    def _meet_plan(self, wid: int, exclusive: int) -> list:
+        """For ``meet_keys`` on words with identifying vector ``wid``: per
+        row whose pivot is shared, its position and the positions of the
+        later rows whose pivots are exclusive."""
+        bits = [b for b in range(self.n - 1, -1, -1) if wid >> b & 1]  # rows' pivots, in row order
+        later = [r for r, b in enumerate(bits) if exclusive >> b & 1]
+        return [(r, [j for j in later if j > r]) for r, b in enumerate(bits) if not exclusive >> b & 1]

@@ -365,22 +365,32 @@ def to_literal(u: Subspace) -> str:
     return ";".join("".join(str(x) for x in row) for row in u.gen.entries)
 
 
-def literal_rows(s: str, spec: FieldSpec, n: int) -> tuple[tuple[int, ...], ...]:
-    """The rows of a ';'-joined row literal, as written; '' has none."""
+def literal_rows(s: str, spec: FieldSpec, n: int, parsed: dict | None = None) -> tuple[tuple[int, ...], ...]:
+    """The rows of a ';'-joined row literal, as written; '' has none.
+
+    ``parsed`` maps row literals to their rows and is read and filled, so
+    that over many literals each distinct row is parsed once and is one
+    shared tuple.
+    """
     _check_ambient(n)
     s = s.strip()
     if not s:
         return ()
+    if parsed is None:
+        parsed = {}
     rows = []
     for i, part in enumerate(s.split(";")):
-        row = []
-        for j, c in enumerate(part):
-            if c not in "0123456789" or int(c) >= spec.order:
-                raise ParseError(f"row {i}, column {j}: invalid digit {c!r} for GF({spec.order})")
-            row.append(int(c))
-        if len(row) != n:
-            raise ParseError(f"row {i}: length {len(row)}, expected {n}")
-        rows.append(tuple(row))
+        row = parsed.get(part)
+        if row is None:
+            row = []
+            for j, c in enumerate(part):
+                if c not in "0123456789" or int(c) >= spec.order:
+                    raise ParseError(f"row {i}, column {j}: invalid digit {c!r} for GF({spec.order})")
+                row.append(int(c))
+            if len(row) != n:
+                raise ParseError(f"row {i}: length {len(row)}, expected {n}")
+            row = parsed[part] = tuple(row)
+        rows.append(row)
     return tuple(rows)
 
 

@@ -11,11 +11,12 @@ from subspacecodes.channel import (
     simulate,
     transmit,
 )
-from subspacecodes.constructions import SubspaceCode, multilevel_fixture
-from subspacecodes.distances import distance_fast, distance_naive
+from subspacecodes.constructions import SubspaceCode, multilevel_fixture, puncture
+from subspacecodes.distances import distance_fast, distance_naive, min_distance
 from subspacecodes.errors import AmbientMismatch, InfeasibleParams, TooFewCodewords
 from subspacecodes.matrices import MatGF, mat_mul, rank
 from subspacecodes.fields import make_field
+from subspacecodes.packed import PackedCode
 from subspacecodes.subspaces import IdVector, echelon_ferrers_shape, fill_free_entries, from_span
 from .conftest import random_subspace
 from .test_distances import _structured_class
@@ -278,7 +279,7 @@ def _check_decoding_case(code, received) -> dict:
         assert bound <= brute_min_distance(code.words)
     else:
         assert bound is None
-    seen["noncoset"] = sum(len(m) > 1 and view.coset(m) is None for m in view.classes.values())
+    seen["noncoset"] = sum(len(m) > 1 and cid not in view.coset_minima for cid, m in view.classes.items())
     for u in received:
         i, d = unfiltered_argmin(code, u)
         assert min_distance_decode(code, u) == (code.words[i], d)
@@ -334,6 +335,25 @@ def test_containment_bound_on_bundled_codes(gf2, gf3):
     one = SubspaceCode(gf2, 3, [from_span([(1, 0, 0)], gf2, 3)])
     assert one.packed.decoder[0] is None
     assert min_distance_decode(one, from_span([], gf2, 3)) == (one.words[0], 1)
+
+
+def test_verify_then_decode_ranks_each_class_once(gf3, monkeypatch):
+    # min_distance and the decoder table share the classes' coset analysis,
+    # so the table makes no rank call of its own after a verify
+    calls = []
+    rank = PackedCode._gfq_rank
+
+    def spy(self, rows):
+        calls.append(len(rows))
+        return rank(self, rows)
+
+    monkeypatch.setattr(PackedCode, "_gfq_rank", spy)
+    code = puncture(multilevel_fixture("w6k3", gf3), (0, 0, 1, 0, 0, 1))
+    d = min_distance(code)
+    assert d == brute_min_distance(code.words)
+    verified = len(calls)
+    bound, _ = code.packed.decoder
+    assert verified and len(calls) == verified and bound <= d
 
 
 def test_simulate_names_the_smallest_infeasible_dimension(gf2):

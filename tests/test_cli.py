@@ -438,6 +438,75 @@ def test_puncture_cli_fuzz(w6k3_file, special):
     _check_outcome(*_run_quietly(argv))
 
 
+_NO_DIGITS = st.text("x;.,- e", max_size=3)  # junk that never asks for much work
+
+
+def _small(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+@st.composite
+def _construct_argv(draw):
+    """`construct multilevel`, `lift` and `spread` calls whose codes have
+    at most about a thousand words, some with one argument replaced by junk."""
+    what = draw(st.sampled_from(["multilevel", "lift", "spread"]))
+    q = draw(st.sampled_from([2, 3]))
+    argv = ["construct", what, "--q", str(q)]
+    if what == "multilevel":
+        how = draw(st.sampled_from(["fixture", "words", "greedy", "none"]))
+        if how == "fixture":
+            argv += ["--fixture", draw(st.sampled_from(["w5k2", "w6k3"]))]
+        elif how == "words":
+            n = draw(st.integers(0, 6))
+            argv += ["--words", ",".join(draw(st.lists(st.text("01", min_size=n, max_size=n), max_size=3)))]
+        elif how == "greedy":
+            argv += ["--n", draw(_small(-1, 6)), "--k", draw(_small(-1, 4))]
+        argv += ["--delta", draw(_small(-1, 3))]
+        if draw(st.booleans()):
+            argv.append("--puncture-aligned")
+    elif what == "lift":
+        m = draw(st.integers(-1, 3))
+        length = draw(st.integers(-1, max(m, 0) + 1))
+        dist = draw(st.integers(-1, max(length, 0) + 1))
+        if q ** max(m * (length - dist + 1), 0) > 1000:
+            dist = length  # at most q^m words
+        argv += ["--m", str(m), "--len", str(length), "--dist", str(dist)]
+    else:
+        argv += ["--n", draw(_small(-1, 6)), "--k", draw(_small(-1, 7))]
+    if draw(st.integers(0, 3)) == 0:
+        argv[draw(st.integers(2, len(argv) - 1))] = draw(_NO_DIGITS)
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_construct_argv())
+def test_construct_cli_fuzz(argv):
+    _check_outcome(*_run_quietly(argv))
+
+
+@st.composite
+def _experiment_argv(draw):
+    """`experiment` calls on staircases of at most 3 x 4 with at most 3
+    tries; hamming-skeleton only with a q that fails (with q = 2 it builds
+    4573 words), some with one argument replaced by junk."""
+    if draw(st.integers(0, 3)) == 0:
+        argv = ["experiment", "hamming-skeleton", "--q", draw(st.sampled_from(["0", "1", "6", "-2", "2x"]))]
+    else:
+        zeros = draw(st.lists(st.integers(-1, 4), max_size=3))
+        argv = ["experiment", "bound-attainability", "--zeros", ",".join(map(str, zeros))]
+        argv += ["--cols", draw(_small(-1, 4)), "--dist", draw(_small(-1, 4)), "--q", draw(st.sampled_from(["2", "3"]))]
+        argv += ["--tries", draw(_small(0, 3)), "--seed", draw(_small(-2, 2**40))]
+    if draw(st.integers(0, 3)) == 0:
+        argv[draw(st.integers(2, len(argv) - 1))] = draw(_NO_DIGITS)
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_experiment_argv())
+def test_experiment_cli_fuzz(argv):
+    _check_outcome(*_run_quietly(argv))
+
+
 def test_puncture_aligned_pipeline_cli(tmp_path, capsys):
     c = tmp_path / "c8.json"
     rc, _, _ = run_capture(
@@ -499,6 +568,67 @@ def test_codefile_rejects_duplicates_and_noncanonical(gf2):
     missing = {k: v for k, v in base.items() if k != "kind"}
     with pytest.raises(ParseError):
         codefile.loads_code(json.dumps(missing))
+
+
+@pytest.mark.parametrize(
+    "codewords,message",
+    [
+        (["1000;0100", "1000;0120"], "codeword 1: row 1, column 2: invalid digit '2' for GF(2)"),
+        (["0100", "1000;0100;001x"], "codeword 1: row 2, column 3: invalid digit 'x' for GF(2)"),
+        (["1000;01x0", "01x0"], "codeword 0: row 1, column 2: invalid digit 'x' for GF(2)"),
+        (["0010", "1000;0100", "0100;001"], "codeword 2: row 1: length 3, expected 4"),
+    ],
+)
+def test_loader_names_the_bad_row_after_shared_rows(codewords, message):
+    # rows parsed for earlier codewords, or earlier in the same codeword,
+    # are not parsed again; the error still names the first bad codeword,
+    # its row and the column
+    with pytest.raises(ParseError) as e:
+        codefile.loads_code(_doc(q=2, n=4, codewords=codewords))
+    assert str(e.value) == message
+
+
+def _reference_rows(lit, q, n):
+    """A literal's rows parsed digit by digit, or the ParseError text."""
+    rows = []
+    for i, part in enumerate(lit.strip().split(";") if lit.strip() else []):
+        for j, c in enumerate(part):
+            if c not in "0123456789" or int(c) >= q:
+                return f"row {i}, column {j}: invalid digit {c!r} for GF({q})"
+        if len(part) != n:
+            return f"row {i}: length {len(part)}, expected {n}"
+        rows.append(tuple(map(int, part)))
+    return tuple(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.lists(st.lists(st.sampled_from(["100", "010", "001", "110", "011", "012", "0x1", "10", ""]), max_size=3), max_size=5),
+)
+def test_loader_rows_match_a_plain_parse(q, words):
+    # codewords built from a few row literals, good and bad, many repeated:
+    # the loader's rows, or its first error, are those of a parse of each
+    # codeword on its own
+    codewords = [";".join(rows) for rows in words]
+    want, bad = None, len(codewords)
+    for i, lit in enumerate(codewords):
+        rows = _reference_rows(lit, q, 3)
+        if isinstance(rows, str):
+            want, bad = f"codeword {i}: {rows}", i
+            break
+    try:
+        code = codefile.loads_code(_doc(q=q, n=3, codewords=codewords))
+    except ParseError as e:
+        assert str(e) == want
+        return
+    except InvariantViolation as e:
+        # a codeword before the first unparsable one is not canonical or
+        # repeats an earlier one
+        assert int(str(e).split(":")[0].split()[1]) < bad
+        return
+    assert want is None
+    assert [w.gen.entries for w in code.words] == [_reference_rows(lit, q, 3) for lit in codewords]
 
 
 def test_save_load_order_preserved(tmp_path, gf2):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subspacecodes import distances
+from subspacecodes import codefile, distances, packed
 
-from subspacecodes.constructions import SubspaceCode, multilevel_fixture, puncture
+from subspacecodes.constructions import SubspaceCode, lift_gabidulin, multilevel_fixture, puncture
 from subspacecodes.errors import AmbientMismatch, TooFewCodewords
 from subspacecodes.distances import (
     dim_intersection,
@@ -16,7 +16,7 @@ from subspacecodes.distances import (
     hamming,
     min_distance,
 )
-from subspacecodes.fields import make_field
+from subspacecodes.fields import extension_view, make_field
 from subspacecodes.matrices import MatGF, rank, vconcat
 from subspacecodes.packed import PackedCode, gf2_rank, meet_exponent, pack
 from subspacecodes.subspaces import (
@@ -363,10 +363,11 @@ def test_min_distance_structured_random_codes_against_pair_scan(q):
             continue
         code = SubspaceCode(spec, n, words)
         assert min_distance(code) == brute_min_distance(words), trial
-        for members in code.packed.classes.values():
-            if len(members) > 1 and code.packed.coset_min(members) is not None:
+        minima = code.packed.coset_minima
+        for cid, members in code.packed.classes.items():
+            if len(members) > 1 and cid in minima:
                 cosets_found += 1
-                assert code.packed.coset_min(members) == code.packed.scan_pairs(members)
+                assert minima[cid] == code.packed.scan_pairs(members)
     assert all(kinds_seen.values()) and cosets_found and len({w.k for w in words}) > 1
 
 
@@ -376,12 +377,12 @@ def test_coset_test_rejects_non_cosets(gf2, gf3):
         rng = random.Random(spec.order)
         linear = _structured_class(v, "linear", spec, rng)
         view = PackedCode(spec, 6, linear)
-        (members,) = view.classes.values()
-        assert view.coset_min(members) is not None
+        (cid,) = view.classes
+        assert cid in view.coset_minima
         odd = _structured_class(v, "noncoset", spec, rng)
         view = PackedCode(spec, 6, odd)
-        (members,) = view.classes.values()
-        assert view.coset_min(members) is None
+        (cid,) = view.classes
+        assert cid not in view.coset_minima
 
 
 def test_min_distance_counts_repeated_words(gf2):
@@ -596,3 +597,149 @@ def test_shortened_w8k4_against_flat_scan(gf2):
     assert len(code) == 573
     view = code.packed
     assert min_distance(code) == view.scan_pairs(range(len(code))) == 3
+
+
+def _far_class(v, spec, rng, count):
+    """Up to ``count`` words with identifying vector v, pairwise at distance
+    at least 4, each with its free entries."""
+    q, dots = spec.order, echelon_ferrers_shape(v).dot_count
+    out = []
+    for _ in range(8 * count):
+        free = [rng.randrange(q) for _ in range(dots)]
+        w = _word_from_free(v, free, spec)
+        if all(distance_naive(w, x) >= 4 for x, _ in out):
+            out.append((w, free))
+        if len(out) == count:
+            break
+    return out
+
+
+def _in_class_code(q, rng):
+    """Words of mixed dimensions, in classes that are mostly not cosets.
+
+    Each class's words are at distance >= 4 from each other, except a
+    planted pair at distance 2 (one free entry changed, so G_U - G_W has
+    rank 1) in some classes; some codes repeat a word, and some add random
+    words of any dimension."""
+    spec = make_field(q, 1)
+    n = rng.randrange(5, 8)
+    forms = [v for k in range(2, n - 1) for v in identifying_vectors(n, k) if echelon_ferrers_shape(v).dot_count >= 4]
+    words = []
+    for v in rng.sample(forms, rng.randrange(1, 4)):
+        cls = _far_class(v, spec, rng, rng.randrange(2, 7))
+        if rng.random() < 0.4:
+            _, free = rng.choice(cls)
+            free = list(free)
+            at = rng.randrange(len(free))
+            free[at] = (free[at] + rng.randrange(1, q)) % q
+            cls.append((_word_from_free(v, free, spec), free))
+        words += [w for w, _ in cls]
+    words += [random_subspace(spec, n, rng) for _ in range(rng.choice([0, 0, 1, 3]))]
+    words = list({w.key(): w for w in words}.values())
+    if rng.random() < 0.2:
+        words.append(rng.choice(words))
+    rng.shuffle(words)
+    return spec, n, words
+
+
+@pytest.fixture
+def class_outcomes(monkeypatch):
+    """Every in-class hyperplane join's result, and the bound passed to
+    every scan of a deferred class, in order."""
+    joins, scans = [], []
+    shares, scan_pairs = distances._shares_hyperplane, PackedCode.scan_pairs
+
+    def join_spy(*args):
+        joins.append(shares(*args))
+        return joins[-1]
+
+    def scan_spy(self, members, best=None):
+        scans.append(best)
+        return scan_pairs(self, members, best)
+
+    monkeypatch.setattr(distances, "_shares_hyperplane", join_spy)
+    monkeypatch.setattr(PackedCode, "scan_pairs", scan_spy)
+    return joins, scans, scan_pairs
+
+
+def test_min_distance_in_class_joins_against_pair_scans(class_outcomes):
+    # non-coset classes over GF(2) and GF(3), with and without a planted
+    # pair at distance 2, repeated words and mixed dimensions: min_distance
+    # against the definition and the flat scan of every pair
+    joins, scans, scan_pairs = class_outcomes
+    seen = {"noncoset": 0, "repeated": 0, "mixed": 0}
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(0, 2**32))
+    def check(q, seed):
+        spec, n, words = _in_class_code(q, random.Random(seed))
+        if len(words) < 2:
+            return
+        want = brute_min_distance(words)
+        view = PackedCode(spec, n, words)
+        assert min_distance(words) == want == scan_pairs(view, range(len(words)))
+        seen["noncoset"] += sum(len(m) > 1 and cid not in view.coset_minima for cid, m in view.classes.items())
+        seen["repeated"] += want == 0
+        seen["mixed"] += len({w.k for w in words}) > 1
+
+    check()
+    assert all(count >= 5 for count in seen.values()), seen
+    assert joins.count(True) >= 10 and joins.count(False) >= 10
+    # misses deferred and scanned (a scan under a best above 4 is pinned by
+    # the next test)
+    assert scans.count(None) >= 3, scans
+
+
+def test_min_distance_scans_a_deferred_class_to_its_minimum_six(class_outcomes):
+    # words of a lifted Gabidulin code (n = 6, k = 3, pairwise distance 6)
+    # that are not a coset, and their complement span(e_3, e_4, e_5), which
+    # is at distance 6 from each: the join misses, and the class's lower
+    # bound 4 must not end the class-pair loop, whose only pair is at h = 6;
+    # that pair sets the best to 6, so the deferred class is then scanned
+    joins, scans, _ = class_outcomes
+    for q, size in ((2, 3), (2, 5), (3, 2), (3, 4)):
+        spec = make_field(q, 1)
+        lifted = lift_gabidulin(extension_view(spec, 3), 3, 3)
+        complement = Subspace(spec, 6, MatGF(spec, [[int(i == j) for i in range(6)] for j in (3, 4, 5)]))
+        words = [*lifted.words[1 : size + 1], complement]
+        assert brute_min_distance(words) == 6
+        joins.clear()
+        scans.clear()
+        assert min_distance(words) == 6 == min_distance(SubspaceCode(spec, 6, words))
+        assert joins == [False, False] and scans == [6, 6]
+
+
+def test_min_distance_in_class_join_hit_and_repeat(gf2, gf3, class_outcomes):
+    # three words of one non-coset class: w and x share the hyperplane
+    # spanned by their common first row, u is at distance 4 from both
+    joins, _, _ = class_outcomes
+    v = IdVector((1, 1, 0, 0, 0))
+    u, w, x = (_word_from_free(v, free, gf2) for free in ((0, 0, 0, 0, 0, 0), (1, 1, 0, 1, 0, 1), (1, 1, 0, 1, 1, 1)))
+    assert pack(v.bits) not in PackedCode(gf2, 5, [u, w, x]).coset_minima
+    assert min_distance([u, w, x]) == 2 == brute_min_distance([u, w, x])
+    assert joins == [True]
+    # a repeated word is found before the join, which would report 2
+    assert min_distance([u, w, u, x]) == 0 == brute_min_distance([u, w, u, x])
+    assert joins == [True]
+    # two GF(3) words of one class are never a coset
+    a, b = (_word_from_free(v, free, gf3) for free in ((0, 0, 0, 0, 0, 0), (1, 2, 0, 0, 0, 0)))
+    assert min_distance([a, b]) == 2 and joins == [True, True]
+
+
+def test_shortened_w8k4_verify_rank_calls(gf2, monkeypatch):
+    # one load and verify of the 573-word shortening, as the CLI runs it:
+    # the in-class join leaves at most 2,500 rank calls (12,534 without it)
+    code = puncture(
+        multilevel_fixture("w8k4", gf2, puncture_aligned=True), (1, 0, 0, 0, 0, 0, 0, 1), add_trivial=True
+    )
+    text = codefile.dumps_code(code)
+    calls = []
+    rank = packed.gf2_rank
+
+    def counting(rows):
+        calls.append(len(rows))
+        return rank(rows)
+
+    monkeypatch.setattr(packed, "gf2_rank", counting)
+    assert min_distance(codefile.loads_code(text)) == 3
+    assert 0 < len(calls) <= 2500

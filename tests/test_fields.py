@@ -4,14 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subspacecodes.errors import BadParams, FieldTooLarge, NoExtensionView, NotPrime
+from subspacecodes.errors import BadParams, FieldTooLarge, NotPrime
 from subspacecodes.fields import (
-    FieldElement,
+    ExtensionView,
     FieldSpec,
-    collapse_coords,
-    expand_coords,
     extension_view,
-    frobenius_pow,
     make_field,
     smallest_irreducible,
 )
@@ -109,13 +106,12 @@ def test_frobenius_is_squaring_over_gf2():
     view = extension_view(gf2, 3)
     f8 = view.ext
     alpha = view.alpha
-    x = FieldElement(f8, alpha)
-    assert frobenius_pow(x, 1, view).rep == f8.mul(alpha, alpha)
+    assert view.frobenius(alpha, 1) == f8.mul(alpha, alpha)
     # i = m returns x itself ([m] = q^0)
-    for rep in range(f8.order):
-        e = FieldElement(f8, rep)
-        assert frobenius_pow(e, 3, view) == e
-        assert frobenius_pow(e, 0, view) == e
+    for x in range(f8.order):
+        assert view.frobenius(x, 3) == x
+        assert view.frobenius(x, 0) == x
+        assert view.frobenius(x, 1) == f8.mul(x, x)
 
 
 def test_frobenius_gf9_matches_repeated_squaring_oracle():
@@ -181,40 +177,50 @@ def test_composite_base_view():
 
 
 def test_field_element_operators():
+    # elements are integers in [0, q); the FieldSpec does the arithmetic
     f9 = make_field(3, 2)
-    a = FieldElement(f9, 5)
-    b = FieldElement(f9, 7)
-    assert (a + b) - b == a
-    assert (a * b) / b == a
-    assert -(-a) == a
-    assert a**0 == FieldElement(f9, 1)
+    for a in range(9):
+        assert f9.neg(f9.neg(a)) == a
+        assert f9.pow(a, 0) == 1
+        for b in range(9):
+            assert f9.sub(f9.add(a, b), b) == a
+            if b:
+                assert f9.div(f9.mul(a, b), b) == a
+
+
+def test_field_spec_hash_agrees_with_eq():
+    # two equal but distinct FieldSpec objects key one dict entry
+    x, y = FieldSpec(3, 1, (0, 1)), FieldSpec(3, 1, (0, 1))
+    assert x is not y
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert x != FieldSpec(5, 1, (0, 1)) and x != 3
+
+
+def test_view_requires_an_extension_field():
+    f7, f8 = make_field(7, 1), make_field(2, 3)
     with pytest.raises(BadParams):
-        FieldElement(f9, 9)
+        ExtensionView(f7, f8)
+    with pytest.raises(BadParams):
+        ExtensionView(make_field(2, 2), f8)  # degree 2 does not divide 3
+    # the degree-1 view's Frobenius is the identity
+    view = extension_view(f7, 1)
+    assert all(view.frobenius(x, i) == x for x in range(7) for i in range(3))
 
 
-def test_field_element_hash_agrees_with_eq():
-    # two equal but distinct FieldSpec objects, and an element against its int
-    x = FieldElement(FieldSpec(3, 1, (0, 1)), 2)
-    y = FieldElement(FieldSpec(3, 1, (0, 1)), 2)
-    assert x.spec is not y.spec
-    assert x == y and len({x, y}) == 1
-    assert x == 2 and hash(x) == hash(2) and len({x, 2}) == 1
-
-
-def test_frobenius_requires_view():
-    f7 = make_field(7, 1)
-    x = FieldElement(f7, 3)
-    with pytest.raises(NoExtensionView):
-        frobenius_pow(x, 1)
-
-
-def test_expand_coords_field_elements():
-    gf2 = make_field(2, 1)
-    view = extension_view(gf2, 4)
-    x = FieldElement(view.ext, 11)
-    coords = expand_coords(x, view)
-    assert all(isinstance(c, FieldElement) for c in coords)
-    assert collapse_coords(coords, view) == x
+@pytest.mark.parametrize("p,a,m", [(2, 1, 4), (3, 1, 2), (2, 2, 2)])
+def test_expand_coords_are_base_field_elements(p, a, m):
+    # coordinates lie in the base field, collapse inverts expand, and both
+    # are linear over the base field
+    base = make_field(p, a)
+    view = extension_view(base, m)
+    ext, mul = view.ext, base.mul
+    for x in range(ext.order):
+        coords = view.expand(x)
+        assert len(coords) == m and all(0 <= c < base.order for c in coords)
+        assert view.collapse(coords) == x
+        for c in range(base.order):
+            scaled = view.expand(ext.mul(view.embed(c), x))
+            assert scaled == tuple(mul(c, e) for e in coords)
 
 
 @settings(max_examples=60, deadline=None)
