@@ -8,18 +8,26 @@ With errors only, the received space contains the sent word; with erasures
 only, it lies inside it.  The decoder finds such a word by one linear solve
 per coset class of the code, and leaves anything else to the
 nearest-codeword scan.
+
+Over GF(2) the channel works on the packed rows the subspaces keep: the
+erasure product XORs rows, and each error vector is tested against the
+running span and added to it by XOR elimination.  Every q draws the same
+random numbers in the same order, so a seed gives the same output.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import compress
+from operator import xor
 
 from .constructions import SubspaceCode
 from .distances import distance_fast
 from .errors import AmbientMismatch, InfeasibleParams, TooFewCodewords
-from .matrices import MatGF, rank
-from .subspaces import Subspace, from_span
+from .matrices import MatGF, gf2_rref, mat_mul, pack, rank
+from .subspaces import Subspace, from_span, zero_subspace
 
 _REJECTION_CAP = 64
 
@@ -81,17 +89,17 @@ def transmit(v: Subspace, rho: int, t: int, rng: random.Random) -> Subspace:
 
     keep = v.k - rho
     if rho == 0:
-        h_gen = v.gen
+        current = v
     elif keep == 0:
-        h_gen = MatGF.zero(spec, 0, v.n)
+        current = zero_subspace(spec, v.n)
     else:
-        from .matrices import mat_mul
-
         coeff = _random_full_rank(rng, spec, keep, v.k)
-        h_gen = mat_mul(coeff, v.gen)
+        if v.packed is None:
+            current = from_span(mat_mul(coeff, v.gen).entries, spec, v.n)
+        else:  # each row of H(V) XORs the rows of V its coefficients select
+            combined = (reduce(xor, compress(v.packed, row), 0) for row in coeff.entries)
+            current = Subspace.from_packed(spec, v.n, gf2_rref(combined))
 
-    rows = list(h_gen.entries)
-    current = from_span(rows, spec, v.n)
     q = spec.order
     for _ in range(t):
         for attempt in range(_REJECTION_CAP + 1):
@@ -99,10 +107,16 @@ def transmit(v: Subspace, rho: int, t: int, rng: random.Random) -> Subspace:
                 raise InfeasibleParams("could not sample an error vector outside the span")
             vec = tuple(rng.randrange(q) for _ in range(v.n))
             if any(vec) and not current.contains(vec):
-                rows.append(vec)
-                current = from_span(rows, spec, v.n)
+                current = _span_with(current, vec)
                 break
     return current
+
+
+def _span_with(u: Subspace, vec) -> Subspace:
+    """The span of u and one more vector."""
+    if u.packed is not None:
+        return Subspace.from_packed(u.spec, u.n, gf2_rref([*u.packed, pack(vec)]))
+    return from_span([*u.gen.entries, vec], u.spec, u.n)
 
 
 def min_distance_decode(

@@ -7,9 +7,12 @@ Each codeword is the ';'-joined row literal of a canonical generator matrix
 the rows as written, so the Subspace constructor is the canonical-form check;
 with the uniqueness check, load followed by save is byte-identical.  A code
 has few distinct rows, so the loader parses each distinct row literal once,
-and equal rows of different codewords are one shared tuple, which keeps a
-loaded code small.  Every codeword still gets its own matrix, canonical-form
-and uniqueness checks.
+and equal rows of different codewords are one shared row, which keeps a
+loaded code small.  Over GF(2) a row is parsed straight to its packed
+integer and each codeword is built from those (``Subspace.from_packed``),
+the words of one class sharing one identifying vector; over GF(q), q > 2,
+from a matrix of row tuples.  Every codeword still gets
+its own canonical-form and uniqueness checks.
 """
 
 from __future__ import annotations
@@ -62,16 +65,18 @@ def loads_code(text: str) -> SubspaceCode:
         raise ParseError("codewords must be a list of row literals")
     words = []
     seen = set()
-    parsed = {}  # row literal -> its tuple, parsed once and kept by every word that has it
+    parsed = {}  # row literal -> its row, parsed once and kept by every word that has it
+    ids = {}  # packed pivot set -> its identifying vector, one per class
+    packed = spec.order == 2
     for i, lit in enumerate(doc["codewords"]):
         if not isinstance(lit, str):
             raise ParseError(f"codeword {i}: expected a string, got {type(lit).__name__}")
         try:
-            rows = literal_rows(lit, spec, n, parsed)
+            rows = literal_rows(lit, spec, n, parsed, packed)
         except ParseError as e:
             raise ParseError(f"codeword {i}: {e}") from e
         try:
-            w = Subspace(spec, n, MatGF(spec, rows, cols=n))
+            w = Subspace.from_packed(spec, n, rows, ids) if packed else Subspace(spec, n, MatGF(spec, rows, cols=n))
         except BadParams:
             raise InvariantViolation(
                 f"codeword {i}: rows are not a reduced echelon generator matrix"

@@ -5,15 +5,17 @@ of the stacked generator matrices.  The fast route compares identifying
 vectors first: s = Hamming distance of the pivot indicators is a lower bound
 on d with the same parity, and after eliminating the pivots exclusive to one
 side the remainder reduces to a rank of difference rows, so
-d = s + 2 * rank(U~ - W~).
+d = s + 2 * rank(U~ - W~).  Over GF(2) ``rank`` eliminates by XOR, and the
+fast route reads the packed rows the subspaces keep.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations, compress
+from operator import not_, xor
 
 from .errors import AmbientMismatch, TooFewCodewords
-from .matrices import MatGF, rank, vconcat
+from .matrices import MatGF, gf2_rank, rank, vconcat
 from .packed import PackedCode, meet_exponent
 from .subspaces import Subspace
 
@@ -29,7 +31,9 @@ def dim_intersection(u: Subspace, w: Subspace) -> int:
 
 
 def distance_naive(u: Subspace, w: Subspace) -> int:
-    """2 rank([U; W]) - k1 - k2, straight from the definition."""
+    """2 rank([U; W]) - k1 - k2, straight from the definition.  It reads the
+    generator matrices, not the packed rows ``distance_fast`` reads, so
+    that the two stay independent."""
     _check_pair(u, w)
     return 2 * rank(vconcat(u.gen, w.gen)) - u.k - w.k
 
@@ -48,6 +52,8 @@ def distance_fast(u: Subspace, w: Subspace) -> int:
     shared pivots give U~ and W~, and d = s + 2 rank(U~ - W~).
     """
     _check_pair(u, w)
+    if u.packed is not None:
+        return _distance_fast_packed(u, w)
     spec = u.spec
     uid = u.id_vector.bits
     wid = w.id_vector.bits
@@ -86,6 +92,23 @@ def distance_fast(u: Subspace, w: Subspace) -> int:
         diff.append(tuple(spec.sub(a, b) for a, b in zip(ur, wr)))
     r = rank(MatGF(spec, tuple(diff), cols=u.n)) if diff else 0
     return s + 2 * r
+
+
+def _distance_fast_packed(u: Subspace, w: Subspace) -> int:
+    """``distance_fast`` on packed GF(2) rows.
+
+    The rows of U and W with a shared pivot pair up in order, and their
+    XORs D are zero at every shared pivot; with E the s rows whose pivot is
+    exclusive, W mod U is (D and W's rows in E) mod U's rows in E, so
+    rank([U; W]) = k_U - |U's E| + rank([E; D]) and d = 2 rank([E; D]) - s.
+    """
+    ubits, wbits = u.id_vector.bits, w.id_vector.bits
+    ushared = list(compress(wbits, ubits))  # per row of U: is its pivot W's too
+    wshared = list(compress(ubits, wbits))
+    exclusive = chain(compress(u.packed, map(not_, ushared)), compress(w.packed, map(not_, wshared)))
+    diffs = map(xor, compress(u.packed, ushared), compress(w.packed, wshared))
+    s = (u.id_vector.packed ^ w.id_vector.packed).bit_count()
+    return 2 * gf2_rank(chain(exclusive, diffs)) - s
 
 
 def min_distance(code) -> int:

@@ -13,13 +13,15 @@ number of classes at deficit i is a box-partition count p_box(i) <= p(i)
 Every mode (extended, full, compact) is the same codec: the free entries of
 the echelon form in row-major order, then the tail of the identifying-vector
 class (_to_bits, _from_bits).  The modes differ only in their cached
-class-to-tail tables.
+class-to-tail tables.  The free entries are read from and written to the
+packed rows a GF(2) Subspace keeps (``free_entries_row_major``,
+``fill_free_entries``).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 
 from .errors import BadLength, BadParams, TooLarge
 from .fields import make_field
@@ -94,19 +96,25 @@ def suffix_family(i: int) -> tuple[Bits, ...]:
     A member is all-zero, or 0..01, or z 1 t 1 with z all-zero and t free of
     two consecutive zeros (lengths >= 0 adding up to i-3).
     """
+    result = tuple(_suffixes(i))
+    assert len(result) == fibonacci(i + 1)
+    return result
+
+
+def _suffixes(i: int):
+    """``suffix_family(i)`` one member at a time, in its order, so that a
+    caller needing the first few never builds the other F(i+1)."""
     if i < 1:
         raise BadParams("need i >= 1")
     length = i - 1
-    out: set[Bits] = {(0,) * length}
+    yield (0,) * length
     if length >= 1:
-        out.add((0,) * (length - 1) + (1,))
-    for z_len in range(0, length - 1):
-        t_len = length - 2 - z_len
-        for t in _no_double_zero(t_len):
-            out.add((0,) * z_len + (1,) + t + (1,))
-    result = tuple(sorted(out))
-    assert len(result) == fibonacci(i + 1)
-    return result
+        yield (0,) * (length - 1) + (1,)
+    # ascending: the later the first 1, the smaller; _no_double_zero
+    # yields each length's t in ascending order
+    for z_len in range(length - 2, -1, -1):
+        for t in _no_double_zero(length - 2 - z_len):
+            yield (0,) * z_len + (1,) + t + (1,)
 
 
 def _no_double_zero(length: int):
@@ -239,7 +247,7 @@ def _class_tables(n: int, k: int):
         if i == 0:
             suffixes: tuple[Bits, ...] = ((1, 0),)
         else:
-            suffixes = tuple((1, 0, 0) + s for s in suffix_family(i))
+            suffixes = tuple((1, 0, 0) + s for s in islice(_suffixes(i), len(ids)))
         if len(ids) > len(suffixes):
             raise AssertionError("not enough suffixes for the classes")
         tail_of.update(zip(ids, suffixes))

@@ -5,12 +5,86 @@ integer representations interpreted through a FieldSpec.  The reduced
 echelon form satisfies the usual four properties (zero rows last, pivots
 strictly right-moving, pivots equal to 1, pivot columns otherwise zero) and
 is the unique canonical form of a row space.
+
+Over GF(2) a row is one integer, column 0 in the highest bit (``pack``,
+``unpack``), and the elimination is XOR on those integers: ``gf2_rank``
+and ``gf2_rref``.  ``rref``, ``rank``, ``mat_mul`` and ``null_space`` take
+that path when q = 2; ``_rref_generic``, the field-arithmetic elimination
+every other q uses, also runs on GF(2) rows as the oracle for it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache, reduce
+from itertools import chain, compress
+from operator import xor
+
 from .errors import ShapeMismatch
 from .fields import FieldSpec
+
+_BITS = frozenset((0, 1))
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def pack(fields, width: int = 1) -> int:
+    """Concatenate ``width``-bit fields, the first in the highest bits.
+
+    With the default width a 0/1 vector packs bit by bit: "1100" packs to
+    0b1100.  Packed rows of n bits pack into one integer with width n.
+    """
+    if width == 1:
+        return int(bytes(fields).translate(_TO_DIGITS) or b"0", 2)
+    v = 0
+    for f in fields:
+        v = (v << width) | f
+    return v
+
+
+@lru_cache(maxsize=256)
+def unpack(v: int, n: int) -> tuple[int, ...]:
+    """The n-bit row ``v`` as a 0/1 tuple; inverse of ``pack``.  Cached, so
+    that the few distinct rows of a code are shared tuples, in a cache
+    small enough that unpacking many random rows keeps little."""
+    return tuple(format(v, "b").zfill(n).encode().translate(_FROM_DIGITS)) if n else ()
+
+
+def gf2_rank(rows) -> int:
+    """Rank of packed GF(2) rows."""
+    lead: dict[int, int] = {}
+    for v in rows:
+        while v:
+            b = v.bit_length()
+            cur = lead.get(b)
+            if cur is None:
+                lead[b] = v
+                break
+            v ^= cur
+    return len(lead)
+
+
+def gf2_rref(rows) -> list[int]:
+    """The reduced echelon form of packed GF(2) rows: its nonzero rows,
+    first pivot first.  A row's pivot is its leading bit."""
+    lead: dict[int, int] = {}
+    for v in rows:
+        while v:
+            b = v.bit_length()
+            cur = lead.get(b)
+            if cur is None:
+                lead[b] = v
+                break
+            v ^= cur
+    # from the last pivot back: each row is cleared at the pivots of the
+    # rows below it, which are already zero at each other's pivots
+    out: list[tuple[int, int]] = []
+    for b in sorted(lead):
+        v = lead[b]
+        for bit, w in out:
+            if v & bit:
+                v ^= w
+        out.append((1 << (b - 1), v))
+    return [w for _, w in reversed(out)]
 
 
 class MatGF:
@@ -26,12 +100,19 @@ class MatGF:
             cols = len(rows[0])
         elif cols is None:
             cols = 0
-        for row in rows:
-            if len(row) != cols:
-                raise ShapeMismatch("ragged rows")
-            for x in row:
-                if not 0 <= x < spec.order:
-                    raise ShapeMismatch(f"entry {x} outside GF({spec.order})")
+        # over GF(2) one set test accepts the matrix; otherwise, or when it
+        # fails, the scan below names the first fault
+        if not (
+            spec.order == 2
+            and all(len(row) == cols for row in rows)
+            and _BITS.issuperset(chain.from_iterable(rows))
+        ):
+            for row in rows:
+                if len(row) != cols:
+                    raise ShapeMismatch("ragged rows")
+                for x in row:
+                    if not 0 <= x < spec.order:
+                        raise ShapeMismatch(f"entry {x} outside GF({spec.order})")
         self.spec = spec
         self.rows = len(rows)
         self.cols = cols
@@ -68,8 +149,19 @@ class MatGF:
         return MatGF(self.spec, tuple(zip(*self.entries)))
 
 
-def _rref_rows(spec: FieldSpec, rows: list[list[int]], cols: int):
-    """In-place reduced echelon form; returns (rank, pivot columns)."""
+def _rref_rows(spec: FieldSpec, rows: list, cols: int):
+    """In-place reduced echelon form; returns (rank, pivot columns).  Over
+    GF(2) the rows are packed, reduced by XOR and unpacked again."""
+    if spec.order != 2:
+        return _rref_generic(spec, rows, cols)
+    reduced = gf2_rref(map(pack, rows))
+    rows[:] = [unpack(v, cols) for v in reduced] + [(0,) * cols] * (len(rows) - len(reduced))
+    return len(reduced), tuple(cols - v.bit_length() for v in reduced)
+
+
+def _rref_generic(spec: FieldSpec, rows: list[list[int]], cols: int):
+    """In-place reduced echelon form by field arithmetic, for any q;
+    returns (rank, pivot columns)."""
     add, mul, neg, inv = spec.add, spec.mul, spec.neg, spec.inv
     pivots: list[int] = []
     r = 0
@@ -101,12 +193,14 @@ def rref(m: MatGF) -> tuple[MatGF, int, tuple[int, ...]]:
     Idempotent: rref of the returned matrix is itself.  The returned matrix
     keeps the input shape (zero rows stay at the bottom).
     """
-    work = [list(row) for row in m.entries]
+    work = list(m.entries) if m.spec.order == 2 else [list(row) for row in m.entries]
     rank, pivots = _rref_rows(m.spec, work, m.cols)
     return MatGF(m.spec, work, cols=m.cols), rank, pivots
 
 
 def rank(m: MatGF) -> int:
+    if m.spec.order == 2:
+        return gf2_rank(map(pack, m.entries))
     return rref(m)[1]
 
 
@@ -142,6 +236,11 @@ def mat_mul(a: MatGF, b: MatGF) -> MatGF:
     if a.cols != b.rows:
         raise ShapeMismatch(f"inner dimension mismatch: {a.cols} vs {b.rows}")
     spec = a.spec
+    if spec.order == 2:
+        # each row of the product XORs the rows of b that a's ones select
+        brows = [pack(row) for row in b.entries]
+        out = [unpack(reduce(xor, compress(brows, arow), 0), b.cols) for arow in a.entries]
+        return MatGF(spec, out, cols=b.cols)
     bt = tuple(zip(*b.entries)) if b.rows else tuple()
     out = []
     for arow in a.entries:

@@ -1,11 +1,12 @@
 """The packed codebook, the one nearest-codeword scan and the containment
 decoder.
 
-A code's identifying vectors are packed into integers once (column 0 in
-the highest bit), and over GF(2) so are its generator rows; over GF(q),
-q > 2, rows stay tuples.  Only how rows are stored, subtracted and ranked
-depends on q: XOR elimination on packed rows for q = 2, the generic row
-reduction otherwise.
+A code's identifying vectors are packed into integers (column 0 in the
+highest bit).  Over GF(2) the view's rows are the packed rows each
+``Subspace`` already keeps, shared and never packed again; over GF(q),
+q > 2, rows are the generator's tuples.  Only how rows are stored,
+subtracted and ranked depends on q: XOR elimination on packed rows for
+q = 2 (``matrices.gf2_rank``), the generic row reduction otherwise.
 
 The subspace distance dominates the Hamming distance of identifying
 vectors, d(U, W) >= d_H(v(U), v(W)), so a word whose identifying vector is
@@ -25,33 +26,7 @@ from itertools import chain, combinations, product
 from operator import getitem
 from typing import NamedTuple
 
-from .matrices import _rref_rows
-
-
-def pack(fields, width: int = 1) -> int:
-    """Concatenate ``width``-bit fields, the first in the highest bits.
-
-    With the default width a 0/1 vector packs bit by bit: "1100" packs to
-    0b1100.  Packed rows of n bits pack into one integer with width n.
-    """
-    v = 0
-    for f in fields:
-        v = (v << width) | f
-    return v
-
-
-def gf2_rank(rows) -> int:
-    """Rank of packed GF(2) rows."""
-    lead: dict[int, int] = {}
-    for v in rows:
-        while v:
-            b = v.bit_length()
-            cur = lead.get(b)
-            if cur is None:
-                lead[b] = v
-                break
-            v ^= cur
-    return len(lead)
+from .matrices import _rref_generic, gf2_rank, pack
 
 
 def meet_exponent(shared: int, exclusive: int) -> int:
@@ -129,17 +104,15 @@ class PackedCode:
         for i, v in enumerate(self.ids):
             self.classes.setdefault(v, []).append(i)
 
-    def pack_word(self, u) -> tuple[int, list | tuple]:
-        """Packed identifying vector and generator rows of a subspace."""
-        rows = u.gen.entries
-        if self.spec.order == 2:
-            rows = [pack(r) for r in rows]
-        return pack(u.id_vector.bits), rows
+    def pack_word(self, u) -> tuple[int, tuple]:
+        """Packed identifying vector and generator rows of a subspace: over
+        GF(2) the packed rows it keeps, otherwise its row tuples."""
+        return u.id_vector.packed, u.gen.entries if u.packed is None else u.packed
 
     def _gfq_rank(self, rows) -> int:
         if not rows:
             return 0
-        return _rref_rows(self.spec, [list(r) for r in rows], len(rows[0]))[0]
+        return _rref_generic(self.spec, [list(r) for r in rows], len(rows[0]))[0]
 
     def difference(self, a, b) -> list:
         return list(map(self.sub_row, a, b))
@@ -186,14 +159,18 @@ class PackedCode:
         the zero one; they form a linear space exactly when they are
         distinct and number q^r, r the rank of their span.  Then every
         pairwise difference is one of them, and the class minimum is
-        2 min rank(G_i - G_0) over i > 0.  Computed once, for both
+        2 min rank(G_i - G_0) over i > 0.  A one-word class is a coset
+        with no minimum, and costs no rank call.  Computed once, for both
         ``min_distance`` and the decoder table.
         """
         minima, q = {}, self.spec.order
         for cid, members in self.classes.items():
+            if len(members) == 1:
+                minima[cid] = None
+                continue
             diffs, index = self._differences(members)
             if len(index) == len(members) == q ** self.rank(list(index)):
-                minima[cid] = 2 * min(map(self.rank, diffs[1:])) if len(diffs) > 1 else None
+                minima[cid] = 2 * min(map(self.rank, diffs[1:]))
         return minima
 
     def _differences(self, members) -> tuple[list, dict]:

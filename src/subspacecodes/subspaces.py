@@ -6,32 +6,41 @@ and every identifying vector has an echelon form whose non-pivot entries to
 the right of each pivot are free; those free positions form a Ferrers-shaped
 region, and filling them with field elements enumerates exactly the
 subspaces sharing that identifying vector.
+
+Over GF(2) a Subspace also keeps its rows packed, one integer per row with
+column 0 in the highest bit, and the GF(2) paths work on those integers:
+``from_span`` eliminates by XOR, ``contains`` reduces by XOR, and the index
+codec reads and writes the free entries of packed rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import combinations, product
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import BadParams, FieldTooLarge, LengthMismatch, ParseError, ShapeMismatch
 from .errors import ShapeViolation, TooLarge
 from .fields import MAX_ORDER, FieldSpec, make_field, smallest_prime_factor
-from .matrices import MatGF, _rref_rows, null_space
+from .matrices import _BITS, _FROM_DIGITS, MatGF, _rref_rows, null_space, pack, unpack
 
 ENUMERATION_CAP = 10**7
 
 
 @dataclass(frozen=True)
 class IdVector:
-    """Binary indicator of pivot columns; weight equals the dimension."""
+    """Binary indicator of pivot columns; weight equals the dimension.
+    ``packed`` is the bits as one integer, column 0 in the highest bit."""
 
     bits: tuple[int, ...]
+    packed: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(b not in (0, 1) for b in self.bits):
             raise BadParams("identifying vector must be binary")
+        object.__setattr__(self, "packed", pack(self.bits))
 
     @classmethod
     def from_string(cls, s: str) -> IdVector:
@@ -56,6 +65,18 @@ class IdVector:
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
+
+
+def _id_vector(pivots: int, n: int, shared: dict | None = None) -> IdVector:
+    """The identifying vector of a packed pivot set.  ``shared`` maps pivot
+    sets to identifying vectors and is read and filled, so that the words
+    of a code share one per class."""
+    if shared is None:
+        return IdVector(unpack(pivots, n))
+    v = shared.get(pivots)
+    if v is None:
+        v = shared[pivots] = IdVector(unpack(pivots, n))
+    return v
 
 
 @dataclass(frozen=True)
@@ -95,6 +116,28 @@ class FerrersShape:
             out.append(sum(1 for c in cols if c < sup))
         return tuple(out)
 
+    @cached_property
+    def gf2_codec(self):
+        """(fill, read) for GF(2) echelon forms of this shape, packed rows
+        joined into one k*n-bit integer.  ``fill % entries`` is that
+        integer's binary digits with the free entries in place (row-major
+        dot order); ``read`` takes the integer's digits as 0/1 bytes and
+        returns the free entries."""
+        n = self.id_vec.n
+        fill, flat = [], []
+        for r, (p, free) in enumerate(zip(self.id_vec.support, self.free_positions)):
+            dots = set(free)
+            fill += ["1" if c == p else "%d" if c in dots else "0" for c in range(n)]
+            flat += [r * n + c for c in free]
+        if len(flat) > 1:
+            read = itemgetter(*flat)
+        else:
+            read = lambda digits, at=tuple(flat): tuple(digits[i] for i in at)  # noqa: E731
+        return "".join(fill), read
+
+
+_NOT_CANONICAL = "generator matrix is not a full-rank reduced echelon form"
+
 
 class Subspace:
     """A k-dimensional subspace of GF(q)^n in canonical form.
@@ -103,32 +146,80 @@ class Subspace:
     each row's first nonzero entry is 1, these pivots move strictly right,
     and every pivot column is zero in the other rows.  The constructor
     checks this in one scan and keeps the pivots as ``id_vector``.
+
+    Over GF(2) the constructor packs the rows into ``packed`` (a tuple of
+    ints, column 0 in the highest bit) and checks them there: a row's pivot
+    is its leading bit, the pivots strictly increase, and a row meets the
+    union of the pivot bits only in its own pivot.  ``from_packed`` takes
+    packed rows, checks them the same way and derives ``gen`` from them, so
+    the two never disagree.  ``packed`` is None for q > 2.
     """
 
-    __slots__ = ("spec", "n", "k", "gen", "id_vector")
+    __slots__ = ("spec", "n", "k", "gen", "packed", "id_vector")
 
     def __init__(self, spec: FieldSpec, n: int, gen: MatGF):
         if gen.cols != n:
             raise LengthMismatch(f"generator has {gen.cols} columns, ambient is {n}")
+        self.gen = gen
+        if spec.order == 2:
+            self._set_packed(spec, n, tuple(map(pack, gen.entries)))
+            return
         rows = gen.entries
-        bits = [0] * n
+        pivots = 0
         last = -1
         for i, row in enumerate(rows):
             p = next((j for j, x in enumerate(row) if x), -1)
             # rows below have zeros left of their pivots, so only the rows
             # above this one can be nonzero in its pivot column
             if p <= last or row[p] != 1 or any(rows[h][p] for h in range(i)):
-                raise BadParams("generator matrix is not a full-rank reduced echelon form")
-            bits[p] = 1
+                raise BadParams(_NOT_CANONICAL)
+            pivots |= 1 << (n - 1 - p)
             last = p
         self.spec = spec
         self.n = n
         self.k = gen.rows
-        self.gen = gen
-        self.id_vector = IdVector(tuple(bits))
+        self.packed = None
+        self.id_vector = _id_vector(pivots, n)
+
+    @classmethod
+    def from_packed(cls, spec: FieldSpec, n: int, rows, shared: dict | None = None) -> Subspace:
+        """The GF(2) subspace whose reduced echelon form has the packed
+        rows ``rows``; BadParams unless they are one.  ``shared`` is read
+        and filled with the identifying vectors, to be shared among the
+        words of one code."""
+        if spec.order != 2:
+            raise BadParams(f"packed rows are GF(2) rows, not GF({spec.order}) rows")
+        u = cls.__new__(cls)
+        u._set_packed(spec, n, tuple(rows), shared)
+        u.gen = MatGF(spec, [unpack(v, n) for v in u.packed], cols=n)
+        return u
+
+    def _set_packed(self, spec: FieldSpec, n: int, rows: tuple, shared: dict | None = None) -> None:
+        pivots = seen = 0
+        last = n + 1
+        for v in rows:
+            b = v.bit_length()
+            # the bits above a row's pivot are zero, so only the rows above
+            # it can meet its pivot bit
+            if not 0 < b < last or v < 0 or seen >> (b - 1) & 1:
+                raise BadParams(_NOT_CANONICAL)
+            pivots |= 1 << (b - 1)
+            seen |= v
+            last = b
+        self.spec = spec
+        self.n = n
+        self.k = len(rows)
+        self.packed = rows
+        self.id_vector = _id_vector(pivots, n, shared)
 
     def contains(self, vec) -> bool:
         v = _vector(vec, self.spec, self.n)
+        if self.packed is not None:
+            x = pack(v)
+            for row in self.packed:
+                if x >> (row.bit_length() - 1) & 1:
+                    x ^= row
+            return not x
         add, mul, neg = self.spec.add, self.spec.mul, self.spec.neg
         # each pivot row clears its pivot column and leaves the others alone
         for row, p in zip(self.gen.entries, self.id_vector.support):
@@ -189,12 +280,13 @@ def _check_ambient(n: int) -> None:
 
 def _vector(v, spec: FieldSpec, n: int) -> list[int]:
     """v as a list of integers, checked to be a vector of GF(q)^n."""
-    out = [int(x) for x in v]
+    out = list(map(int, v))
     if len(out) != n:
         raise LengthMismatch(f"vector of length {len(out)}, ambient is {n}")
-    bad = next((x for x in out if not 0 <= x < spec.order), None)
-    if bad is not None:
-        raise ShapeMismatch(f"entry {bad} outside GF({spec.order})")
+    if not (spec.order == 2 and _BITS.issuperset(out)):
+        bad = next((x for x in out if not 0 <= x < spec.order), None)
+        if bad is not None:
+            raise ShapeMismatch(f"entry {bad} outside GF({spec.order})")
     return out
 
 
@@ -265,6 +357,11 @@ def fill_free_entries(v: IdVector, entries, spec: FieldSpec) -> Subspace:
     entries = tuple(entries)
     if len(entries) != shape.dot_count:
         raise LengthMismatch(f"{len(entries)} free entries, the form of {v} has {shape.dot_count}")
+    if spec.order == 2 and _BITS.issuperset(entries):
+        n, k = v.n, v.weight
+        flat = int(shape.gf2_codec[0] % entries or "0", 2)
+        mask = (1 << n) - 1
+        return Subspace.from_packed(spec, n, [flat >> (n * (k - 1 - r)) & mask for r in range(k)])
     it = iter(entries)
     gen = []
     for p, free in zip(v.support, shape.free_positions):
@@ -286,6 +383,9 @@ def read_point_part(u: Subspace) -> tuple[tuple[int, ...], ...]:
 def free_entries_row_major(u: Subspace) -> tuple[int, ...]:
     """Free entries of the generator matrix in row-major dot order."""
     shape = echelon_ferrers_shape(u.id_vector)
+    if u.packed is not None:
+        digits = format(pack(u.packed, u.n), "b").zfill(u.k * u.n).encode()
+        return shape.gf2_codec[1](digits.translate(_FROM_DIGITS))
     return tuple(row[c] for row, free in zip(u.gen.entries, shape.free_positions) for c in free)
 
 
@@ -365,12 +465,13 @@ def to_literal(u: Subspace) -> str:
     return ";".join("".join(str(x) for x in row) for row in u.gen.entries)
 
 
-def literal_rows(s: str, spec: FieldSpec, n: int, parsed: dict | None = None) -> tuple[tuple[int, ...], ...]:
+def literal_rows(s: str, spec: FieldSpec, n: int, parsed: dict | None = None, packed: bool = False) -> tuple:
     """The rows of a ';'-joined row literal, as written; '' has none.
 
-    ``parsed`` maps row literals to their rows and is read and filled, so
-    that over many literals each distinct row is parsed once and is one
-    shared tuple.
+    With ``packed`` (GF(2) only) each row is its packed integer, column 0
+    in the highest bit; otherwise a tuple.  ``parsed`` maps row literals to
+    their rows and is read and filled, so that over many literals each
+    distinct row is parsed once and is one shared object.
     """
     _check_ambient(n)
     s = s.strip()
@@ -382,14 +483,18 @@ def literal_rows(s: str, spec: FieldSpec, n: int, parsed: dict | None = None) ->
     for i, part in enumerate(s.split(";")):
         row = parsed.get(part)
         if row is None:
-            row = []
-            for j, c in enumerate(part):
-                if c not in "0123456789" or int(c) >= spec.order:
-                    raise ParseError(f"row {i}, column {j}: invalid digit {c!r} for GF({spec.order})")
-                row.append(int(c))
-            if len(row) != n:
-                raise ParseError(f"row {i}: length {len(row)}, expected {n}")
-            row = parsed[part] = tuple(row)
+            if packed and len(part) == n and not part.strip("01"):
+                row = int(part or "0", 2)
+            else:
+                row = []
+                for j, c in enumerate(part):
+                    if c not in "0123456789" or int(c) >= spec.order:
+                        raise ParseError(f"row {i}, column {j}: invalid digit {c!r} for GF({spec.order})")
+                    row.append(int(c))
+                if len(row) != n:
+                    raise ParseError(f"row {i}: length {len(row)}, expected {n}")
+                row = pack(row) if packed else tuple(row)
+            parsed[part] = row
         rows.append(row)
     return tuple(rows)
 

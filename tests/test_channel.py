@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -17,7 +18,7 @@ from subspacecodes.errors import AmbientMismatch, InfeasibleParams, TooFewCodewo
 from subspacecodes.matrices import MatGF, mat_mul, rank
 from subspacecodes.fields import make_field
 from subspacecodes.packed import PackedCode
-from subspacecodes.subspaces import IdVector, echelon_ferrers_shape, fill_free_entries, from_span
+from subspacecodes.subspaces import IdVector, echelon_ferrers_shape, fill_free_entries, from_span, to_literal
 from .conftest import random_subspace
 from .test_distances import _structured_class
 
@@ -55,6 +56,27 @@ def test_transmit_distance_structure(gf2):
         # H(V) is a 2-dim common subspace, so d is 0 or 2 (0 iff E fell
         # back inside V)
         assert distance_naive(v, u) in (0, 2)
+
+
+# sha256 over 400 seeded transmit outputs, fixed before the GF(2) channel
+# ran on packed rows: per (q, t, rho) case and seed, the sent word, the
+# received space and the generator's next draw, so that the output and
+# the number of draws both stay the same
+TRANSMIT_DIGEST = "fc767c4432ec6a15ea06683059d7a7df9d1dfcc4a1376fad0e61e00fa81002b1"
+
+
+def test_transmit_outputs_and_draws_are_pinned():
+    lines = []
+    for q, name in ((2, "w6k3"), (3, "w5k2")):
+        words = multilevel_fixture(name, make_field(q, 1)).words
+        for t, rho in ((0, 0), (1, 0), (0, 1), (1, 1), (0, None)):  # None: erase everything
+            for seed in range(40):
+                rng = random.Random(f"{q}/{t}/{rho}/{seed}")
+                v = words[rng.randrange(len(words))]
+                r = v.k if rho is None else rho
+                u = transmit(v, r, t, rng)
+                lines.append(f"{q} {t} {r} {seed} {to_literal(v)} {to_literal(u)} {rng.random()!r}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TRANSMIT_DIGEST
 
 
 def test_transmit_infeasible(gf2):

@@ -743,3 +743,46 @@ def test_shortened_w8k4_verify_rank_calls(gf2, monkeypatch):
     monkeypatch.setattr(packed, "gf2_rank", counting)
     assert min_distance(codefile.loads_code(text)) == 3
     assert 0 < len(calls) <= 2500
+
+
+def test_one_word_classes_make_no_rank_call(gf2, gf3, monkeypatch):
+    # counted as in test_shortened_w8k4_verify_rank_calls: every class of
+    # these codes has one word, so none is ranked, and each is a coset
+    # with no minimum
+    calls = []
+    rank = packed.gf2_rank
+
+    def counting(rows):
+        calls.append(len(rows))
+        return rank(rows)
+
+    monkeypatch.setattr(packed, "gf2_rank", counting)
+    for spec in (gf2, gf3):
+        words = [
+            from_span([[int(j == c) for j in range(6)] for c in cols], spec, 6)
+            for cols in combinations(range(6), 3)
+        ]
+        view = PackedCode(spec, 6, words)
+        monkeypatch.setattr(view, "rank", counting)
+        assert view.coset_minima == dict.fromkeys(view.classes) and len(view.classes) == 20
+    assert calls == []
+
+
+def test_packed_code_keeps_the_rows_its_words_keep(gf2, monkeypatch):
+    from subspacecodes import matrices, subspaces
+
+    code = codefile.loads_code(codefile.dumps_code(multilevel_fixture("w6k3", gf2)))
+    words = code.words + (from_span([(1, 0, 1, 1, 0, 0)], gf2, 6),)
+    calls = []
+
+    def counting(fields, width=1):
+        calls.append(fields)
+        return pack(fields, width)
+
+    for module in (matrices, subspaces, packed):
+        monkeypatch.setattr(module, "pack", counting)
+    view = PackedCode(gf2, 6, words)
+    assert calls == []
+    assert all(r is w.packed for r, w in zip(view.rows, words))
+    assert view.ids == [w.id_vector.packed for w in words]
+    assert view.pack_word(words[0]) == (words[0].id_vector.packed, words[0].packed)

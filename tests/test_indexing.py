@@ -135,8 +135,13 @@ def test_suffix_family_distinct_and_sized():
     for i in range(1, 14):
         fam = suffix_family(i)
         assert len(set(fam)) == len(fam) == fibonacci(i + 1)
+        assert list(fam) == sorted(fam)  # ascending by integer value
         for s in fam:
             assert len(s) == i - 1
+            # all-zero, 0..01, or z 1 t 1 with t free of two consecutive zeros
+            word = "".join(map(str, s))
+            core = word.lstrip("0")
+            assert core in ("", "1") or (core[0] == core[-1] == "1" and "00" not in core[1:-1])
 
 
 def test_power_bounds_binary():

@@ -6,8 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subspacecodes.errors import ShapeMismatch
+from subspacecodes.fields import make_field
 from subspacecodes.matrices import (
     MatGF,
+    _rref_generic,
+    gf2_rank,
+    gf2_rref,
     mat_mul,
     nonzero_rows,
     null_space,
@@ -17,6 +21,63 @@ from subspacecodes.matrices import (
     vconcat,
 )
 from .conftest import span_size
+
+
+def _bits(v: int, n: int) -> tuple[int, ...]:
+    """Independent of the library's packer: column 0 is the highest bit."""
+    return tuple(v >> (n - 1 - j) & 1 for j in range(n))
+
+
+@st.composite
+def _gf2_row_sets(draw):
+    """n from 0 to 70 and packed rows: random, zero and repeated rows, and
+    for small n more rows than columns."""
+    n = draw(st.integers(0, 70))
+    fresh = st.integers(0, (1 << n) - 1)
+    rows = draw(st.lists(fresh, max_size=n + 3 if n <= 8 else 10))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(rows)))
+        kind = draw(st.sampled_from(["zero", "repeat", "sum"]))
+        if kind == "zero" or not rows:
+            extra = 0
+        elif kind == "repeat":
+            extra = draw(st.sampled_from(rows))
+        else:
+            extra = draw(st.sampled_from(rows)) ^ draw(st.sampled_from(rows))
+        rows.insert(at, extra)
+    return n, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gf2_row_sets(), st.data())
+def test_xor_elimination_against_the_generic_one(case, data):
+    gf2 = make_field(2, 1)
+    n, packed = case
+    rows = [_bits(v, n) for v in packed]
+    reduced = gf2_rref(packed)
+    red = [_bits(v, n) for v in reduced]
+    pivots = [next(j for j, x in enumerate(r) if x) for r in red]  # no zero row is returned
+    # the reduced echelon form: pivots move strictly right, pivot entries
+    # are 1, and every pivot column is zero in the other rows
+    assert pivots == sorted(set(pivots))
+    assert all(r[p] == 1 for r, p in zip(red, pivots))
+    assert all(r[p] == 0 for i, r in enumerate(red) for j, p in enumerate(pivots) if i != j)
+    # the generic elimination on the same rows is the oracle
+    work = [list(r) for r in rows]
+    rk, generic_pivots = _rref_generic(gf2, work, n)
+    assert len(reduced) == rk == gf2_rank(packed) and tuple(pivots) == generic_pivots
+    assert red == [tuple(r) for r in work[:rk]]
+    m = MatGF(gf2, rows, cols=n)
+    r, rk2, piv2 = rref(m)
+    assert (rk2, piv2) == (rk, generic_pivots) and rank(m) == rk
+    assert r.entries == tuple(red) + ((0,) * n,) * (len(rows) - rk)  # zero rows last
+    if n <= 8 and len(rows) <= 8:
+        assert span_size(gf2, rows, n) == span_size(gf2, red, n) == 2**rk
+    # the product XORs the rows that a's ones select
+    a = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)), max_size=4))
+    if rows:
+        want = [tuple(sum(x * row[j] for x, row in zip(arow, rows)) % 2 for j in range(n)) for arow in a]
+        assert mat_mul(MatGF(gf2, a, cols=len(rows)), m).entries == tuple(want)
 
 
 def test_rref_identity(gf2):

@@ -14,7 +14,7 @@ from subspacecodes.errors import (
     TooLarge,
 )
 from subspacecodes.fields import FieldSpec, make_field
-from subspacecodes.matrices import MatGF, nonzero_rows, rank, row_space_equal, rref
+from subspacecodes.matrices import MatGF, _rref_generic, row_space_equal
 from subspacecodes.subspaces import (
     IdVector,
     Subspace,
@@ -294,7 +294,7 @@ def _generators(draw):
     rows = st.lists(st.integers(0, spec.order - 1), min_size=n, max_size=n)
     m = [list(r) for r in draw(st.lists(rows, min_size=k, max_size=k))]
     if draw(st.booleans()):
-        m = [list(r) for r in nonzero_rows(rref(MatGF(spec, m, cols=n))[0])]
+        m = m[: _rref_generic(spec, m, n)[0]]
     if m and draw(st.booleans()):
         i, j = draw(st.integers(0, len(m) - 1)), draw(st.integers(0, n - 1))
         m[i][j] = draw(st.integers(0, spec.order - 1))
@@ -304,9 +304,12 @@ def _generators(draw):
 @settings(max_examples=400, deadline=None)
 @given(_generators(), st.data())
 def test_subspace_accepts_exactly_the_reduced_echelon_forms(case, data):
+    # the oracle is the generic elimination, which over GF(2) is not the
+    # XOR path the constructor and ``contains`` run on packed rows
     spec, n, x = case
-    r, rk, pivots = rref(x)
-    canonical = rk == x.rows and nonzero_rows(r) == x.entries
+    work = [list(r) for r in x.entries]
+    rk, pivots = _rref_generic(spec, work, n)
+    canonical = rk == x.rows and tuple(map(tuple, work[:rk])) == x.entries
     if not canonical:
         with pytest.raises(BadParams):
             Subspace(spec, n, x)
@@ -314,7 +317,7 @@ def test_subspace_accepts_exactly_the_reduced_echelon_forms(case, data):
     u = Subspace(spec, n, x)
     assert u.k == rk and u.id_vector.support == pivots
     v = data.draw(st.lists(st.integers(0, spec.order - 1), min_size=n, max_size=n))
-    assert u.contains(v) == (rank(MatGF(spec, [*x.entries, v], cols=n)) == u.k)
+    assert u.contains(v) == (_rref_generic(spec, [*work, v], n)[0] == u.k)
 
 
 @pytest.mark.parametrize(
@@ -334,3 +337,46 @@ def test_subspace_rejects_non_canonical_generators(q, rows):
     spec = make_field(q, 1)
     with pytest.raises(BadParams, match="not a full-rank reduced echelon form"):
         Subspace(spec, 4, MatGF(spec, [tuple(map(int, r)) for r in rows]))
+    if q == 2:
+        # packed rows get the same check, and the same message
+        with pytest.raises(BadParams, match="not a full-rank reduced echelon form"):
+            Subspace.from_packed(spec, 4, [int(r, 2) for r in rows])
+
+
+def test_from_packed_rejects_rows_outside_the_ambient_space(gf2, gf3):
+    for rows in ([0b10000], [-0b1000], [0b1000, -0b100]):
+        with pytest.raises(BadParams, match="not a full-rank reduced echelon form"):
+            Subspace.from_packed(gf2, 4, rows)
+    with pytest.raises(BadParams):
+        Subspace.from_packed(gf3, 4, [0b1000])
+    assert Subspace.from_packed(gf2, 4, [0b1010, 0b0111]) == from_literal("1010;0111", gf2, 4)
+
+
+def _packed_by_hand(u) -> tuple[int, ...]:
+    return tuple(int("".join(map(str, row)), 2) for row in u.gen.entries)
+
+
+def test_packed_rows_on_every_route(gf2):
+    import random as _random
+
+    from subspacecodes import codefile
+    from subspacecodes.channel import transmit
+    from subspacecodes.constructions import lift_gabidulin, multilevel_fixture, spread_like
+    from subspacecodes.fields import extension_view
+
+    rng = _random.Random(8)
+    routes = {
+        "from_span": [from_span([[rng.randrange(2) for _ in range(7)] for _ in range(4)], gf2, 7) for _ in range(20)],
+        "fill_free_entries": list(subspaces_with_id(IdVector.from_string("0101100"), gf2)),
+        "multilevel": list(multilevel_fixture("w6k3", gf2).words),
+        "lift": list(lift_gabidulin(extension_view(gf2, 3), 3, 2).words),
+        "spread": list(spread_like(6, 2, gf2).words),
+    }
+    routes["loads_code"] = list(codefile.loads_code(codefile.dumps_code(multilevel_fixture("w5k2", gf2))).words)
+    routes["transmit"] = [transmit(w, rho, t, rng) for w in routes["multilevel"] for rho, t in ((0, 1), (1, 1), (2, 0))]
+    routes["orthogonal_complement"] = [orthogonal_complement(u) for u in routes["from_span"] + routes["lift"]]
+    for name, words in routes.items():
+        assert words, name
+        for u in words:
+            assert type(u.packed) is tuple and u.packed == _packed_by_hand(u), name
+            assert u.id_vector.packed == int("".join(map(str, u.id_vector.bits)) or "0", 2), name
