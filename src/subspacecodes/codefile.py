@@ -9,9 +9,8 @@ with the uniqueness check, load followed by save is byte-identical.  A code
 has few distinct rows, so the loader parses each distinct row literal once,
 and equal rows of different codewords are one shared row, which keeps a
 loaded code small.  Over GF(2) a row is parsed straight to its packed
-integer and each codeword is built from those (``Subspace.from_packed``),
-the words of one class sharing one identifying vector; over GF(q), q > 2,
-from a matrix of row tuples.  Every codeword still gets
+integer and each codeword is built from those (``Subspace.from_packed``);
+over GF(q), q > 2, from a matrix of row tuples.  Every codeword still gets
 its own canonical-form and uniqueness checks.
 """
 
@@ -66,7 +65,6 @@ def loads_code(text: str) -> SubspaceCode:
     words = []
     seen = set()
     parsed = {}  # row literal -> its row, parsed once and kept by every word that has it
-    ids = {}  # packed pivot set -> its identifying vector, one per class
     packed = spec.order == 2
     for i, lit in enumerate(doc["codewords"]):
         if not isinstance(lit, str):
@@ -76,7 +74,7 @@ def loads_code(text: str) -> SubspaceCode:
         except ParseError as e:
             raise ParseError(f"codeword {i}: {e}") from e
         try:
-            w = Subspace.from_packed(spec, n, rows, ids) if packed else Subspace(spec, n, MatGF(spec, rows, cols=n))
+            w = Subspace.from_packed(spec, n, rows) if packed else Subspace(spec, n, MatGF(spec, rows, cols=n))
         except BadParams:
             raise InvariantViolation(
                 f"codeword {i}: rows are not a reduced echelon generator matrix"

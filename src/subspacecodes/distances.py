@@ -5,13 +5,13 @@ of the stacked generator matrices.  The fast route compares identifying
 vectors first: s = Hamming distance of the pivot indicators is a lower bound
 on d with the same parity, and after eliminating the pivots exclusive to one
 side the remainder reduces to a rank of difference rows, so
-d = s + 2 * rank(U~ - W~).  Over GF(2) ``rank`` eliminates by XOR, and the
-fast route reads the packed rows the subspaces keep.
+d = s + 2 * rank(U~ - W~).  Over GF(2) both routes eliminate by XOR, the
+fast one on the packed rows the subspaces keep.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations, compress
+from itertools import combinations, compress
 from operator import not_, xor
 
 from .errors import AmbientMismatch, TooFewCodewords
@@ -31,9 +31,7 @@ def dim_intersection(u: Subspace, w: Subspace) -> int:
 
 
 def distance_naive(u: Subspace, w: Subspace) -> int:
-    """2 rank([U; W]) - k1 - k2, straight from the definition.  It reads the
-    generator matrices, not the packed rows ``distance_fast`` reads, so
-    that the two stay independent."""
+    """2 rank([U; W]) - k1 - k2, straight from the definition."""
     _check_pair(u, w)
     return 2 * rank(vconcat(u.gen, w.gen)) - u.k - w.k
 
@@ -45,70 +43,32 @@ def hamming(a, b) -> int:
 def distance_fast(u: Subspace, w: Subspace) -> int:
     """Identifying-vector algorithm; always equals distance_naive.
 
-    Steps: (1) s = Hamming distance of the identifying vectors; (2) build
-    I (pivots only in U) and J (pivots only in W), swapping roles so the
-    smaller first exclusive pivot belongs to U, then clear the cross pivots
-    working down the columns of I ∪ J from the largest; (3) the rows with
-    shared pivots give U~ and W~, and d = s + 2 rank(U~ - W~).
+    s = Hamming distance of the identifying vectors, the number of pivots
+    exclusive to one side.  The rows of U and W with a shared pivot pair up
+    in order, and their differences D are zero at every shared pivot, as
+    are the s rows E whose pivot is exclusive; so rank([U; W]) is the
+    number of shared pivots plus rank([E; D]), and d = 2 rank([E; D]) - s.
+    Eliminating E's pivots from D leaves the paper's U~ - W~, so this is
+    d = s + 2 rank(U~ - W~).  Over GF(2) the rows are the packed ones the
+    subspaces keep, subtracted by XOR.
     """
     _check_pair(u, w)
-    if u.packed is not None:
-        return _distance_fast_packed(u, w)
-    spec = u.spec
-    uid = u.id_vector.bits
-    wid = w.id_vector.bits
-    s = hamming(uid, wid)
-
-    i_cols = [c for c in range(u.n) if uid[c] and not wid[c]]
-    j_cols = [c for c in range(u.n) if wid[c] and not uid[c]]
-    first_i = i_cols[0] if i_cols else u.n
-    first_j = j_cols[0] if j_cols else u.n
-    if first_i > first_j:
-        u, w = w, u
-        i_cols, j_cols = j_cols, i_cols
-
-    urows = {p: list(row) for p, row in zip(u.id_vector.support, u.gen.entries)}
-    wrows = {p: list(row) for p, row in zip(w.id_vector.support, w.gen.entries)}
-    add, mul, neg = spec.add, spec.mul, spec.neg
-
-    i_set = set(i_cols)
-    for col in sorted(i_cols + j_cols, reverse=True):
-        if col in i_set:
-            source, targets = urows[col], wrows
-        else:
-            source, targets = wrows[col], urows
-        for row in targets.values():
-            c = row[col]
-            if c:
-                f = neg(c)
-                for t in range(col, len(row)):
-                    if source[t]:
-                        row[t] = add(row[t], mul(f, source[t]))
-
-    shared = [c for c in range(u.n) if uid[c] and wid[c]]
-    diff = []
-    for p in shared:
-        ur, wr = urows[p], wrows[p]
-        diff.append(tuple(spec.sub(a, b) for a, b in zip(ur, wr)))
-    r = rank(MatGF(spec, tuple(diff), cols=u.n)) if diff else 0
-    return s + 2 * r
-
-
-def _distance_fast_packed(u: Subspace, w: Subspace) -> int:
-    """``distance_fast`` on packed GF(2) rows.
-
-    The rows of U and W with a shared pivot pair up in order, and their
-    XORs D are zero at every shared pivot; with E the s rows whose pivot is
-    exclusive, W mod U is (D and W's rows in E) mod U's rows in E, so
-    rank([U; W]) = k_U - |U's E| + rank([E; D]) and d = 2 rank([E; D]) - s.
-    """
     ubits, wbits = u.id_vector.bits, w.id_vector.bits
     ushared = list(compress(wbits, ubits))  # per row of U: is its pivot W's too
     wshared = list(compress(ubits, wbits))
-    exclusive = chain(compress(u.packed, map(not_, ushared)), compress(w.packed, map(not_, wshared)))
-    diffs = map(xor, compress(u.packed, ushared), compress(w.packed, wshared))
-    s = (u.id_vector.packed ^ w.id_vector.packed).bit_count()
-    return 2 * gf2_rank(chain(exclusive, diffs)) - s
+    if u.packed is not None:
+        urows, wrows, sub, rank_of = u.packed, w.packed, xor, gf2_rank
+    else:
+        spec = u.spec
+        urows, wrows = u.gen.entries, w.gen.entries
+        sub = lambda a, b: tuple(map(spec.sub, a, b))  # noqa: E731
+        rank_of = lambda rows: rank(MatGF(spec, rows, cols=u.n))  # noqa: E731
+    rows = [
+        *compress(urows, map(not_, ushared)),
+        *compress(wrows, map(not_, wshared)),
+        *map(sub, compress(urows, ushared), compress(wrows, wshared)),
+    ]
+    return 2 * rank_of(rows) - hamming(ubits, wbits)
 
 
 def min_distance(code) -> int:

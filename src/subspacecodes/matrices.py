@@ -49,8 +49,9 @@ def unpack(v: int, n: int) -> tuple[int, ...]:
     return tuple(format(v, "b").zfill(n).encode().translate(_FROM_DIGITS)) if n else ()
 
 
-def gf2_rank(rows) -> int:
-    """Rank of packed GF(2) rows."""
+def _gf2_leads(rows) -> dict[int, int]:
+    """Forward XOR elimination of packed GF(2) rows: one reduced row per
+    pivot, keyed by the pivot's bit length."""
     lead: dict[int, int] = {}
     for v in rows:
         while v:
@@ -60,21 +61,18 @@ def gf2_rank(rows) -> int:
                 lead[b] = v
                 break
             v ^= cur
-    return len(lead)
+    return lead
+
+
+def gf2_rank(rows) -> int:
+    """Rank of packed GF(2) rows."""
+    return len(_gf2_leads(rows))
 
 
 def gf2_rref(rows) -> list[int]:
     """The reduced echelon form of packed GF(2) rows: its nonzero rows,
     first pivot first.  A row's pivot is its leading bit."""
-    lead: dict[int, int] = {}
-    for v in rows:
-        while v:
-            b = v.bit_length()
-            cur = lead.get(b)
-            if cur is None:
-                lead[b] = v
-                break
-            v ^= cur
+    lead = _gf2_leads(rows)
     # from the last pivot back: each row is cleared at the pivots of the
     # rows below it, which are already zero at each other's pivots
     out: list[tuple[int, int]] = []

@@ -9,8 +9,9 @@ subspaces sharing that identifying vector.
 
 Over GF(2) a Subspace also keeps its rows packed, one integer per row with
 column 0 in the highest bit, and the GF(2) paths work on those integers:
-``from_span`` eliminates by XOR, ``contains`` reduces by XOR, and the index
-codec reads and writes the free entries of packed rows.
+``from_span`` eliminates by XOR and builds the Subspace from the result,
+``contains`` reduces by XOR, and the index codec reads and writes the free
+entries of packed rows.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterator
 from .errors import BadParams, FieldTooLarge, LengthMismatch, ParseError, ShapeMismatch
 from .errors import ShapeViolation, TooLarge
 from .fields import MAX_ORDER, FieldSpec, make_field, smallest_prime_factor
-from .matrices import _BITS, _FROM_DIGITS, MatGF, _rref_rows, null_space, pack, unpack
+from .matrices import _BITS, _FROM_DIGITS, MatGF, _rref_rows, gf2_rref, null_space, pack, unpack
 
 ENUMERATION_CAP = 10**7
 
@@ -65,18 +66,6 @@ class IdVector:
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
-
-
-def _id_vector(pivots: int, n: int, shared: dict | None = None) -> IdVector:
-    """The identifying vector of a packed pivot set.  ``shared`` maps pivot
-    sets to identifying vectors and is read and filled, so that the words
-    of a code share one per class."""
-    if shared is None:
-        return IdVector(unpack(pivots, n))
-    v = shared.get(pivots)
-    if v is None:
-        v = shared[pivots] = IdVector(unpack(pivots, n))
-    return v
 
 
 @dataclass(frozen=True)
@@ -179,22 +168,20 @@ class Subspace:
         self.n = n
         self.k = gen.rows
         self.packed = None
-        self.id_vector = _id_vector(pivots, n)
+        self.id_vector = IdVector(unpack(pivots, n))
 
     @classmethod
-    def from_packed(cls, spec: FieldSpec, n: int, rows, shared: dict | None = None) -> Subspace:
+    def from_packed(cls, spec: FieldSpec, n: int, rows) -> Subspace:
         """The GF(2) subspace whose reduced echelon form has the packed
-        rows ``rows``; BadParams unless they are one.  ``shared`` is read
-        and filled with the identifying vectors, to be shared among the
-        words of one code."""
+        rows ``rows``; BadParams unless they are one."""
         if spec.order != 2:
             raise BadParams(f"packed rows are GF(2) rows, not GF({spec.order}) rows")
         u = cls.__new__(cls)
-        u._set_packed(spec, n, tuple(rows), shared)
+        u._set_packed(spec, n, tuple(rows))
         u.gen = MatGF(spec, [unpack(v, n) for v in u.packed], cols=n)
         return u
 
-    def _set_packed(self, spec: FieldSpec, n: int, rows: tuple, shared: dict | None = None) -> None:
+    def _set_packed(self, spec: FieldSpec, n: int, rows: tuple) -> None:
         pivots = seen = 0
         last = n + 1
         for v in rows:
@@ -210,7 +197,7 @@ class Subspace:
         self.n = n
         self.k = len(rows)
         self.packed = rows
-        self.id_vector = _id_vector(pivots, n, shared)
+        self.id_vector = IdVector(unpack(pivots, n))
 
     def contains(self, vec) -> bool:
         v = _vector(vec, self.spec, self.n)
@@ -269,6 +256,8 @@ def from_span(vectors, spec: FieldSpec, n: int) -> Subspace:
     """Canonical subspace spanned by the given vectors (possibly dependent)."""
     _check_ambient(n)
     rows = [_vector(v, spec, n) for v in vectors]
+    if spec.order == 2:
+        return Subspace.from_packed(spec, n, gf2_rref(map(pack, rows)))
     rank, _ = _rref_rows(spec, rows, n)
     return Subspace(spec, n, MatGF(spec, rows[:rank], cols=n))
 
