@@ -9,25 +9,23 @@ only, it lies inside it.  The decoder finds such a word by one linear solve
 per coset class of the code, and leaves anything else to the
 nearest-codeword scan.
 
-Over GF(2) the channel works on the packed rows the subspaces keep: the
-erasure product XORs rows, and each error vector is tested against the
-running span and added to it by XOR elimination.  Every q draws the same
-random numbers in the same order, so a seed gives the same output.
+The channel works on the rows the subspaces keep, in their field's row
+form (``Subspace.rows``; XOR on packed rows over GF(2)): the erasure
+product combines rows, and each error vector is tested against the running
+span and added to it by elimination, on rows, with one Subspace built at
+the end.  A seed gives the same output.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import compress
-from operator import xor
 
 from .constructions import SubspaceCode
 from .distances import distance_fast
 from .errors import AmbientMismatch, InfeasibleParams, TooFewCodewords
-from .matrices import MatGF, gf2_rref, mat_mul, pack, rank
-from .subspaces import Subspace, from_span, zero_subspace
+from .matrices import MatGF, rank, row_form
+from .subspaces import Subspace
 
 _REJECTION_CAP = 64
 
@@ -81,42 +79,31 @@ def transmit(v: Subspace, rho: int, t: int, rng: random.Random) -> Subspace:
     The output has dimension dim(V) - rho + t; the error space is sampled
     vector by vector, rejecting vectors that fall inside the running sum.
     """
-    spec = v.spec
+    spec, n, q = v.spec, v.n, v.spec.order
     if rho > v.k:
         raise InfeasibleParams(f"cannot erase {rho} dimensions from a {v.k}-dim space")
-    if t > v.n - (v.k - rho):
+    if t > n - (v.k - rho):
         raise InfeasibleParams("error dimension does not fit the ambient space")
 
+    # the running span is kept as the rows of its reduced echelon form
+    form = row_form(spec, n)
     keep = v.k - rho
     if rho == 0:
-        current = v
+        rows = v.rows
     elif keep == 0:
-        current = zero_subspace(spec, v.n)
+        rows = ()
     else:
         coeff = _random_full_rank(rng, spec, keep, v.k)
-        if v.packed is None:
-            current = from_span(mat_mul(coeff, v.gen).entries, spec, v.n)
-        else:  # each row of H(V) XORs the rows of V its coefficients select
-            combined = (reduce(xor, compress(v.packed, row), 0) for row in coeff.entries)
-            current = Subspace.from_packed(spec, v.n, gf2_rref(combined))
-
-    q = spec.order
+        rows = form.rref([form.combine(row, v.rows) for row in coeff.entries])
     for _ in range(t):
         for attempt in range(_REJECTION_CAP + 1):
             if attempt == _REJECTION_CAP:
                 raise InfeasibleParams("could not sample an error vector outside the span")
-            vec = tuple(rng.randrange(q) for _ in range(v.n))
-            if any(vec) and not current.contains(vec):
-                current = _span_with(current, vec)
+            x = form.row_of([rng.randrange(q) for _ in range(n)])
+            if form.lead(form.remainder(x, rows)) is not None:  # x is outside the span
+                rows = form.rref([*rows, x])
                 break
-    return current
-
-
-def _span_with(u: Subspace, vec) -> Subspace:
-    """The span of u and one more vector."""
-    if u.packed is not None:
-        return Subspace.from_packed(u.spec, u.n, gf2_rref([*u.packed, pack(vec)]))
-    return from_span([*u.gen.entries, vec], u.spec, u.n)
+    return v if rows is v.rows else Subspace.from_rows(spec, n, rows)
 
 
 def min_distance_decode(

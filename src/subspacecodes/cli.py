@@ -30,6 +30,7 @@ from .errors import BadParams, SubspaceCodesError
 from .fields import extension_view, make_field
 from .fixtures import CONSTANT_WEIGHT_WORDS
 from .indexing import _class_tables, _compact_tables, _extended_tables, _from_bits, _to_bits
+from .matrices import row_form
 from .subspaces import _prime_power, field_for_order, from_literal, literal_rows, to_literal
 
 
@@ -71,7 +72,7 @@ def _cmd_construct(args) -> int:
             rows = literal_rows(args.special, base.spec, base.n)
             if len(rows) != 1:
                 raise BadParams(f"--special needs one vector, got {len(rows)}")
-            (special,) = rows
+            (special,) = row_form(base.spec, base.n).to_entries(rows)
         code = puncture(base, special, add_trivial=args.add_trivial)
         _save_or_print(code, args.out)
         return 0

@@ -8,10 +8,10 @@ the rows as written, so the Subspace constructor is the canonical-form check;
 with the uniqueness check, load followed by save is byte-identical.  A code
 has few distinct rows, so the loader parses each distinct row literal once,
 and equal rows of different codewords are one shared row, which keeps a
-loaded code small.  Over GF(2) a row is parsed straight to its packed
-integer and each codeword is built from those (``Subspace.from_packed``);
-over GF(q), q > 2, from a matrix of row tuples.  Every codeword still gets
-its own canonical-form and uniqueness checks.
+loaded code small.  A row is parsed straight into its field's row form
+(a packed integer over GF(2), a tuple otherwise) and each codeword is built
+from those rows (``Subspace.from_rows``).  Every codeword still gets its own
+canonical-form and uniqueness checks.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import json
 
 from .constructions import SubspaceCode
 from .errors import BadParams, InvariantViolation, ParseError
-from .matrices import MatGF
 from .subspaces import Subspace, field_for_order, literal_rows, to_literal
 
 FORMAT_VERSION = 1
@@ -65,16 +64,15 @@ def loads_code(text: str) -> SubspaceCode:
     words = []
     seen = set()
     parsed = {}  # row literal -> its row, parsed once and kept by every word that has it
-    packed = spec.order == 2
     for i, lit in enumerate(doc["codewords"]):
         if not isinstance(lit, str):
             raise ParseError(f"codeword {i}: expected a string, got {type(lit).__name__}")
         try:
-            rows = literal_rows(lit, spec, n, parsed, packed)
+            rows = literal_rows(lit, spec, n, parsed)
         except ParseError as e:
             raise ParseError(f"codeword {i}: {e}") from e
         try:
-            w = Subspace.from_packed(spec, n, rows) if packed else Subspace(spec, n, MatGF(spec, rows, cols=n))
+            w = Subspace.from_rows(spec, n, rows)
         except BadParams:
             raise InvariantViolation(
                 f"codeword {i}: rows are not a reduced echelon generator matrix"

@@ -27,7 +27,7 @@ from .errors import (
     SpecialVectorInQ,
 )
 from .fields import FieldSpec, extension_view
-from .matrices import MatGF, null_space
+from .matrices import MatGF, mat_mul, null_space
 from .packed import PackedCode
 from .rankcodes import FerrersRankCode, ZeroPattern, ferrers_d2_code, gabidulin
 from .subspaces import (
@@ -325,14 +325,7 @@ def puncture(
         if any(row[-1] != 0 for row in c.gen.entries) and c.contains(v):
             last_col = MatGF(spec, tuple((row[-1],) for row in c.gen.entries), cols=1)
             coeffs = null_space(last_col.transpose())
-            inter = []
-            for x in coeffs.entries:
-                vec = [0] * n
-                for xi, row in zip(x, c.gen.entries):
-                    if xi:
-                        vec = [spec.add(a, spec.mul(xi, b)) for a, b in zip(vec, row)]
-                inter.append(vec[:-1])
-            w = from_span(inter, spec, n - 1)
+            w = from_span([row[:-1] for row in mat_mul(coeffs, c.gen).entries], spec, n - 1)
             if w.key() not in seen:
                 seen.add(w.key())
                 words.append(w)

@@ -5,17 +5,18 @@ of the stacked generator matrices.  The fast route compares identifying
 vectors first: s = Hamming distance of the pivot indicators is a lower bound
 on d with the same parity, and after eliminating the pivots exclusive to one
 side the remainder reduces to a rank of difference rows, so
-d = s + 2 * rank(U~ - W~).  Over GF(2) both routes eliminate by XOR, the
-fast one on the packed rows the subspaces keep.
+d = s + 2 * rank(U~ - W~).  Both routes eliminate in the field's row form
+(``matrices.row_form``, XOR on packed rows over GF(2)), the fast one on the
+rows the subspaces keep (``Subspace.rows``).
 """
 
 from __future__ import annotations
 
 from itertools import combinations, compress
-from operator import not_, xor
+from operator import not_
 
 from .errors import AmbientMismatch, TooFewCodewords
-from .matrices import MatGF, gf2_rank, rank, vconcat
+from .matrices import rank, row_form, vconcat
 from .packed import PackedCode, meet_exponent
 from .subspaces import Subspace
 
@@ -49,26 +50,20 @@ def distance_fast(u: Subspace, w: Subspace) -> int:
     are the s rows E whose pivot is exclusive; so rank([U; W]) is the
     number of shared pivots plus rank([E; D]), and d = 2 rank([E; D]) - s.
     Eliminating E's pivots from D leaves the paper's U~ - W~, so this is
-    d = s + 2 rank(U~ - W~).  Over GF(2) the rows are the packed ones the
-    subspaces keep, subtracted by XOR.
+    d = s + 2 rank(U~ - W~).  The rows are the ones the subspaces keep, in
+    their field's row form.
     """
     _check_pair(u, w)
     ubits, wbits = u.id_vector.bits, w.id_vector.bits
     ushared = list(compress(wbits, ubits))  # per row of U: is its pivot W's too
     wshared = list(compress(ubits, wbits))
-    if u.packed is not None:
-        urows, wrows, sub, rank_of = u.packed, w.packed, xor, gf2_rank
-    else:
-        spec = u.spec
-        urows, wrows = u.gen.entries, w.gen.entries
-        sub = lambda a, b: tuple(map(spec.sub, a, b))  # noqa: E731
-        rank_of = lambda rows: rank(MatGF(spec, rows, cols=u.n))  # noqa: E731
+    form = row_form(u.spec, u.n)
     rows = [
-        *compress(urows, map(not_, ushared)),
-        *compress(wrows, map(not_, wshared)),
-        *map(sub, compress(urows, ushared), compress(wrows, wshared)),
+        *compress(u.rows, map(not_, ushared)),
+        *compress(w.rows, map(not_, wshared)),
+        *map(form.sub_row, compress(u.rows, ushared), compress(w.rows, wshared)),
     ]
-    return 2 * rank_of(rows) - hamming(ubits, wbits)
+    return 2 * form.rank(rows) - hamming(ubits, wbits)
 
 
 def min_distance(code) -> int:

@@ -6,20 +6,22 @@ echelon form satisfies the usual four properties (zero rows last, pivots
 strictly right-moving, pivots equal to 1, pivot columns otherwise zero) and
 is the unique canonical form of a row space.
 
-Over GF(2) a row is one integer, column 0 in the highest bit (``pack``,
-``unpack``), and the elimination is XOR on those integers: ``gf2_rank``
-and ``gf2_rref``.  ``rref``, ``rank``, ``mat_mul`` and ``null_space`` take
-that path when q = 2; ``_rref_generic``, the field-arithmetic elimination
-every other q uses, also runs on GF(2) rows as the oracle for it.
+The rows themselves have one format per field, behind ``RowForm``
+(``row_form(spec, n)``): over GF(2) a row is one integer, column 0 in the
+highest bit (``pack``, ``unpack``), and the elimination is XOR on those
+integers (``gf2_rank``, ``gf2_rref``); over every other field a row is a
+tuple and the elimination is field arithmetic (``_rref_generic``, which also
+runs on GF(2) rows as the oracle for the XOR path).  ``rref``, ``rank`` and
+``mat_mul`` go through the form, and so does every module that keeps rows.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import chain, compress
-from operator import xor
+from operator import getitem, is_, xor
 
-from .errors import ShapeMismatch
+from .errors import BadParams, LengthMismatch, ShapeMismatch
 from .fields import FieldSpec
 
 _BITS = frozenset((0, 1))
@@ -94,6 +96,8 @@ class MatGF:
             row if type(row) is tuple and all(type(x) is int for x in row) else tuple(map(int, row))
             for row in entries
         )
+        if type(entries) is tuple and all(map(is_, rows, entries)):
+            rows = entries  # every row kept: keep the caller's tuple too
         if rows:
             cols = len(rows[0])
         elif cols is None:
@@ -147,16 +151,6 @@ class MatGF:
         return MatGF(self.spec, tuple(zip(*self.entries)))
 
 
-def _rref_rows(spec: FieldSpec, rows: list, cols: int):
-    """In-place reduced echelon form; returns (rank, pivot columns).  Over
-    GF(2) the rows are packed, reduced by XOR and unpacked again."""
-    if spec.order != 2:
-        return _rref_generic(spec, rows, cols)
-    reduced = gf2_rref(map(pack, rows))
-    rows[:] = [unpack(v, cols) for v in reduced] + [(0,) * cols] * (len(rows) - len(reduced))
-    return len(reduced), tuple(cols - v.bit_length() for v in reduced)
-
-
 def _rref_generic(spec: FieldSpec, rows: list[list[int]], cols: int):
     """In-place reduced echelon form by field arithmetic, for any q;
     returns (rank, pivot columns)."""
@@ -185,21 +179,189 @@ def _rref_generic(spec: FieldSpec, rows: list[list[int]], cols: int):
     return r, tuple(pivots)
 
 
+_NOT_CANONICAL = "generator matrix is not a full-rank reduced echelon form"
+
+
+class RowForm:
+    """The rows of matrices over one field with n columns, kept in one
+    format, and the primitives that act on them (``row_form(spec, n)``).
+
+    Over GF(2) a row is one integer, column 0 in the highest bit, and rows
+    subtract by XOR; over every other field a row is a tuple of entries.
+    Callers never look inside a row.  Each primitive has one body per format:
+
+    - ``row_of(entries)`` is one row, ``from_entries(m)`` the rows of a
+      matrix's entries (for tuples, the very tuple given) and
+      ``to_entries(rows)`` their entry tuples; none of them checks;
+    - ``rank(rows)``; ``rref(rows)``, the nonzero rows of the reduced
+      echelon form; ``combine(coeffs, rows)``, the sum of c_i row_i;
+      ``remainder(x, rows)``, x reduced by the rows of a reduced echelon
+      form, zero exactly when x is in their span; ``check(rows)``, the pivot
+      columns of a full-rank reduced echelon form packed into one integer,
+      BadParams if the rows are not one;
+    - ``sub_row(x, y)`` is x - y, ``multiples(row)`` c * row by c in GF(q),
+      ``entry(row, p)`` the entry in column p, ``lead(row)`` a key for the
+      first nonzero column and its entry (None for zero), ``code(row)`` the
+      integer whose base-q digits are the entries; ``flatten(rows)`` joins k
+      rows into one row and ``unflatten(row, k)`` splits it again.
+
+    ``vector(v)``, the row of v checked to be a vector of GF(q)^n, and
+    ``span(rows, start)``, start plus every combination of the rows, are one
+    body for both formats.  ``rank``, ``rref``, ``sub_row``, ``multiples``,
+    ``lead``, ``code`` and ``span`` also take rows of another width, such as
+    flattened ones.
+    """
+
+    def __init__(self, spec: FieldSpec, n: int) -> None:
+        self.spec = spec
+        self.n = n
+        q = spec.order
+        if q == 2:
+            in_field = _BITS.issuperset
+            self.row_of, self.code, self.sub_row = pack, int, int.__xor__
+            self.from_entries = lambda entries: tuple(map(pack, entries))
+            self.to_entries = lambda rows: [unpack(v, n) for v in rows]
+            self.rank, self.rref, self.remainder = gf2_rank, gf2_rref, _gf2_remainder
+            self.combine = lambda coeffs, rows: reduce(xor, compress(rows, coeffs), 0)
+            self.check = partial(_gf2_check, n)
+            self.multiples = lambda row: (0, row)
+            self.entry = lambda row, p: row >> (n - 1 - p) & 1
+            self.lead = lambda row: (row.bit_length(), 1) if row else None
+            self.flatten = lambda rows: pack(rows, n)
+            self.unflatten = lambda row, k: [row >> (n * (k - 1 - r)) & ((1 << n) - 1) for r in range(k)]
+        else:
+            sub, mul = spec.sub, spec.mul
+            in_field = lambda out: not out or (min(out) >= 0 and max(out) < q)  # noqa: E731
+            self.row_of, self.code = tuple, lambda row: reduce(lambda a, x: a * q + x, row, 0)
+            self.sub_row = lambda x, y: tuple(map(sub, x, y))
+            self.from_entries = self.to_entries = lambda rows: rows
+            self.rank = lambda rows: _rref_generic(spec, [list(r) for r in rows], len(rows[0]))[0] if rows else 0
+            self.rref = partial(_tuple_rref, spec)
+            self.remainder = partial(_tuple_remainder, spec)
+            self.combine = partial(_tuple_combine, spec, n)
+            self.check = partial(_tuple_check, n)
+            self.multiples = lambda row: [tuple(mul(c, x) for x in row) for c in range(q)]
+            self.entry, self.lead = getitem, _first_nonzero
+            self.flatten = lambda rows: tuple(chain.from_iterable(rows))
+            self.unflatten = lambda row, k: [row[r * n : (r + 1) * n] for r in range(k)]
+        row_of = self.row_of
+
+        def vector(v):
+            """The row of v, checked to be a vector of GF(q)^n."""
+            out = list(map(int, v))
+            if len(out) == n and in_field(out):
+                return row_of(out)
+            if len(out) != n:
+                raise LengthMismatch(f"vector of length {len(out)}, ambient is {n}")
+            bad = next(x for x in out if not 0 <= x < q)
+            raise ShapeMismatch(f"entry {bad} outside GF({q})")
+
+        self.vector = vector
+
+    def span(self, rows, start) -> list:
+        """start + sum c_i rows[i] for every coefficient tuple c, in
+        ``itertools.product`` order: the first row's coefficient is the
+        most significant."""
+        out = [start]
+        minus_one = self.spec.neg(1)
+        for row in rows:
+            minus = self.multiples(self.multiples(row)[minus_one])  # c * (-row), by c
+            out = [self.sub_row(x, m) for x in out for m in minus]
+        return out
+
+
+@lru_cache(maxsize=1024)
+def row_form(spec: FieldSpec, n: int) -> RowForm:
+    """The row form of GF(q)^n, one per field and n."""
+    return RowForm(spec, n)
+
+
+def _gf2_check(n: int, rows) -> int:
+    pivots = seen = 0
+    last = n + 1
+    for v in rows:
+        b = v.bit_length() if type(v) is int and v > 0 else 0
+        # the bits above a row's pivot are zero, so only the rows above it
+        # can meet its pivot bit
+        if not 0 < b < last or seen >> (b - 1) & 1:
+            raise BadParams(_NOT_CANONICAL)
+        pivots |= 1 << (b - 1)
+        seen |= v
+        last = b
+    return pivots
+
+
+def _gf2_remainder(x: int, rows) -> int:
+    for row in rows:
+        if x >> (row.bit_length() - 1) & 1:
+            x ^= row
+    return x
+
+
+def _tuple_check(n: int, rows) -> int:
+    pivots, last = 0, -1
+    for i, row in enumerate(rows):
+        if type(row) is not tuple or len(row) != n:
+            raise BadParams(_NOT_CANONICAL)
+        p = next((j for j, x in enumerate(row) if x), -1)
+        # rows below have zeros left of their pivots, so only the rows above
+        # this one can be nonzero in its pivot column
+        if p <= last or row[p] != 1 or any(rows[h][p] for h in range(i)):
+            raise BadParams(_NOT_CANONICAL)
+        pivots |= 1 << (n - 1 - p)
+        last = p
+    return pivots
+
+
+def _tuple_remainder(spec: FieldSpec, x, rows) -> tuple:
+    add, mul, neg = spec.add, spec.mul, spec.neg
+    for row in rows:
+        c = x[row.index(1)]  # the row's pivot: a reduced row's first nonzero entry is 1
+        if c:
+            f = neg(c)
+            x = tuple(add(a, mul(f, y)) for a, y in zip(x, row))
+    return x
+
+
+def _tuple_rref(spec: FieldSpec, rows) -> list:
+    work = [list(r) for r in rows]
+    rk = _rref_generic(spec, work, len(rows[0]))[0] if rows else 0
+    return [tuple(r) for r in work[:rk]]
+
+
+def _tuple_combine(spec: FieldSpec, n: int, coeffs, rows) -> tuple:
+    add, mul = spec.add, spec.mul
+    acc = (0,) * n
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc = tuple(add(a, mul(c, x)) for a, x in zip(acc, row))
+    return acc
+
+
+def _first_nonzero(row):
+    """(column, entry) of a tuple row's first nonzero entry, or None."""
+    for c, x in enumerate(row):
+        if x:
+            return c, x
+    return None
+
+
 def rref(m: MatGF) -> tuple[MatGF, int, tuple[int, ...]]:
     """Reduced echelon form, rank, and ascending pivot columns.
 
     Idempotent: rref of the returned matrix is itself.  The returned matrix
     keeps the input shape (zero rows stay at the bottom).
     """
-    work = list(m.entries) if m.spec.order == 2 else [list(row) for row in m.entries]
-    rank, pivots = _rref_rows(m.spec, work, m.cols)
-    return MatGF(m.spec, work, cols=m.cols), rank, pivots
+    form = row_form(m.spec, m.cols)
+    reduced = form.to_entries(form.rref(form.from_entries(m.entries)))
+    pivots = tuple(row.index(1) for row in reduced)  # a reduced row's first nonzero entry is 1
+    zeros = [(0,) * m.cols] * (m.rows - len(reduced))
+    return MatGF(m.spec, [*reduced, *zeros], cols=m.cols), len(reduced), pivots
 
 
 def rank(m: MatGF) -> int:
-    if m.spec.order == 2:
-        return gf2_rank(map(pack, m.entries))
-    return rref(m)[1]
+    form = row_form(m.spec, m.cols)
+    return form.rank(form.from_entries(m.entries))
 
 
 def vconcat(a: MatGF, b: MatGF) -> MatGF:
@@ -233,24 +395,11 @@ def mat_mul(a: MatGF, b: MatGF) -> MatGF:
         raise ShapeMismatch("different fields")
     if a.cols != b.rows:
         raise ShapeMismatch(f"inner dimension mismatch: {a.cols} vs {b.rows}")
-    spec = a.spec
-    if spec.order == 2:
-        # each row of the product XORs the rows of b that a's ones select
-        brows = [pack(row) for row in b.entries]
-        out = [unpack(reduce(xor, compress(brows, arow), 0), b.cols) for arow in a.entries]
-        return MatGF(spec, out, cols=b.cols)
-    bt = tuple(zip(*b.entries)) if b.rows else tuple()
-    out = []
-    for arow in a.entries:
-        orow = []
-        for bcol in bt:
-            acc = 0
-            for x, y in zip(arow, bcol):
-                if x and y:
-                    acc = spec.add(acc, spec.mul(x, y))
-            orow.append(acc)
-        out.append(tuple(orow))
-    return MatGF(spec, tuple(out))
+    # each row of the product combines the rows of b by a row of a
+    form = row_form(b.spec, b.cols)
+    brows = form.from_entries(b.entries)
+    out = form.to_entries([form.combine(arow, brows) for arow in a.entries])
+    return MatGF(a.spec, out, cols=b.cols)
 
 
 def null_space(m: MatGF) -> MatGF:

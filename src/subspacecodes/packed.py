@@ -2,11 +2,10 @@
 decoder.
 
 A code's identifying vectors are packed into integers (column 0 in the
-highest bit).  Over GF(2) the view's rows are the packed rows each
-``Subspace`` already keeps, shared and never packed again; over GF(q),
-q > 2, rows are the generator's tuples.  Only how rows are stored,
-subtracted and ranked depends on q: XOR elimination on packed rows for
-q = 2 (``matrices.gf2_rank``), the generic row reduction otherwise.
+highest bit).  The view's rows are the rows each ``Subspace`` already keeps
+(``Subspace.rows``), shared and never converted, and every row operation
+goes through the field's row form (``matrices.row_form``): XOR on packed
+integers over GF(2), field arithmetic on tuples otherwise.
 
 The subspace distance dominates the Hamming distance of identifying
 vectors, d(U, W) >= d_H(v(U), v(W)), so a word whose identifying vector is
@@ -21,12 +20,11 @@ is one elimination (``PackedCode.contained``).
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain, combinations, product
-from operator import getitem
 from typing import NamedTuple
 
-from .matrices import _rref_generic, gf2_rank, pack
+from .matrices import row_form
 
 
 def meet_exponent(shared: int, exclusive: int) -> int:
@@ -38,14 +36,6 @@ def meet_exponent(shared: int, exclusive: int) -> int:
         e += (exclusive & (low - 1)).bit_count()
         shared ^= low
     return e
-
-
-def _first_nonzero(row):
-    """(column, entry) of a tuple row's first nonzero entry, or None."""
-    for c, x in enumerate(row):
-        if x:
-            return c, x
-    return None
 
 
 class CosetClass(NamedTuple):
@@ -62,40 +52,15 @@ class CosetClass(NamedTuple):
 
 class PackedCode:
     """The words of a code with packed identifying vectors and rows, grouped
-    into classes by identifying vector (each class in code order).
-
-    ``rank(rows)``, ``sub_row(x, y)`` (x - y), ``difference(a, b)`` (row-wise
-    a - b), ``multiples(row)`` (every c * row, c in GF(q)), ``entry(row, p)``
-    (the entry in column p), ``lead(row)`` (a key for the first nonzero
-    column and that entry, or None for zero), ``flatten(rows)`` (the rows
-    joined into one vector), ``row_of(entries)`` (a tuple of entries as a
-    row) and ``code(row)`` (the integer whose base-q digits are the row's
-    entries) act on rows as this view stores them.
-    """
+    into classes by identifying vector (each class in code order).  Rows
+    are in the field's row form ``form``, and only its primitives touch
+    them."""
 
     def __init__(self, spec, n: int, words):
         self.spec = spec
         self.n = n
+        self.form = row_form(spec, n)
         self.words = tuple(words)
-        if spec.order == 2:
-            self.rank = gf2_rank
-            self.sub_row = int.__xor__
-            self.multiples = lambda row: (0, row)
-            self.entry = lambda row, p: row >> (n - 1 - p) & 1
-            self.lead = lambda row: (row.bit_length(), 1) if row else None
-            self.flatten = lambda rows: pack(rows, n)
-            self.row_of = pack
-            self.code = int
-        else:
-            self.rank = self._gfq_rank
-            sub, mul = spec.sub, spec.mul
-            self.sub_row = lambda x, y: tuple(map(sub, x, y))
-            self.multiples = lambda row: [tuple(mul(c, x) for x in row) for c in range(spec.order)]
-            self.entry = getitem
-            self.lead = _first_nonzero
-            self.flatten = lambda rows: tuple(chain.from_iterable(rows))
-            self.row_of = tuple
-            self.code = lambda row: reduce(lambda a, x: a * spec.order + x, row, 0)
         packed = [self.pack_word(w) for w in self.words]
         self.ids = [v for v, _ in packed]
         self.rows = [r for _, r in packed]
@@ -105,17 +70,11 @@ class PackedCode:
             self.classes.setdefault(v, []).append(i)
 
     def pack_word(self, u) -> tuple[int, tuple]:
-        """Packed identifying vector and generator rows of a subspace: over
-        GF(2) the packed rows it keeps, otherwise its row tuples."""
-        return u.id_vector.packed, u.gen.entries if u.packed is None else u.packed
-
-    def _gfq_rank(self, rows) -> int:
-        if not rows:
-            return 0
-        return _rref_generic(self.spec, [list(r) for r in rows], len(rows[0]))[0]
+        """Packed identifying vector and the rows a subspace keeps."""
+        return u.id_vector.packed, u.rows
 
     def difference(self, a, b) -> list:
-        return list(map(self.sub_row, a, b))
+        return list(map(self.form.sub_row, a, b))
 
     def nearest(self, qid: int, qrows, candidates, best: int | None = None):
         """First candidate strictly closer to the query than ``best``.
@@ -125,7 +84,7 @@ class PackedCode:
         (index, distance), or (None, best) when no candidate beats ``best``
         (None means no bound).
         """
-        ids, rows, rank, difference = self.ids, self.rows, self.rank, self.difference
+        ids, rows, rank, difference = self.ids, self.rows, self.form.rank, self.difference
         kq = len(qrows)
         found = None
         for i in candidates:
@@ -169,8 +128,8 @@ class PackedCode:
                 minima[cid] = None
                 continue
             diffs, index = self._differences(members)
-            if len(index) == len(members) == q ** self.rank(list(index)):
-                minima[cid] = 2 * min(map(self.rank, diffs[1:]))
+            if len(index) == len(members) == q ** self.form.rank(list(index)):
+                minima[cid] = 2 * min(map(self.form.rank, diffs[1:]))
         return minima
 
     def _differences(self, members) -> tuple[list, dict]:
@@ -179,7 +138,7 @@ class PackedCode:
         rows = self.rows
         base = rows[members[0]]
         diffs = [self.difference(rows[i], base) for i in members]
-        return diffs, dict(zip(map(self.flatten, diffs), members))
+        return diffs, dict(zip(map(self.form.flatten, diffs), members))
 
     @cached_property
     def decoder(self):
@@ -203,13 +162,13 @@ class PackedCode:
             q, r = self.spec.order, 0
             while q**r < len(members):
                 r += 1
-            eye = [self.row_of(tuple(int(i == j) for i in range(r))) for j in range(r)]
-            zero = self.row_of((0,) * r)
+            eye = [self.form.row_of(tuple(int(i == j) for i in range(r))) for j in range(r)]
+            zero = self.form.row_of((0,) * r)
             pivots = self.pivots(cid)
             base = self.rows[members[0]]
             # a basis D_1..D_r of the differences; at decode time each D_j
             # tracks its unit row e_j, so a solution tracks its coordinates
-            basis, flats, spanned = [], [next(iter(index))], {}
+            basis, flats, spanned = [], [], {}
             for f, i in index.items():
                 if len(basis) == r:
                     break
@@ -217,11 +176,9 @@ class PackedCode:
                 if self._insert(spanned, f, unit):
                     d = self.difference(self.rows[i], base)
                     basis.append((d, self._by_pivot(pivots, d), unit))
-                    # every c * D_j added to every difference so far, c in
-                    # GF(q) order: the coordinates' codes count up
-                    plus = self.multiples(self.multiples(f)[self.spec.neg(1)])
-                    flats = [self.sub_row(g, m) for g in flats for m in plus]
-            by_coords = [index[f] for f in flats]
+                    flats.append(f)
+            # the span in coefficient order, so the coordinates' codes count up
+            by_coords = [index[f] for f in self.form.span(flats, next(iter(index)))]
             cosets.append(CosetClass(cid, len(base), base, self._by_pivot(pivots, base), basis, by_coords, zero))
         hamming = ((a ^ b).bit_count() for a, b in combinations(self.classes, 2))
         return min(chain(lows, hamming), default=None), cosets
@@ -231,12 +188,12 @@ class PackedCode:
         return [p for p in range(self.n) if vid >> (self.n - 1 - p) & 1]
 
     def _by_pivot(self, pivots, rows) -> list:
-        return [(p, self.multiples(row)) for p, row in zip(pivots, rows)]
+        return [(p, self.form.multiples(row)) for p, row in zip(pivots, rows)]
 
     def _reduce_rows(self, v, by_pivot):
         """v less v[p] times row p over the (p, multiples of row p) pairs;
         each row is zero at the other rows' p."""
-        entry, sub = self.entry, self.sub_row
+        entry, sub = self.form.entry, self.form.sub_row
         for p, multiples in by_pivot:
             c = entry(v, p)
             if c:
@@ -248,7 +205,7 @@ class PackedCode:
         stored row's, and from w the same multiples of their tracked rows.
         ``spanned`` maps a lead column to (multiples of a row with lead
         entry 1, multiples of its tracked row).  Returns (v, w, v's lead)."""
-        lead, sub = self.lead, self.sub_row
+        lead, sub = self.form.lead, self.form.sub_row
         while True:
             at = lead(v)
             if at is None or at[0] not in spanned:
@@ -263,8 +220,8 @@ class PackedCode:
             return False
         if at[1] != 1:
             s = self.spec.inv(at[1])
-            v, w = self.multiples(v)[s], self.multiples(w)[s]
-        spanned[at[0]] = (self.multiples(v), self.multiples(w))
+            v, w = self.form.multiples(v)[s], self.form.multiples(w)[s]
+        spanned[at[0]] = (self.form.multiples(v), self.form.multiples(w))
         return True
 
     def contained(self, qid: int, qrows):
@@ -282,7 +239,7 @@ class PackedCode:
         bound, cosets = self.decoder
         kq = len(qrows)
         y_by_pivot = self._by_pivot(self.pivots(qid), qrows)
-        reduce_rows, flatten, sub, n = self._reduce_rows, self.flatten, self.sub_row, self.n
+        reduce_rows, flatten, sub, n = self._reduce_rows, self.form.flatten, self.form.sub_row, self.n
         for cid, k, base, base_pivots, basis, index, zero in cosets:
             d = abs(kq - k)
             if bound is not None and 2 * d >= bound:
@@ -307,7 +264,7 @@ class PackedCode:
             # reducing v to zero tracks the x with v + sum x_j a_j = 0
             v, x, at = self._reduce(spanned, v, zero)
             if at is None:
-                return index[self.code(x)], d
+                return index[self.form.code(x)], d
         return None
 
     def meet_keys(self, i: int, exclusive: int) -> set:
@@ -324,7 +281,7 @@ class PackedCode:
         plan = self._meet_plans.get((wid, exclusive))
         if plan is None:
             plan = self._meet_plans[wid, exclusive] = self._meet_plan(wid, exclusive)
-        rows, sub, multiples = self.rows[i], self.sub_row, self.multiples
+        rows, sub, multiples = self.rows[i], self.form.sub_row, self.form.multiples
         choices = []
         for p, later in plan:
             xs = [rows[p]]

@@ -14,7 +14,7 @@ from itertools import product
 
 from .errors import BadParams, ShapeMismatch, TooLarge
 from .fields import ExtensionView, FieldSpec, extension_view
-from .matrices import MatGF, null_space, rank, rref
+from .matrices import MatGF, null_space, rank, row_form
 from .subspaces import FerrersShape
 
 ENUMERATION_CAP = 1 << 20
@@ -207,15 +207,14 @@ class FerrersRankCode:
         for b in self.basis:
             if not pattern.admits(b):
                 raise BadParams("basis matrix violates the zero pattern")
-        self._dim = self._basis_rank()
+        self._dim = len(self._reduced_basis())
 
-    def _basis_rank(self) -> int:
-        if not self.basis:
-            return 0
-        flat = [
-            tuple(x for row in b.entries for x in row) for b in self.basis
-        ]
-        return rank(MatGF(self.spec, flat, cols=self.pattern.nrows * self.pattern.ncols))
+    def _reduced_basis(self) -> list:
+        """The basis matrices, each flattened to one row of nrows * ncols
+        entries in the field's row form, row-reduced."""
+        nr, nc = self.pattern.nrows, self.pattern.ncols
+        rows = row_form(self.spec, nc)
+        return row_form(self.spec, nr * nc).rref([rows.flatten(rows.from_entries(b.entries)) for b in self.basis])
 
     @property
     def dim(self) -> int:
@@ -229,22 +228,12 @@ class FerrersRankCode:
         """Every matrix in the span, each exactly once."""
         if self.size > cap:
             raise TooLarge(f"code has {self.size} codewords, cap is {cap}")
+        # each codeword flattened to one row, in the order of
+        # product(GF(q), repeat=dim), the first basis row most significant
         nr, nc = self.pattern.nrows, self.pattern.ncols
-        if not self.basis:
-            yield MatGF.zero(self.spec, nr, nc)
-            return
-        flat = [tuple(x for row in b.entries for x in row) for b in self.basis]
-        reduced, _, _ = rref(MatGF(self.spec, flat, cols=nr * nc))
-        ind = [row for row in reduced.entries if any(row)]
-        spec = self.spec
-        for combo in product(range(spec.order), repeat=len(ind)):
-            acc = [0] * (nr * nc)
-            for c, row in zip(combo, ind):
-                if c:
-                    acc = [spec.add(a, spec.mul(c, x)) for a, x in zip(acc, row)]
-            yield MatGF(
-                spec, tuple(tuple(acc[r * nc : (r + 1) * nc]) for r in range(nr)), cols=nc
-            )
+        flat, rows = row_form(self.spec, nr * nc), row_form(self.spec, nc)
+        for f in flat.span(self._reduced_basis(), flat.row_of((0,) * (nr * nc))):
+            yield MatGF(self.spec, rows.to_entries(rows.unflatten(f, nr)), cols=nc)
 
     def min_rank_distance(self, cap: int = ENUMERATION_CAP) -> int | None:
         """Minimum rank over nonzero codewords; None for the zero code."""

@@ -7,11 +7,11 @@ the right of each pivot are free; those free positions form a Ferrers-shaped
 region, and filling them with field elements enumerates exactly the
 subspaces sharing that identifying vector.
 
-Over GF(2) a Subspace also keeps its rows packed, one integer per row with
-column 0 in the highest bit, and the GF(2) paths work on those integers:
-``from_span`` eliminates by XOR and builds the Subspace from the result,
-``contains`` reduces by XOR, and the index codec reads and writes the free
-entries of packed rows.
+A Subspace also keeps its rows in its field's row form (``rows``; packed
+integers over GF(2), the generator's tuples otherwise), and the paths that
+work on rows go through that form: ``from_span`` eliminates on it and builds
+the Subspace from the result, and ``contains`` reduces on it.  Only the
+GF(2) index codec reads and writes the free entries of packed rows itself.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from itertools import combinations, product
 from operator import itemgetter
 from typing import Iterator
 
-from .errors import BadParams, FieldTooLarge, LengthMismatch, ParseError, ShapeMismatch
+from .errors import BadParams, FieldTooLarge, LengthMismatch, ParseError
 from .errors import ShapeViolation, TooLarge
 from .fields import MAX_ORDER, FieldSpec, make_field, smallest_prime_factor
-from .matrices import _BITS, _FROM_DIGITS, MatGF, _rref_rows, gf2_rref, null_space, pack, unpack
+from .matrices import _BITS, _FROM_DIGITS, MatGF, null_space, pack, row_form, unpack
 
 ENUMERATION_CAP = 10**7
 
@@ -125,9 +125,6 @@ class FerrersShape:
         return "".join(fill), read
 
 
-_NOT_CANONICAL = "generator matrix is not a full-rank reduced echelon form"
-
-
 class Subspace:
     """A k-dimensional subspace of GF(q)^n in canonical form.
 
@@ -136,100 +133,48 @@ class Subspace:
     and every pivot column is zero in the other rows.  The constructor
     checks this in one scan and keeps the pivots as ``id_vector``.
 
-    Over GF(2) the constructor packs the rows into ``packed`` (a tuple of
-    ints, column 0 in the highest bit) and checks them there: a row's pivot
-    is its leading bit, the pivots strictly increase, and a row meets the
-    union of the pivot bits only in its own pivot.  ``from_packed`` takes
-    packed rows, checks them the same way and derives ``gen`` from them, so
-    the two never disagree.  ``packed`` is None for q > 2.
+    ``rows`` holds the generator's rows in the field's row form
+    (``matrices.row_form``): packed integers over GF(2), and for q > 2 the
+    very tuple ``gen.entries``.  The canonical form is checked on them.
+    ``from_rows`` takes rows in that form, checks them the same way and
+    derives ``gen`` from them, so the two never disagree.
     """
 
-    __slots__ = ("spec", "n", "k", "gen", "packed", "id_vector")
+    __slots__ = ("spec", "n", "k", "gen", "rows", "id_vector")
 
     def __init__(self, spec: FieldSpec, n: int, gen: MatGF):
         if gen.cols != n:
             raise LengthMismatch(f"generator has {gen.cols} columns, ambient is {n}")
+        form = row_form(spec, n)
         self.gen = gen
-        if spec.order == 2:
-            self._set_packed(spec, n, tuple(map(pack, gen.entries)))
-            return
-        rows = gen.entries
-        pivots = 0
-        last = -1
-        for i, row in enumerate(rows):
-            p = next((j for j, x in enumerate(row) if x), -1)
-            # rows below have zeros left of their pivots, so only the rows
-            # above this one can be nonzero in its pivot column
-            if p <= last or row[p] != 1 or any(rows[h][p] for h in range(i)):
-                raise BadParams(_NOT_CANONICAL)
-            pivots |= 1 << (n - 1 - p)
-            last = p
-        self.spec = spec
-        self.n = n
-        self.k = gen.rows
-        self.packed = None
-        self.id_vector = IdVector(unpack(pivots, n))
+        self._set_rows(spec, n, form, form.from_entries(gen.entries))
 
     @classmethod
-    def from_packed(cls, spec: FieldSpec, n: int, rows) -> Subspace:
-        """The GF(2) subspace whose reduced echelon form has the packed
-        rows ``rows``; BadParams unless they are one."""
-        if spec.order != 2:
-            raise BadParams(f"packed rows are GF(2) rows, not GF({spec.order}) rows")
+    def from_rows(cls, spec: FieldSpec, n: int, rows) -> Subspace:
+        """The subspace whose reduced echelon form has the rows ``rows``, in
+        the field's row form; BadParams unless they are one."""
+        form = row_form(spec, n)
         u = cls.__new__(cls)
-        u._set_packed(spec, n, tuple(rows))
-        u.gen = MatGF(spec, [unpack(v, n) for v in u.packed], cols=n)
+        u._set_rows(spec, n, form, tuple(rows))
+        u.gen = MatGF(spec, form.to_entries(u.rows), cols=n)
         return u
 
-    def _set_packed(self, spec: FieldSpec, n: int, rows: tuple) -> None:
-        pivots = seen = 0
-        last = n + 1
-        for v in rows:
-            b = v.bit_length()
-            # the bits above a row's pivot are zero, so only the rows above
-            # it can meet its pivot bit
-            if not 0 < b < last or v < 0 or seen >> (b - 1) & 1:
-                raise BadParams(_NOT_CANONICAL)
-            pivots |= 1 << (b - 1)
-            seen |= v
-            last = b
+    def _set_rows(self, spec: FieldSpec, n: int, form, rows: tuple) -> None:
+        pivots = form.check(rows)
         self.spec = spec
         self.n = n
         self.k = len(rows)
-        self.packed = rows
+        self.rows = rows
         self.id_vector = IdVector(unpack(pivots, n))
 
     def contains(self, vec) -> bool:
-        v = _vector(vec, self.spec, self.n)
-        if self.packed is not None:
-            x = pack(v)
-            for row in self.packed:
-                if x >> (row.bit_length() - 1) & 1:
-                    x ^= row
-            return not x
-        add, mul, neg = self.spec.add, self.spec.mul, self.spec.neg
-        # each pivot row clears its pivot column and leaves the others alone
-        for row, p in zip(self.gen.entries, self.id_vector.support):
-            if v[p]:
-                f = neg(v[p])
-                v = [add(x, mul(f, y)) for x, y in zip(v, row)]
-        return not any(v)
+        form = row_form(self.spec, self.n)
+        return form.lead(form.remainder(form.vector(vec), self.rows)) is None
 
     def vectors(self) -> Iterator[tuple[int, ...]]:
         """All q^k elements of the subspace (exponential; small k only)."""
-        spec = self.spec
-        coords = [0] * self.k
-        total = spec.order**self.k
-        for idx in range(total):
-            t = idx
-            for i in range(self.k):
-                coords[i] = t % spec.order
-                t //= spec.order
-            acc = [0] * self.n
-            for c, row in zip(coords, self.gen.entries):
-                if c:
-                    acc = [spec.add(a, spec.mul(c, x)) for a, x in zip(acc, row)]
-            yield tuple(acc)
+        form = row_form(self.spec, self.n)
+        return iter(form.to_entries(form.span(self.rows, form.row_of((0,) * self.n))))
 
     def key(self) -> tuple:
         return (self.spec, self.n, self.gen.entries)
@@ -255,28 +200,13 @@ def full_space(spec: FieldSpec, n: int) -> Subspace:
 def from_span(vectors, spec: FieldSpec, n: int) -> Subspace:
     """Canonical subspace spanned by the given vectors (possibly dependent)."""
     _check_ambient(n)
-    rows = [_vector(v, spec, n) for v in vectors]
-    if spec.order == 2:
-        return Subspace.from_packed(spec, n, gf2_rref(map(pack, rows)))
-    rank, _ = _rref_rows(spec, rows, n)
-    return Subspace(spec, n, MatGF(spec, rows[:rank], cols=n))
+    form = row_form(spec, n)
+    return Subspace.from_rows(spec, n, form.rref([form.vector(v) for v in vectors]))
 
 
 def _check_ambient(n: int) -> None:
     if n < 0:
         raise BadParams(f"ambient dimension must be >= 0, got {n}")
-
-
-def _vector(v, spec: FieldSpec, n: int) -> list[int]:
-    """v as a list of integers, checked to be a vector of GF(q)^n."""
-    out = list(map(int, v))
-    if len(out) != n:
-        raise LengthMismatch(f"vector of length {len(out)}, ambient is {n}")
-    if not (spec.order == 2 and _BITS.issuperset(out)):
-        bad = next((x for x in out if not 0 <= x < spec.order), None)
-        if bad is not None:
-            raise ShapeMismatch(f"entry {bad} outside GF({spec.order})")
-    return out
 
 
 def identifying_vector(u: Subspace) -> IdVector:
@@ -350,7 +280,7 @@ def fill_free_entries(v: IdVector, entries, spec: FieldSpec) -> Subspace:
         n, k = v.n, v.weight
         flat = int(shape.gf2_codec[0] % entries or "0", 2)
         mask = (1 << n) - 1
-        return Subspace.from_packed(spec, n, [flat >> (n * (k - 1 - r)) & mask for r in range(k)])
+        return Subspace.from_rows(spec, n, [flat >> (n * (k - 1 - r)) & mask for r in range(k)])
     it = iter(entries)
     gen = []
     for p, free in zip(v.support, shape.free_positions):
@@ -372,8 +302,8 @@ def read_point_part(u: Subspace) -> tuple[tuple[int, ...], ...]:
 def free_entries_row_major(u: Subspace) -> tuple[int, ...]:
     """Free entries of the generator matrix in row-major dot order."""
     shape = echelon_ferrers_shape(u.id_vector)
-    if u.packed is not None:
-        digits = format(pack(u.packed, u.n), "b").zfill(u.k * u.n).encode()
+    if u.spec.order == 2:
+        digits = format(pack(u.rows, u.n), "b").zfill(u.k * u.n).encode()
         return shape.gf2_codec[1](digits.translate(_FROM_DIGITS))
     return tuple(row[c] for row, free in zip(u.gen.entries, shape.free_positions) for c in free)
 
@@ -454,13 +384,13 @@ def to_literal(u: Subspace) -> str:
     return ";".join("".join(str(x) for x in row) for row in u.gen.entries)
 
 
-def literal_rows(s: str, spec: FieldSpec, n: int, parsed: dict | None = None, packed: bool = False) -> tuple:
-    """The rows of a ';'-joined row literal, as written; '' has none.
+def literal_rows(s: str, spec: FieldSpec, n: int, parsed: dict | None = None) -> tuple:
+    """The rows of a ';'-joined row literal, as written, in the field's row
+    form (``matrices.row_form``); '' has none.
 
-    With ``packed`` (GF(2) only) each row is its packed integer, column 0
-    in the highest bit; otherwise a tuple.  ``parsed`` maps row literals to
-    their rows and is read and filled, so that over many literals each
-    distinct row is parsed once and is one shared object.
+    ``parsed`` maps row literals to their rows and is read and filled, so
+    that over many literals each distinct row is parsed once and is one
+    shared object.
     """
     _check_ambient(n)
     s = s.strip()
@@ -472,22 +402,18 @@ def literal_rows(s: str, spec: FieldSpec, n: int, parsed: dict | None = None, pa
     for i, part in enumerate(s.split(";")):
         row = parsed.get(part)
         if row is None:
-            if packed and len(part) == n and not part.strip("01"):
-                row = int(part or "0", 2)
-            else:
-                row = []
-                for j, c in enumerate(part):
-                    if c not in "0123456789" or int(c) >= spec.order:
-                        raise ParseError(f"row {i}, column {j}: invalid digit {c!r} for GF({spec.order})")
-                    row.append(int(c))
-                if len(row) != n:
-                    raise ParseError(f"row {i}: length {len(row)}, expected {n}")
-                row = pack(row) if packed else tuple(row)
-            parsed[part] = row
+            digits = "0123456789"[: spec.order]
+            if len(part) != n or part.strip(digits):
+                bad = next(((j, c) for j, c in enumerate(part) if c not in digits), None)
+                if bad is not None:
+                    raise ParseError(f"row {i}, column {bad[0]}: invalid digit {bad[1]!r} for GF({spec.order})")
+                raise ParseError(f"row {i}: length {len(part)}, expected {n}")
+            row = parsed[part] = row_form(spec, n).row_of(map(int, part))
         rows.append(row)
     return tuple(rows)
 
 
 def from_literal(s: str, spec: FieldSpec, n: int) -> Subspace:
     """Parse a ';'-joined row literal into a canonical subspace."""
-    return from_span(literal_rows(s, spec, n), spec, n)
+    rows = literal_rows(s, spec, n)
+    return Subspace.from_rows(spec, n, row_form(spec, n).rref(rows))

@@ -15,9 +15,8 @@ from subspacecodes.channel import (
 from subspacecodes.constructions import SubspaceCode, multilevel_fixture, puncture
 from subspacecodes.distances import distance_fast, distance_naive, min_distance
 from subspacecodes.errors import AmbientMismatch, InfeasibleParams, TooFewCodewords
-from subspacecodes.matrices import MatGF, mat_mul, rank
+from subspacecodes.matrices import MatGF, mat_mul, rank, row_form
 from subspacecodes.fields import make_field
-from subspacecodes.packed import PackedCode
 from subspacecodes.subspaces import IdVector, echelon_ferrers_shape, fill_free_entries, from_span, to_literal
 from .conftest import random_subspace
 from .test_distances import _structured_class
@@ -363,14 +362,15 @@ def test_verify_then_decode_ranks_each_class_once(gf3, monkeypatch):
     # min_distance and the decoder table share the classes' coset analysis,
     # so the table makes no rank call of its own after a verify
     calls = []
-    rank = PackedCode._gfq_rank
-
-    def spy(self, rows):
-        calls.append(len(rows))
-        return rank(self, rows)
-
-    monkeypatch.setattr(PackedCode, "_gfq_rank", spy)
     code = puncture(multilevel_fixture("w6k3", gf3), (0, 0, 1, 0, 0, 1))
+    form = row_form(gf3, code.n)  # the row form the code's view ranks with
+    rank = form.rank
+
+    def spy(rows):
+        calls.append(len(rows))
+        return rank(rows)
+
+    monkeypatch.setattr(form, "rank", spy)
     d = min_distance(code)
     assert d == brute_min_distance(code.words)
     verified = len(calls)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subspacecodes import codefile, distances, packed
+from subspacecodes import codefile, distances
 
 from subspacecodes.constructions import SubspaceCode, lift_gabidulin, multilevel_fixture, puncture
 from subspacecodes.errors import AmbientMismatch, TooFewCodewords
@@ -17,8 +17,8 @@ from subspacecodes.distances import (
     min_distance,
 )
 from subspacecodes.fields import extension_view, make_field
-from subspacecodes.matrices import MatGF, rank, vconcat
-from subspacecodes.packed import PackedCode, gf2_rank, meet_exponent, pack
+from subspacecodes.matrices import MatGF, gf2_rank, pack, rank, row_form, vconcat
+from subspacecodes.packed import PackedCode, meet_exponent
 from subspacecodes.subspaces import (
     IdVector,
     Subspace,
@@ -559,7 +559,7 @@ def test_min_distance_joins_against_pair_scan(join_outcomes):
 
 
 def _words(spec, n, literals):
-    return [Subspace(spec, n, MatGF(spec, literal_rows(lit, spec, n), cols=n)) for lit in literals]
+    return [Subspace.from_rows(spec, n, literal_rows(lit, spec, n)) for lit in literals]
 
 
 def test_join_hit_needs_the_exclusive_rows(gf2, join_outcomes):
@@ -734,13 +734,14 @@ def test_shortened_w8k4_verify_rank_calls(gf2, monkeypatch):
     )
     text = codefile.dumps_code(code)
     calls = []
-    rank = packed.gf2_rank
+    form = row_form(gf2, code.n)  # the row form the code's view ranks with
+    rank = form.rank
 
     def counting(rows):
         calls.append(len(rows))
         return rank(rows)
 
-    monkeypatch.setattr(packed, "gf2_rank", counting)
+    monkeypatch.setattr(form, "rank", counting)
     assert min_distance(codefile.loads_code(text)) == 3
     assert 0 < len(calls) <= 2500
 
@@ -750,20 +751,19 @@ def test_one_word_classes_make_no_rank_call(gf2, gf3, monkeypatch):
     # these codes has one word, so none is ranked, and each is a coset
     # with no minimum
     calls = []
-    rank = packed.gf2_rank
-
-    def counting(rows):
-        calls.append(len(rows))
-        return rank(rows)
-
-    monkeypatch.setattr(packed, "gf2_rank", counting)
     for spec in (gf2, gf3):
+        form = row_form(spec, 6)
+
+        def counting(rows, rank=form.rank):
+            calls.append(len(rows))
+            return rank(rows)
+
+        monkeypatch.setattr(form, "rank", counting)
         words = [
             from_span([[int(j == c) for j in range(6)] for c in cols], spec, 6)
             for cols in combinations(range(6), 3)
         ]
         view = PackedCode(spec, 6, words)
-        monkeypatch.setattr(view, "rank", counting)
         assert view.coset_minima == dict.fromkeys(view.classes) and len(view.classes) == 20
     assert calls == []
 
@@ -779,10 +779,10 @@ def test_packed_code_keeps_the_rows_its_words_keep(gf2, monkeypatch):
         calls.append(fields)
         return pack(fields, width)
 
-    for module in (matrices, subspaces, packed):
+    for module in (matrices, subspaces):
         monkeypatch.setattr(module, "pack", counting)
     view = PackedCode(gf2, 6, words)
     assert calls == []
-    assert all(r is w.packed for r, w in zip(view.rows, words))
+    assert all(r is w.rows for r, w in zip(view.rows, words))
     assert view.ids == [w.id_vector.packed for w in words]
-    assert view.pack_word(words[0]) == (words[0].id_vector.packed, words[0].packed)
+    assert view.pack_word(words[0]) == (words[0].id_vector.packed, words[0].rows)

@@ -1,15 +1,22 @@
+import ast
 import math
 import random
+import re
+from functools import reduce
+from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subspacecodes.errors import ShapeMismatch
+import subspacecodes
+from subspacecodes.errors import BadParams, ShapeMismatch
 from subspacecodes.fields import make_field
 from subspacecodes.matrices import (
     MatGF,
     _rref_generic,
+    row_form,
     gf2_rank,
     gf2_rref,
     mat_mul,
@@ -92,6 +99,12 @@ def test_rows_of_ints_are_kept_and_others_converted(gf2):
     m = MatGF(gf2, [[1, 0, 1], (True, False, 1)])
     assert m.entries == ((1, 0, 1), (1, 0, 1))
     assert all(type(x) is int for r in m.entries for x in r)
+    # a tuple whose rows are all kept is kept too; one with a converted row is not
+    kept = ((1, 0, 1), (0, 1, 1))
+    assert MatGF(gf2, kept).entries is kept
+    bools = ((1, 0, 1), (True, False, 1))
+    assert MatGF(gf2, bools).entries is not bools
+    assert all(type(x) is int for r in MatGF(gf2, bools).entries for x in r)
 
 
 def test_rref_duplicate_row(gf2):
@@ -229,3 +242,165 @@ def test_rref_idempotent_property(p, rows):
     assert (r2, rk2, piv2) == (r, rk, piv)
     assert rk == len(piv)
     assert list(piv) == sorted(piv)
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (2, 2)])
+def test_rank_over_gf3_and_gf4_against_the_generic_elimination(p, m, monkeypatch):
+    # zero rows and zero columns included; rank reduces copies of the rows
+    # and builds no matrix of the reduced rows
+    spec = make_field(p, m)
+    rng = random.Random(p * 10 + m)
+    cases = [[], [()], [(), ()], [(0, 0, 0)], [(0, 0, 0), (0, 0, 0)], [(1, 2, 0), (0, 0, 0), (1, 2, 0)]]
+    cases += [
+        [tuple(rng.randrange(spec.order) for _ in range(n)) for _ in range(k)]
+        for n in range(6)
+        for k in range(6)
+        for _ in range(3)
+    ]
+    mats = [MatGF(spec, rows, cols=len(rows[0]) if rows else 4) for rows in cases]
+    built = []
+    init = MatGF.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MatGF, "__init__", counting)
+    for mat in mats:
+        assert rank(mat) == _rref_generic(spec, [list(r) for r in mat.entries], mat.cols)[0], mat
+    assert built == []
+
+
+_ROW_FIELDS = [(2, 1), (3, 1), (2, 2)]
+
+
+@st.composite
+def _row_cases(draw):
+    """A field (GF(2), GF(3) or GF(4)), n from 0 and rows of GF(q)^n:
+    random, zero, repeated and combined rows."""
+    spec = make_field(*draw(st.sampled_from(_ROW_FIELDS)))
+    n = draw(st.integers(0, 7))
+    vector = st.tuples(*[st.integers(0, spec.order - 1)] * n)
+    rows = draw(st.lists(vector, max_size=n + 2))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(rows)))
+        kind = draw(st.sampled_from(["zero", "repeat", "sum"]))
+        if kind == "zero" or not rows:
+            extra = (0,) * n
+        elif kind == "repeat":
+            extra = draw(st.sampled_from(rows))
+        else:
+            a, b, c = draw(st.sampled_from(rows)), draw(st.sampled_from(rows)), draw(st.integers(1, spec.order - 1))
+            extra = tuple(spec.add(x, spec.mul(c, y)) for x, y in zip(a, b))
+        rows.insert(at, extra)
+    if draw(st.booleans()):  # often a reduced echelon form itself
+        work = [list(r) for r in rows]
+        rows = [tuple(r) for r in work[: _rref_generic(spec, work, n)[0]]]
+    return spec, n, rows
+
+
+def _combination(spec, coeffs, rows, n):
+    """sum c_i rows[i] by field arithmetic, entry by entry."""
+    return tuple(reduce(spec.add, (spec.mul(c, r[j]) for c, r in zip(coeffs, rows)), 0) for j in range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_cases(), st.data())
+def test_row_form_against_field_arithmetic(case, data):
+    spec, n, rows = case
+    q = spec.order
+    form = row_form(spec, n)
+    entries = st.integers(0, q - 1)
+    # entries <-> rows, one row and a whole matrix at a time
+    kept = form.from_entries(tuple(rows))
+    assert list(kept) == [form.row_of(r) for r in rows] == [form.vector(r) for r in rows]
+    assert list(form.to_entries(kept)) == rows
+    assert form.unflatten(form.flatten(kept), len(rows)) == list(kept)
+    assert row_form(spec, n * len(rows)).to_entries([form.flatten(kept)]) == [sum(rows, ())]
+    for r, x in zip(rows, kept):
+        assert tuple(form.entry(x, p) for p in range(n)) == r
+        first = next(((j, v) for j, v in enumerate(r) if v), None)
+        assert (form.lead(x) is None) == (first is None)
+        assert form.code(x) == sum(v * q ** (n - 1 - j) for j, v in enumerate(r))
+    # sub_row and multiples
+    a, b = (data.draw(st.tuples(*[entries] * n)) for _ in range(2))
+    assert form.to_entries([form.sub_row(form.row_of(a), form.row_of(b))]) == [tuple(map(spec.sub, a, b))]
+    assert list(form.to_entries(list(form.multiples(form.row_of(a))))) == [
+        tuple(spec.mul(c, x) for x in a) for c in range(q)
+    ]
+    # rank and rref against the generic elimination
+    work = [list(r) for r in rows]
+    rk, pivots = _rref_generic(spec, work, n)
+    reduced = form.rref(kept)
+    assert form.rank(kept) == rk == len(reduced)
+    assert list(form.to_entries(reduced)) == [tuple(r) for r in work[:rk]]
+    # the combination against the definition and against mat_mul
+    coeffs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    combined = form.to_entries([form.combine(coeffs, kept)])[0]
+    assert combined == _combination(spec, coeffs, rows, n)
+    if rows:
+        assert mat_mul(MatGF(spec, [coeffs]), MatGF(spec, rows, cols=n)).entries == (combined,)
+    # the reduction contains uses: zero exactly when v is in the span, and
+    # zero at every pivot
+    v = data.draw(st.tuples(*[entries] * n))
+    rest = form.remainder(form.vector(v), reduced)
+    assert (form.lead(rest) is None) == (_rref_generic(spec, [*work[:rk], list(v)], n)[0] == rk)
+    assert all(form.entry(rest, p) == 0 for p in pivots)
+    # the canonical-form check accepts exactly the full-rank reduced forms
+    assert form.check(tuple(reduced)) == sum(1 << (n - 1 - p) for p in pivots)
+    if rows != [tuple(r) for r in work[:rk]]:
+        with pytest.raises(BadParams, match="not a full-rank reduced echelon form"):
+            form.check(tuple(kept))
+    # the span, in product order of the coefficients
+    if q**rk <= 81:
+        start = form.row_of(data.draw(st.tuples(*[entries] * n)))
+        (offset,) = form.to_entries([start])
+        got = form.to_entries(form.span(reduced, start))
+        red = [tuple(r) for r in work[:rk]]
+        want = [
+            tuple(map(spec.add, offset, _combination(spec, c, red, n))) for c in product(range(q), repeat=rk)
+        ]
+        assert list(got) == want
+
+
+def test_vectors_outside_the_space_are_rejected():
+    for spec in map(lambda f: make_field(*f), _ROW_FIELDS):
+        form = row_form(spec, 3)
+        from subspacecodes.errors import LengthMismatch
+
+        with pytest.raises(LengthMismatch, match="vector of length 2, ambient is 3"):
+            form.vector((1, 0))
+        with pytest.raises(ShapeMismatch, match=f"entry {spec.order} outside GF"):
+            form.vector((1, spec.order, 0))
+        with pytest.raises(BadParams, match="not a full-rank reduced echelon form"):
+            form.check((0,))  # a packed row is no tuple row, and zero is no row
+
+
+# The branches on the row format that may stay outside ``matrices``: the
+# index encodings are defined over GF(2) only, and their codec reads and
+# writes packed rows directly.
+_ROW_FORMAT_BRANCHES = {
+    ("indexing.py", "_to_bits"),
+    ("subspaces.py", "fill_free_entries"),
+    ("subspaces.py", "free_entries_row_major"),
+}
+
+
+def test_row_format_branches_stay_in_matrices():
+    branch = re.compile(r"order [!=]= 2|packed is")
+    found = []
+    for path in sorted(Path(subspacecodes.__file__).parent.glob("*.py")):
+        if path.name == "matrices.py":
+            continue
+        text = path.read_text()
+        functions = [
+            node for node in ast.walk(ast.parse(text)) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if branch.search(line):
+                inner = [f for f in functions if f.lineno <= lineno <= f.end_lineno]
+                name = min(inner, key=lambda f: f.end_lineno - f.lineno).name if inner else None
+                found.append((path.name, name, lineno))
+    assert [f for f in found if f[:2] not in _ROW_FORMAT_BRANCHES] == []
+    assert len(found) <= len(_ROW_FORMAT_BRANCHES)
+

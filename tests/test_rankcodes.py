@@ -280,6 +280,34 @@ def test_span_fixtures_distance_exactly_2(name, basis, dim, gf2):
     assert code.min_rank_distance() == 2
 
 
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2)])
+def test_codewords_in_product_order(p, m):
+    # every combination of the reduced flattened basis, in
+    # product(GF(q), repeat=dim) order with the first basis row most
+    # significant, by field arithmetic entry by entry
+    from itertools import product
+
+    from subspacecodes.matrices import _rref_generic
+
+    spec = make_field(p, m)
+    rng = random.Random(p + m)
+    for nr, nc, size in ((2, 3, 3), (3, 2, 4), (1, 4, 2), (2, 2, 5)):
+        basis = [[[rng.randrange(spec.order) for _ in range(nc)] for _ in range(nr)] for _ in range(size)]
+        basis.append([[spec.add(a, b) for a, b in zip(r, s)] for r, s in zip(basis[0], basis[1])])
+        code = span_code(basis, spec)
+        flat = [[x for row in b for x in row] for b in basis]
+        dim = _rref_generic(spec, flat, nr * nc)[0]
+        want = []
+        for coeffs in product(range(spec.order), repeat=dim):
+            acc = [0] * (nr * nc)
+            for c, row in zip(coeffs, flat[:dim]):
+                acc = [spec.add(a, spec.mul(c, x)) for a, x in zip(acc, row)]
+            want.append(tuple(tuple(acc[r * nc : (r + 1) * nc]) for r in range(nr)))
+        got = [cw.entries for cw in code.codewords()]
+        assert got == want and len(set(got)) == spec.order**dim == code.size
+        assert all(cw.cols == nc for cw in code.codewords())
+
+
 def test_span_code_empty(gf2):
     code = span_code([], gf2)
     assert code.size == 1

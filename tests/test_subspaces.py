@@ -337,26 +337,30 @@ def test_subspace_rejects_non_canonical_generators(q, rows):
     spec = make_field(q, 1)
     with pytest.raises(BadParams, match="not a full-rank reduced echelon form"):
         Subspace(spec, 4, MatGF(spec, [tuple(map(int, r)) for r in rows]))
-    if q == 2:
-        # packed rows get the same check, and the same message
-        with pytest.raises(BadParams, match="not a full-rank reduced echelon form"):
-            Subspace.from_packed(spec, 4, [int(r, 2) for r in rows])
+    # rows in the field's row form get the same check, and the same message
+    packed = [int(r, 2) if q == 2 else tuple(map(int, r)) for r in rows]
+    with pytest.raises(BadParams, match="not a full-rank reduced echelon form"):
+        Subspace.from_rows(spec, 4, packed)
 
 
-def test_from_packed_rejects_rows_outside_the_ambient_space(gf2, gf3):
-    for rows in ([0b10000], [-0b1000], [0b1000, -0b100]):
+def test_from_rows_rejects_rows_outside_the_ambient_space(gf2, gf3):
+    for rows in ([0b10000], [-0b1000], [0b1000, -0b100], [(1, 0, 0, 0)]):
         with pytest.raises(BadParams, match="not a full-rank reduced echelon form"):
-            Subspace.from_packed(gf2, 4, rows)
-    with pytest.raises(BadParams):
-        Subspace.from_packed(gf3, 4, [0b1000])
-    assert Subspace.from_packed(gf2, 4, [0b1010, 0b0111]) == from_literal("1010;0111", gf2, 4)
+            Subspace.from_rows(gf2, 4, rows)
+    for rows in ([0b1000], [(1, 0, 0)], [(1, 0, 0, 0, 0)], [[1, 0, 0, 0]]):
+        with pytest.raises(BadParams, match="not a full-rank reduced echelon form"):
+            Subspace.from_rows(gf3, 4, rows)
+    assert Subspace.from_rows(gf2, 4, [0b1010, 0b0111]) == from_literal("1010;0111", gf2, 4)
+    assert Subspace.from_rows(gf3, 4, [(1, 0, 2, 0), (0, 1, 1, 2)]) == from_literal("1020;0112", gf3, 4)
 
 
 def _packed_by_hand(u) -> tuple[int, ...]:
     return tuple(int("".join(map(str, row)), 2) for row in u.gen.entries)
 
 
-def test_packed_rows_on_every_route(gf2):
+def test_packed_rows_on_every_route(gf2, gf3):
+    # over GF(2) a subspace keeps its rows packed; over GF(3) its rows are
+    # the generator's own tuple
     import random as _random
 
     from subspacecodes import codefile
@@ -364,19 +368,24 @@ def test_packed_rows_on_every_route(gf2):
     from subspacecodes.constructions import lift_gabidulin, multilevel_fixture, spread_like
     from subspacecodes.fields import extension_view
 
-    rng = _random.Random(8)
-    routes = {
-        "from_span": [from_span([[rng.randrange(2) for _ in range(7)] for _ in range(4)], gf2, 7) for _ in range(20)],
-        "fill_free_entries": list(subspaces_with_id(IdVector.from_string("0101100"), gf2)),
-        "multilevel": list(multilevel_fixture("w6k3", gf2).words),
-        "lift": list(lift_gabidulin(extension_view(gf2, 3), 3, 2).words),
-        "spread": list(spread_like(6, 2, gf2).words),
-    }
-    routes["loads_code"] = list(codefile.loads_code(codefile.dumps_code(multilevel_fixture("w5k2", gf2))).words)
-    routes["transmit"] = [transmit(w, rho, t, rng) for w in routes["multilevel"] for rho, t in ((0, 1), (1, 1), (2, 0))]
-    routes["orthogonal_complement"] = [orthogonal_complement(u) for u in routes["from_span"] + routes["lift"]]
-    for name, words in routes.items():
-        assert words, name
-        for u in words:
-            assert type(u.packed) is tuple and u.packed == _packed_by_hand(u), name
-            assert u.id_vector.packed == int("".join(map(str, u.id_vector.bits)) or "0", 2), name
+    for spec in (gf2, gf3):
+        q = spec.order
+        rng = _random.Random(8)
+        routes = {
+            "from_span": [from_span([[rng.randrange(q) for _ in range(7)] for _ in range(4)], spec, 7) for _ in range(20)],
+            "fill_free_entries": list(subspaces_with_id(IdVector.from_string("0101100" if q == 2 else "01011"), spec)),
+            "multilevel": list(multilevel_fixture("w6k3", spec).words),
+            "lift": list(lift_gabidulin(extension_view(spec, 3), 3, 2).words),
+            "spread": list(spread_like(6, 2, spec).words),
+        }
+        routes["loads_code"] = list(codefile.loads_code(codefile.dumps_code(multilevel_fixture("w5k2", spec))).words)
+        routes["transmit"] = [transmit(w, rho, t, rng) for w in routes["multilevel"] for rho, t in ((0, 1), (1, 1), (2, 0))]
+        routes["orthogonal_complement"] = [orthogonal_complement(u) for u in routes["from_span"] + routes["lift"]]
+        for name, words in routes.items():
+            assert words, name
+            for u in words:
+                if q == 2:
+                    assert type(u.rows) is tuple and u.rows == _packed_by_hand(u), name
+                else:
+                    assert u.rows is u.gen.entries, name
+                assert u.id_vector.packed == int("".join(map(str, u.id_vector.bits)) or "0", 2), name
