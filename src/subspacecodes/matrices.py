@@ -239,7 +239,7 @@ class RowForm:
             self.rref = partial(_tuple_rref, spec)
             self.remainder = partial(_tuple_remainder, spec)
             self.combine = partial(_tuple_combine, spec, n)
-            self.check = partial(_tuple_check, n)
+            self.check = partial(_tuple_check, n, q)
             self.multiples = lambda row: [tuple(mul(c, x) for x in row) for c in range(q)]
             self.entry, self.lead = getitem, _first_nonzero
             self.flatten = lambda rows: tuple(chain.from_iterable(rows))
@@ -298,7 +298,7 @@ def _gf2_remainder(x: int, rows) -> int:
     return x
 
 
-def _tuple_check(n: int, rows) -> int:
+def _tuple_check(n: int, q: int, rows) -> int:
     pivots, last = 0, -1
     for i, row in enumerate(rows):
         if type(row) is not tuple or len(row) != n:
@@ -307,6 +307,9 @@ def _tuple_check(n: int, rows) -> int:
         # rows below have zeros left of their pivots, so only the rows above
         # this one can be nonzero in its pivot column
         if p <= last or row[p] != 1 or any(rows[h][p] for h in range(i)):
+            raise BadParams(_NOT_CANONICAL)
+        # a nonzero row is not empty; its entries must be ints of GF(q)
+        if {*map(type, row)} != {int} or min(row) < 0 or max(row) >= q:
             raise BadParams(_NOT_CANONICAL)
         pivots |= 1 << (n - 1 - p)
         last = p

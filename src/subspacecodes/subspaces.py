@@ -147,34 +147,40 @@ class Subspace:
             raise LengthMismatch(f"generator has {gen.cols} columns, ambient is {n}")
         form = row_form(spec, n)
         self.gen = gen
-        self._set_rows(spec, n, form, form.from_entries(gen.entries))
+        self._set_rows(form, form.from_entries(gen.entries))
 
     @classmethod
     def from_rows(cls, spec: FieldSpec, n: int, rows) -> Subspace:
         """The subspace whose reduced echelon form has the rows ``rows``, in
         the field's row form; BadParams unless they are one."""
-        form = row_form(spec, n)
+        return cls._of_rows(row_form(spec, n), tuple(rows))
+
+    @classmethod
+    def _of_rows(cls, form, rows: tuple) -> Subspace:
         u = cls.__new__(cls)
-        u._set_rows(spec, n, form, tuple(rows))
-        u.gen = MatGF(spec, form.to_entries(u.rows), cols=n)
+        u._set_rows(form, rows)
+        u.gen = MatGF(form.spec, form.to_entries(rows), cols=form.n)
         return u
 
-    def _set_rows(self, spec: FieldSpec, n: int, form, rows: tuple) -> None:
+    def _set_rows(self, form, rows: tuple) -> None:
         pivots = form.check(rows)
-        self.spec = spec
-        self.n = n
+        self.spec = form.spec
+        self.n = form.n
         self.k = len(rows)
         self.rows = rows
-        self.id_vector = IdVector(unpack(pivots, n))
+        self.id_vector = IdVector(unpack(pivots, form.n))
 
     def contains(self, vec) -> bool:
         form = row_form(self.spec, self.n)
         return form.lead(form.remainder(form.vector(vec), self.rows)) is None
 
     def vectors(self) -> Iterator[tuple[int, ...]]:
-        """All q^k elements of the subspace (exponential; small k only)."""
+        """All q^k elements of the subspace, one at a time (exponential;
+        small k only): the combinations of the rows, the first row's
+        coefficient the least significant."""
         form = row_form(self.spec, self.n)
-        return iter(form.to_entries(form.span(self.rows, form.row_of((0,) * self.n))))
+        for coeffs in product(range(self.spec.order), repeat=self.k):
+            yield form.to_entries([form.combine(coeffs[::-1], self.rows)])[0]
 
     def key(self) -> tuple:
         return (self.spec, self.n, self.gen.entries)
@@ -201,7 +207,7 @@ def from_span(vectors, spec: FieldSpec, n: int) -> Subspace:
     """Canonical subspace spanned by the given vectors (possibly dependent)."""
     _check_ambient(n)
     form = row_form(spec, n)
-    return Subspace.from_rows(spec, n, form.rref([form.vector(v) for v in vectors]))
+    return Subspace._of_rows(form, tuple(form.rref([form.vector(v) for v in vectors])))
 
 
 def _check_ambient(n: int) -> None:
@@ -415,5 +421,5 @@ def literal_rows(s: str, spec: FieldSpec, n: int, parsed: dict | None = None) ->
 
 def from_literal(s: str, spec: FieldSpec, n: int) -> Subspace:
     """Parse a ';'-joined row literal into a canonical subspace."""
-    rows = literal_rows(s, spec, n)
-    return Subspace.from_rows(spec, n, row_form(spec, n).rref(rows))
+    form = row_form(spec, n)
+    return Subspace._of_rows(form, tuple(form.rref(literal_rows(s, spec, n))))

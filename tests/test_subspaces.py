@@ -1,3 +1,4 @@
+from inspect import isgenerator
 from itertools import combinations, product
 
 import pytest
@@ -275,6 +276,21 @@ def test_subspace_membership(gf2):
     }
 
 
+def test_vectors_are_lazy_with_the_first_coefficient_least_significant(gf2, gf3):
+    for spec in (gf2, gf3):
+        q = spec.order
+        u = from_span([(1, 0, 1, 1), (0, 1, 1, 0)], spec, 4)
+        it = u.vectors()
+        assert isgenerator(it) and next(it) == (0, 0, 0, 0)
+        expected = []
+        for idx in range(q * q):
+            c0, c1 = idx % q, idx // q
+            r0, r1 = u.gen.entries
+            expected.append(tuple(spec.add(spec.mul(c0, a), spec.mul(c1, b)) for a, b in zip(r0, r1)))
+        assert list(u.vectors()) == expected
+    assert list(zero_subspace(gf3, 3).vectors()) == [(0, 0, 0)]
+
+
 def test_prime_power_factors_large_squares():
     p = 1_000_003  # prime; trial division stops at its square root
     assert _prime_power(p * p) == (p, 2)
@@ -347,7 +363,9 @@ def test_from_rows_rejects_rows_outside_the_ambient_space(gf2, gf3):
     for rows in ([0b10000], [-0b1000], [0b1000, -0b100], [(1, 0, 0, 0)]):
         with pytest.raises(BadParams, match="not a full-rank reduced echelon form"):
             Subspace.from_rows(gf2, 4, rows)
-    for rows in ([0b1000], [(1, 0, 0)], [(1, 0, 0, 0, 0)], [[1, 0, 0, 0]]):
+    for rows in ([0b1000], [(1, 0, 0)], [(1, 0, 0, 0, 0)], [[1, 0, 0, 0]],
+                 [(1, 0, 3, 0)], [(1, 0, -1, 0)], [(1, 0, 1.5, 0)], [(1, 0, 2.0, 0)],
+                 [(1, True, 0, 0)], [(1, 0, 0, 0), (0, 1, 0, "2")]):
         with pytest.raises(BadParams, match="not a full-rank reduced echelon form"):
             Subspace.from_rows(gf3, 4, rows)
     assert Subspace.from_rows(gf2, 4, [0b1010, 0b0111]) == from_literal("1010;0111", gf2, 4)
