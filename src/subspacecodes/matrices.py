@@ -305,11 +305,10 @@ def _tuple_check(n: int, q: int, rows) -> int:
             raise BadParams(_NOT_CANONICAL)
         p = next((j for j, x in enumerate(row) if x), -1)
         # rows below have zeros left of their pivots, so only the rows above
-        # this one can be nonzero in its pivot column
-        if p <= last or row[p] != 1 or any(rows[h][p] for h in range(i)):
-            raise BadParams(_NOT_CANONICAL)
-        # a nonzero row is not empty; its entries must be ints of GF(q)
-        if {*map(type, row)} != {int} or min(row) < 0 or max(row) >= q:
+        # this one can be nonzero in its pivot column; then the row is not
+        # empty, and its entries must be ints of GF(q)
+        if p <= last or row[p] != 1 or any(rows[h][p] for h in range(i)) or (
+                {*map(type, row)} != {int} or min(row) < 0 or max(row) >= q):
             raise BadParams(_NOT_CANONICAL)
         pivots |= 1 << (n - 1 - p)
         last = p

@@ -146,8 +146,7 @@ class Subspace:
         if gen.cols != n:
             raise LengthMismatch(f"generator has {gen.cols} columns, ambient is {n}")
         form = row_form(spec, n)
-        self.gen = gen
-        self._set_rows(form, form.from_entries(gen.entries))
+        self._set_rows(form, form.from_entries(gen.entries), gen)
 
     @classmethod
     def from_rows(cls, spec: FieldSpec, n: int, rows) -> Subspace:
@@ -158,16 +157,13 @@ class Subspace:
     @classmethod
     def _of_rows(cls, form, rows: tuple) -> Subspace:
         u = cls.__new__(cls)
-        u._set_rows(form, rows)
-        u.gen = MatGF(form.spec, form.to_entries(rows), cols=form.n)
+        u._set_rows(form, rows, None)
         return u
 
-    def _set_rows(self, form, rows: tuple) -> None:
+    def _set_rows(self, form, rows: tuple, gen: MatGF | None) -> None:
         pivots = form.check(rows)
-        self.spec = form.spec
-        self.n = form.n
-        self.k = len(rows)
-        self.rows = rows
+        self.spec, self.n, self.k, self.rows = form.spec, form.n, len(rows), rows
+        self.gen = MatGF(form.spec, form.to_entries(rows), cols=form.n) if gen is None else gen
         self.id_vector = IdVector(unpack(pivots, form.n))
 
     def contains(self, vec) -> bool:
@@ -175,9 +171,8 @@ class Subspace:
         return form.lead(form.remainder(form.vector(vec), self.rows)) is None
 
     def vectors(self) -> Iterator[tuple[int, ...]]:
-        """All q^k elements of the subspace, one at a time (exponential;
-        small k only): the combinations of the rows, the first row's
-        coefficient the least significant."""
+        """All q^k elements of the subspace, one at a time (exponential; small
+        k only), the first row's coefficient the least significant."""
         form = row_form(self.spec, self.n)
         for coeffs in product(range(self.spec.order), repeat=self.k):
             yield form.to_entries([form.combine(coeffs[::-1], self.rows)])[0]
