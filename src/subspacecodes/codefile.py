@@ -11,7 +11,9 @@ and equal rows of different codewords are one shared row, which keeps a
 loaded code small.  A row is parsed straight into its field's row form
 (a packed integer over GF(2), a tuple otherwise) and each codeword is built
 from those rows (``Subspace.from_rows``).  Every codeword still gets its own
-canonical-form and uniqueness checks.
+canonical-form and uniqueness checks; the latter compares the words' rows.
+Saving writes each word from its rows (``to_literal``), each distinct row
+once.
 """
 
 from __future__ import annotations
@@ -26,12 +28,13 @@ FORMAT_VERSION = 1
 
 
 def dumps_code(code: SubspaceCode) -> str:
+    written = {}  # row -> its digit string, written once for every word that has it
     doc = {
         "format_version": FORMAT_VERSION,
         "q": code.spec.order,
         "n": code.n,
         "kind": code.kind,
-        "codewords": [to_literal(w) for w in code.words],
+        "codewords": [to_literal(w, written) for w in code.words],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -77,9 +80,11 @@ def loads_code(text: str) -> SubspaceCode:
             raise InvariantViolation(
                 f"codeword {i}: rows are not a reduced echelon generator matrix"
             ) from None
-        if w.key() in seen:
+        # one field and one n: the rows alone tell words apart
+        size = len(seen)
+        seen.add(w.rows)
+        if len(seen) == size:
             raise InvariantViolation(f"codeword {i}: duplicate subspace")
-        seen.add(w.key())
         words.append(w)
     return SubspaceCode(spec, n, words, kind=doc["kind"])
 

@@ -24,10 +24,11 @@ from .errors import (
     LengthMismatch,
     MissingTopWord,
     ShapeMismatch,
+    ShapeViolation,
     SpecialVectorInQ,
 )
 from .fields import FieldSpec, extension_view
-from .matrices import MatGF, mat_mul, null_space
+from .matrices import MatGF, mat_mul, null_space, row_form
 from .packed import PackedCode
 from .rankcodes import FerrersRankCode, ZeroPattern, ferrers_d2_code, gabidulin
 from .subspaces import (
@@ -35,7 +36,8 @@ from .subspaces import (
     IdVector,
     Subspace,
     echelon_ferrers_shape,
-    fill_shape,
+    fill_free_entries,
+    fits_shape,
     from_span,
     full_space,
     zero_subspace,
@@ -93,7 +95,8 @@ class SubspaceCode:
         for w in words:
             if w.n != n or w.spec != spec:
                 raise AmbientMismatch("codeword in a different ambient space")
-        if len({w.key() for w in words}) != len(words):
+        # one field and one n, checked above: the rows alone tell words apart
+        if len({w.rows for w in words}) != len(words):
             raise BadParams("duplicate codewords")
         self.spec = spec
         self.n = n
@@ -215,13 +218,19 @@ def multilevel(
     minimum subspace distance exactly 2*delta (when at least one level code
     realises rank distance delta).
     """
+    levels = _levels(cw, delta, spec, ferrers_codes, verify_supplied)
+    return SubspaceCode(spec, cw.n, [u for v, level in levels for u in _plant(v, level, spec)])
+
+
+def _levels(cw, delta, spec, ferrers_codes, verify_supplied):
+    """Each skeleton word's identifying vector with its level's rank code,
+    in skeleton order: the supplied code if there is one, else the built-in
+    one."""
     if cw.top_word not in cw.words:
         raise MissingTopWord("constant-weight code must contain 1..10..0")
     dmin = cw.dmin
     if dmin is not None and dmin < 2 * delta:
         raise BadParams(f"skeleton distance {dmin} below 2*delta = {2 * delta}")
-
-    words: list[Subspace] = []
     for w in cw.words:
         v = IdVector(w)
         shape = echelon_ferrers_shape(v)
@@ -237,20 +246,34 @@ def multilevel(
                     raise BadParams("supplied code has too small a rank distance")
         else:
             level = default_ferrers_code(spec, shape, delta, cw.k)
-        for m in level.codewords():
-            words.append(fill_shape(v, m.entries, spec))
-    return SubspaceCode(spec, cw.n, words)
+        yield v, level
 
 
-def multilevel_fixture(
-    name: str, spec: FieldSpec, puncture_aligned: bool = False
-) -> SubspaceCode:
-    """Multilevel code over a bundled word list.
+def _plant(v: IdVector, level: FerrersRankCode, spec: FieldSpec):
+    """Each codeword of the level planted into the echelon form of v, in
+    ``flat_codewords`` order: the subspace with identifying vector v whose
+    free entries are the codeword's entries at the shape's dots.
 
-    puncture_aligned swaps in the variant level codes (same sizes and
-    distances) whose last-coordinate shortening keeps the best known
-    projective-code sizes.
+    A codeword's columns are the shape's box columns.  Every codeword is a
+    combination of the basis matrices, so it fits the shape when they all
+    do and the code has the shape's size; both are checked once, here, and
+    ShapeViolation raised otherwise.
     """
+    shape = echelon_ferrers_shape(v)
+    nr, nc = level.pattern.nrows, level.pattern.ncols
+    for m in (((0,) * nc,) * nr, *(b.entries for b in level.basis)):
+        if not fits_shape(shape, m):
+            raise ShapeViolation(f"matrix does not fit the echelon form of {v}")
+    col_of = {c: j for j, c in enumerate(shape.box_columns)}
+    dots = [r * nc + col_of[c] for r, free in enumerate(shape.free_positions) for c in free]
+    entry = row_form(level.spec, nr * nc).entry
+    for f in level.flat_codewords():
+        yield fill_free_entries(v, [entry(f, i) for i in dots], spec)
+
+
+def _fixture_levels(name: str, spec: FieldSpec, puncture_aligned: bool):
+    """The skeleton of a bundled word list and its supplied level codes
+    (None for the built-in ones)."""
     from .fixtures import CONSTANT_WEIGHT_WORDS, PUNCTURE_ALIGNED_BASES
 
     if name not in CONSTANT_WEIGHT_WORDS:
@@ -268,6 +291,19 @@ def multilevel_fixture(
             codes[word] = FerrersRankCode(
                 spec, pattern, 2, tuple(MatGF(spec, m) for m in basis)
             )
+    return cw, codes
+
+
+def multilevel_fixture(
+    name: str, spec: FieldSpec, puncture_aligned: bool = False
+) -> SubspaceCode:
+    """Multilevel code over a bundled word list.
+
+    puncture_aligned swaps in the variant level codes (same sizes and
+    distances) whose last-coordinate shortening keeps the best known
+    projective-code sizes.
+    """
+    cw, codes = _fixture_levels(name, spec, puncture_aligned)
     return multilevel(cw, 2, spec, ferrers_codes=codes)
 
 

@@ -125,6 +125,7 @@ class FieldSpec:
         self.m_total = m_total
         self.modulus = modulus
         self.order = order
+        self._hash = hash((p, modulus))  # row_form and every Subspace key hash the field
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         if order <= _TABLE_LIMIT:
@@ -250,7 +251,7 @@ class FieldSpec:
         )
 
     def __hash__(self) -> int:
-        return hash((self.p, self.modulus))
+        return self._hash
 
 
 @lru_cache(maxsize=None)

@@ -224,15 +224,23 @@ class FerrersRankCode:
     def size(self) -> int:
         return self.spec.order**self._dim
 
-    def codewords(self, cap: int = ENUMERATION_CAP):
-        """Every matrix in the span, each exactly once."""
+    def flat_codewords(self, cap: int = ENUMERATION_CAP):
+        """Every codeword in the span, each exactly once, flattened to one
+        row of nrows * ncols entries (row-major) in the field's row form
+        (``row_form(spec, nrows * ncols)``), in the order of
+        product(GF(q), repeat=dim), the first reduced basis row most
+        significant."""
         if self.size > cap:
             raise TooLarge(f"code has {self.size} codewords, cap is {cap}")
-        # each codeword flattened to one row, in the order of
-        # product(GF(q), repeat=dim), the first basis row most significant
+        flat = row_form(self.spec, self.pattern.nrows * self.pattern.ncols)
+        yield from flat.span(self._reduced_basis(), flat.row_of((0,) * flat.n))
+
+    def codewords(self, cap: int = ENUMERATION_CAP):
+        """Every matrix in the span, each exactly once, in the order of
+        ``flat_codewords``."""
         nr, nc = self.pattern.nrows, self.pattern.ncols
-        flat, rows = row_form(self.spec, nr * nc), row_form(self.spec, nc)
-        for f in flat.span(self._reduced_basis(), flat.row_of((0,) * (nr * nc))):
+        rows = row_form(self.spec, nc)
+        for f in self.flat_codewords(cap):
             yield MatGF(self.spec, rows.to_entries(rows.unflatten(f, nr)), cols=nc)
 
     def min_rank_distance(self, cap: int = ENUMERATION_CAP) -> int | None:

@@ -380,9 +380,23 @@ def orthogonal_complement(u: Subspace) -> Subspace:
     return from_span(ns.entries, u.spec, u.n)
 
 
-def to_literal(u: Subspace) -> str:
-    """Rows as digit strings joined by ';'.  The zero subspace is ''."""
-    return ";".join("".join(str(x) for x in row) for row in u.gen.entries)
+def to_literal(u: Subspace, written: dict | None = None) -> str:
+    """Rows as digit strings joined by ';'.  The zero subspace is ''.
+
+    The rows are read from ``u.rows`` through the row form.  ``written``
+    maps rows to their digit strings and is read and filled, so that over
+    many subspaces of one field and n each distinct row is written once.
+    """
+    if written is None:
+        written = {}
+    form = row_form(u.spec, u.n)
+    out = []
+    for row in u.rows:
+        lit = written.get(row)
+        if lit is None:
+            lit = written[row] = "".join(map(str, form.to_entries([row])[0]))
+        out.append(lit)
+    return ";".join(out)
 
 
 def literal_rows(s: str, spec: FieldSpec, n: int, parsed: dict | None = None) -> tuple:

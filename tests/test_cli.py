@@ -546,6 +546,15 @@ def test_loaded_code_shares_equal_rows(gf2):
     assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_codefile_names_the_first_duplicate(q):
+    base = json.loads(codefile.dumps_code(multilevel_fixture("w5k2", field_for_order(q))))
+    words = base["codewords"]
+    dup = dict(base, codewords=[words[0], words[1], words[1], words[0]])
+    with pytest.raises(InvariantViolation, match="^codeword 2: duplicate subspace$"):
+        codefile.loads_code(json.dumps(dup))
+
+
 def test_codefile_rejects_duplicates_and_noncanonical(gf2):
     base = json.loads(codefile.dumps_code(multilevel_fixture("w5k2", gf2)))
     dup = dict(base)

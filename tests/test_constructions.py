@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from subspacecodes.codefile import dumps_code
 from subspacecodes.constructions import (
     ConstantWeightCode,
     SubspaceCode,
@@ -11,6 +14,10 @@ from subspacecodes.constructions import (
     puncture,
     spread_like,
     spread_like_size,
+    _fixture_levels,
+    _levels,
+    _plant,
+    default_ferrers_code,
 )
 from subspacecodes.distances import distance_fast, min_distance
 from subspacecodes.errors import (
@@ -18,12 +25,20 @@ from subspacecodes.errors import (
     DeltaUnsupported,
     MissingTopWord,
     ShapeMismatch,
+    ShapeViolation,
     SpecialVectorInQ,
 )
 from subspacecodes.fields import extension_view, make_field
 from subspacecodes.fixtures import CONSTANT_WEIGHT_WORDS, MULTILEVEL_SIZES
 from subspacecodes.matrices import MatGF
-from subspacecodes.subspaces import full_space, zero_subspace
+from subspacecodes.rankcodes import FerrersRankCode, ZeroPattern
+from subspacecodes.subspaces import (
+    IdVector,
+    echelon_ferrers_shape,
+    fill_shape,
+    full_space,
+    zero_subspace,
+)
 
 
 def test_lift_singleton(gf2):
@@ -119,6 +134,86 @@ def test_multilevel_gf3(gf2):
     code = multilevel(cw, 2, gf3)
     assert len(code) == 3**3 + 1
     assert min_distance(code) == 4
+
+
+# sha256 of dumps_code(multilevel_fixture(name, GF(q), aligned)), fixed while
+# multilevel still planted each codeword through a matrix and fill_shape.
+# GF(3) w8k4 (539,578 words, about 30 s and 0.6 GB to build) was checked by
+# hand against the same path: b557e3c83a239154f6b3a0f110ce264c7ad6ef1e190a45c4ef8507e4dfeaae51.
+FIXTURE_DIGESTS = {
+    ("w8k4", 2, False): "5703dabf2172b45f9b5a05355ce48130c612e826413c03c466c327427184f75d",
+    ("w6k3", 2, False): "337da816f3ccb3a440217afa1504377039f66ac99c5f8eadf4720bdeea2c29ef",
+    ("w5k2", 2, False): "558fe84a203a25c20393f87631e23dae9f9d62957550fb47cbd41a4c727afe63",
+    ("w6k3", 3, False): "45c1b25a7bee2e0ca3ef814927a5f3f0b39c31e8d074e21c3b6d6eb15f230868",
+    ("w5k2", 3, False): "d8111f2299068b64eadfa88c8b85e5623c253f0ed644971a8a6ac0b4e57395e3",
+    ("w8k4", 2, True): "c2faf229675b7cbd75e48dc8a948e30bc71d538fd7d3c52fd94da2e742ef4501",
+}
+
+
+@pytest.mark.parametrize("name,q,aligned", sorted(FIXTURE_DIGESTS))
+def test_fixture_code_files_are_pinned(name, q, aligned):
+    text = dumps_code(multilevel_fixture(name, make_field(q, 1), puncture_aligned=aligned))
+    assert hashlib.sha256(text.encode()).hexdigest() == FIXTURE_DIGESTS[name, q, aligned]
+
+
+@pytest.mark.parametrize(
+    "name,q,aligned",
+    [(name, 2, False) for name in sorted(CONSTANT_WEIGHT_WORDS)]
+    + [("w5k2", 3, False), ("w6k3", 3, False), ("w8k4", 2, True)],
+)
+def test_planted_words_equal_fill_shape_of_each_codeword(name, q, aligned):
+    spec = make_field(q, 1)
+    cw, codes = _fixture_levels(name, spec, aligned)
+    for v, level in _levels(cw, 2, spec, codes, True):
+        planted = list(_plant(v, level, spec))
+        assert planted == [fill_shape(v, m.entries, spec) for m in level.codewords()]
+
+
+def _full_code(spec, word: str):
+    return default_ferrers_code(spec, echelon_ferrers_shape(IdVector.from_string(word)), 1, word.count("1"))
+
+
+def test_supplied_code_off_the_shape_raises_without_verify(gf2):
+    # 1100's code has an entry in row 1, column 1 of the box, where the
+    # echelon form of 1010 has its second pivot
+    cw = ConstantWeightCode.from_strings(["1100", "1010", "0101"])
+    codes = {(1, 0, 1, 0): _full_code(gf2, "1100")}
+    with pytest.raises(ShapeViolation, match="^matrix does not fit the echelon form of 1010$"):
+        multilevel(cw, 1, gf2, ferrers_codes=codes, verify_supplied=False)
+    with pytest.raises(BadParams, match="does not fit the shape"):
+        multilevel(cw, 1, gf2, ferrers_codes=codes)
+    # a code of the wrong size, even with no basis, does not fit either
+    codes = {(1, 0, 1, 0): FerrersRankCode(gf2, ZeroPattern((0, 0), 3), 1, ())}
+    with pytest.raises(ShapeViolation, match="^matrix does not fit the echelon form of 1010$"):
+        multilevel(cw, 1, gf2, ferrers_codes=codes, verify_supplied=False)
+
+
+def test_supplied_code_with_a_stricter_pattern_builds(gf2):
+    cw = ConstantWeightCode.from_strings(["1100", "0011"])
+    codes = {(1, 1, 0, 0): _full_code(gf2, "1010")}
+    code = multilevel(cw, 1, gf2, ferrers_codes=codes, verify_supplied=False)
+    assert len(code) == 8 + 1
+    planted = [fill_shape(IdVector.from_string("1100"), m.entries, gf2) for m in codes[1, 1, 0, 0].codewords()]
+    assert list(code.words[:8]) == planted
+
+
+def test_multilevel_builds_one_matrix_per_word(gf2, monkeypatch):
+    calls = 0
+    init = MatGF.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MatGF, "__init__", counted)
+    cw, codes = _fixture_levels("w6k3", gf2, False)
+    for _ in _levels(cw, 2, gf2, codes, True):
+        pass
+    bases, calls = calls, 0  # the level codes' own matrices
+    code = multilevel_fixture("w6k3", gf2)
+    assert len(code) == 71
+    assert calls <= len(code) + bases
 
 
 def test_puncture_aligned_fixture_matches_defaults(gf2):

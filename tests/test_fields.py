@@ -194,6 +194,10 @@ def test_field_spec_hash_agrees_with_eq():
     assert x is not y
     assert x == y and hash(x) == hash(y) and len({x, y}) == 1
     assert x != FieldSpec(5, 1, (0, 1)) and x != 3
+    # make_field's cached field and one built directly: the same
+    made, built = make_field(2, 3), FieldSpec(2, 3, smallest_irreducible(2, 3))
+    assert made is not built and made == built
+    assert hash(made) == hash(built) == hash((2, built.modulus)) and len({made, built}) == 1
 
 
 def test_view_requires_an_extension_field():
