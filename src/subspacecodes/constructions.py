@@ -349,27 +349,28 @@ def puncture(
     if v[-1] == 0:
         raise SpecialVectorInQ("special vector must have a nonzero last coordinate")
 
+    form = row_form(spec, n)
+    special = form.vector(v)  # checked and in row form once, for every word
     words: list[Subspace] = []
-    seen = set()
-    for c in code.words:
-        if all(row[-1] == 0 for row in c.gen.entries):
-            w = from_span([row[:-1] for row in c.gen.entries], spec, n - 1)
-            if w.key() not in seen:
-                seen.add(w.key())
-                words.append(w)
-    for c in code.words:
-        if any(row[-1] != 0 for row in c.gen.entries) and c.contains(v):
+    seen = set()  # the kept words' rows: one field and n, so one row form
+
+    def keep(w: Subspace) -> None:
+        if w.rows not in seen:
+            seen.add(w.rows)
+            words.append(w)
+
+    through = [any(form.entry(row, n - 1) for row in c.rows) for c in code.words]
+    for c, out in zip(code.words, through):
+        if not out:
+            keep(from_span([row[:-1] for row in c.gen.entries], spec, n - 1))
+    for c, out in zip(code.words, through):
+        if out and form.lead(form.remainder(special, c.rows)) is None:  # v in c
             last_col = MatGF(spec, tuple((row[-1],) for row in c.gen.entries), cols=1)
             coeffs = null_space(last_col.transpose())
-            w = from_span([row[:-1] for row in mat_mul(coeffs, c.gen).entries], spec, n - 1)
-            if w.key() not in seen:
-                seen.add(w.key())
-                words.append(w)
+            keep(from_span([row[:-1] for row in mat_mul(coeffs, c.gen).entries], spec, n - 1))
     if add_trivial:
-        for extra in (zero_subspace(spec, n - 1), full_space(spec, n - 1)):
-            if extra.key() not in seen:
-                seen.add(extra.key())
-                words.append(extra)
+        keep(zero_subspace(spec, n - 1))
+        keep(full_space(spec, n - 1))
     return SubspaceCode(spec, n - 1, words, kind="projective")
 
 

@@ -75,21 +75,24 @@ def min_distance(code) -> int:
     minimum is 2 min rank(G_i - G_0) (``PackedCode.coset_minima``).  Otherwise
     equal rows give 0, and two words at distance 2 share a hyperplane, a
     (k-1)-subspace, whose pivots are all but one of the class's: listing
-    each word's hyperplanes (``meet_keys`` once per pivot) settles the class
-    as 2 when two words share one.  A class with no shared hyperplane has
-    minimum at least 4; that is only a lower bound, so it never becomes the
-    best so far, and the class's pairs are scanned at the end, only if the
-    best then exceeds 4.
+    the hyperplanes of every word of the class (``PackedCode.class_keys``
+    once per pivot) settles the class as 2 when the list holds a
+    duplicate.  A class with no shared hyperplane has minimum at least 4;
+    that is only a lower bound, so it never becomes the best so far, and
+    the class's pairs are scanned at the end, only if the best then exceeds
+    4.
 
     Pairs of classes go in order of the Hamming distance h of their
     identifying vectors, a lower bound on every distance between them,
     until h reaches the best so far.  With S the pivots two classes share,
     d(U, W) = h + 2(|S| - dim(U ∩ W)), so d = h exactly when U and W share
     a subspace with pivot set S, and d >= h + 2 otherwise.  When listing
-    those subspaces (``meet_keys``) costs no more than the |A| |B| pairs, a
-    hash join settles the class pair: a shared key gives d = h; with none,
-    the pair can only matter if the best so far exceeds h + 2, and only
-    then are its pairs scanned.
+    those subspaces (``class_keys``, |A| q^e_A keys for class A) costs no
+    more than the |A| |B| pairs, a hash join settles the class pair: the
+    side with fewer keys is hashed and the other side's keys probe it until
+    the first hit.  A shared key gives d = h; with none, the pair can only
+    matter if the best so far exceeds h + 2, and only then are its pairs
+    scanned.
     """
     words = code.words if hasattr(code, "words") else tuple(code)
     if len(words) < 2:
@@ -111,7 +114,7 @@ def min_distance(code) -> int:
             d = minima[cid]
         elif len({tuple(rows[i]) for i in members}) < len(members):
             d = 0  # a repeated word; the hyperplane join would say 2
-        elif _shares_hyperplane(view, cid, members):
+        elif _shares_hyperplane(view, cid):
             d = 2
         else:
             deferred.append(members)
@@ -125,9 +128,10 @@ def min_distance(code) -> int:
             break
         ours, others = view.classes[a], view.classes[b]
         s, x, y = a & b, a & ~b, b & ~a
-        cost = len(ours) * q ** meet_exponent(s, x) + len(others) * q ** meet_exponent(s, y)
-        if cost <= len(ours) * len(others):
-            if _meets(view, ours, x, others, y):
+        na, nb = len(ours) * q ** meet_exponent(s, x), len(others) * q ** meet_exponent(s, y)
+        if na + nb <= len(ours) * len(others):
+            sides = ((a, x), (b, y)) if na <= nb else ((b, y), (a, x))  # the fewer keys hashed
+            if _meets(view, *sides):
                 best = h
                 continue
             if best is not None and best <= h + 2:
@@ -141,25 +145,19 @@ def min_distance(code) -> int:
     return best
 
 
-def _shares_hyperplane(view, cid, members) -> bool:
+def _shares_hyperplane(view, cid) -> bool:
     """Whether two words of one class (``cid`` its packed identifying
     vector) share a hyperplane.  Each hyperplane of a word has as pivots
-    all of the word's pivots but one, so ``meet_keys`` with that one pivot
-    exclusive lists it, and lists it once."""
-    pivots = [1 << b for b in range(view.n) if cid >> b & 1]
-    seen = set()
-    for i in members:
-        keys = set().union(*(view.meet_keys(i, b) for b in pivots))
-        if not seen.isdisjoint(keys):
-            return True
-        seen |= keys
-    return False
+    all of the word's pivots but one, so ``class_keys`` with that one pivot
+    exclusive lists it, and lists it once: a key listed twice is a
+    hyperplane of two words."""
+    keys = [key for b in range(view.n) if cid >> b & 1 for key in view.class_keys(cid, 1 << b)]
+    return len(set(keys)) < len(keys)
 
 
-def _meets(view, ours, x, others, y) -> bool:
-    """Whether a word of ``ours`` and one of ``others`` share a subspace on
-    their shared pivots; ``x`` and ``y`` are each side's exclusive pivots."""
-    keys = set()
-    for i in ours:
-        keys |= view.meet_keys(i, x)
-    return any(not keys.isdisjoint(view.meet_keys(j, y)) for j in others)
+def _meets(view, hashed, probed) -> bool:
+    """Whether a word of one class and a word of another share a subspace
+    on their shared pivots.  ``hashed`` and ``probed`` are each (the class's
+    identifying vector, its exclusive pivots); the keys of ``hashed`` go in
+    a set, and those of ``probed`` are listed only up to the first hit."""
+    return not set(view.class_keys(*hashed)).isdisjoint(view.class_keys(*probed))

@@ -21,7 +21,7 @@ is one elimination (``PackedCode.contained``).
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import chain, combinations, product, repeat, starmap
 from typing import NamedTuple
 
 from .matrices import row_form
@@ -267,33 +267,42 @@ class PackedCode:
                 return index[self.form.code(x)], d
         return None
 
-    def meet_keys(self, i: int, exclusive: int) -> set:
-        """One key per subspace X of word i whose pivots are the word's
-        pivots outside ``exclusive`` (a packed set of its pivot columns).
+    def class_keys(self, cid: int, exclusive: int):
+        """One key per word of class ``cid`` and per subspace X of that word
+        whose pivots are the word's pivots outside ``exclusive`` (a packed
+        set of its pivot columns), as an iterator, a word's keys in no fixed
+        order.
 
         With S the other pivots and I = ``exclusive``, such an X has the
         reduced rows x_p = u_p + sum of c_(p,j) u_j over j in I right of p,
-        for p in S and any c in GF(q); so there are q^e of them, e =
-        ``meet_exponent(S, I)``.  The key is the tuple of X's rows, so two
-        words share such a subspace exactly when they share a key.
+        for p in S and any c in GF(q); so each word has q^e of them, e =
+        ``meet_exponent(S, I)``, all distinct.  The key is the tuple of X's
+        rows, so two words share such a subspace exactly when they share a
+        key.  The rows are built for the whole class at once, one row slot
+        at a time: a slot's column holds that row of every word, and each of
+        its q^e_p variants is one ``sub_row`` map over such columns; a key
+        is a choice of variant per slot, read off word by word.
         """
-        wid = self.ids[i]
-        plan = self._meet_plans.get((wid, exclusive))
+        plan = self._meet_plans.get((cid, exclusive))
         if plan is None:
-            plan = self._meet_plans[wid, exclusive] = self._meet_plan(wid, exclusive)
-        rows, sub, multiples = self.rows[i], self.form.sub_row, self.form.multiples
-        choices = []
+            plan = self._meet_plans[cid, exclusive] = self._meet_plan(cid, exclusive)
+        members, rows, sub, multiples = self.classes[cid], self.rows, self.form.sub_row, self.form.multiples
+        if not plan:  # X is the zero space, one key per word
+            return repeat((), len(members))
+        columns = list(zip(*[rows[i] for i in members]))
+        slots = []
         for p, later in plan:
-            xs = [rows[p]]
+            xs = [columns[p]]
             for j in later:
-                xs += [sub(x, m) for x in xs for m in multiples(rows[j])[1:]]
-            choices.append(xs)
-        return set(product(*choices))
+                nonzero = list(zip(*map(multiples, columns[j])))[1:]  # c * row j, per c != 0
+                xs += [tuple(map(sub, x, m)) for x in xs for m in nonzero]
+            slots.append(xs)
+        return chain.from_iterable(starmap(zip, product(*slots)))
 
-    def _meet_plan(self, wid: int, exclusive: int) -> list:
-        """For ``meet_keys`` on words with identifying vector ``wid``: per
+    def _meet_plan(self, cid: int, exclusive: int) -> list:
+        """For ``class_keys`` on words with identifying vector ``cid``: per
         row whose pivot is shared, its position and the positions of the
         later rows whose pivots are exclusive."""
-        bits = [b for b in range(self.n - 1, -1, -1) if wid >> b & 1]  # rows' pivots, in row order
+        bits = [b for b in range(self.n - 1, -1, -1) if cid >> b & 1]  # rows' pivots, in row order
         later = [r for r, b in enumerate(bits) if exclusive >> b & 1]
         return [(r, [j for j in later if j > r]) for r, b in enumerate(bits) if not exclusive >> b & 1]

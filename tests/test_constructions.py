@@ -30,10 +30,11 @@ from subspacecodes.errors import (
 )
 from subspacecodes.fields import extension_view, make_field
 from subspacecodes.fixtures import CONSTANT_WEIGHT_WORDS, MULTILEVEL_SIZES
-from subspacecodes.matrices import MatGF
+from subspacecodes.matrices import MatGF, row_form
 from subspacecodes.rankcodes import FerrersRankCode, ZeroPattern
 from subspacecodes.subspaces import (
     IdVector,
+    Subspace,
     echelon_ferrers_shape,
     fill_shape,
     full_space,
@@ -310,6 +311,49 @@ def test_puncture_special_vector_checks(gf2):
         puncture(c, (1, 0, 0, 0, 0))
     with pytest.raises(LengthMismatch):
         puncture(c, (1, 0, 1))
+
+
+# sha256 and size of dumps_code(puncture(multilevel_fixture(name, GF(q),
+# aligned), v, add_trivial)), fixed while puncture still tested each word
+# with Subspace.contains and deduplicated on Subspace.key
+PUNCTURED_DIGESTS = {
+    ("w8k4", 2, True, "10000001", True): ("56db9cdd60345cf1b1296219cf1c4accadd0b3a2238e86a6a51e6e0bd60ad595", 573),
+    ("w8k4", 2, True, "00000001", True): ("31269d1e488e4308a5ffd652fe632c64d2fe78b16868861438a29e8fb16405b4", 384),
+    ("w8k4", 2, False, "01010011", False): ("e6e52de6ae04202ede41e7b55b9b63e7fa7d798d4cb581f218937f6d6747ba5f", 562),
+    ("w6k3", 2, False, "001001", False): ("c533d718642f20b56c40ed3acff62b639924024a830fee9237ce2de1157a1360", 18),
+    ("w6k3", 3, False, "001001", False): ("30836a85fb90ebd313234b936faa731b9fc871988742f314031762e0feb93729", 56),
+    ("w6k3", 3, False, "002012", True): ("fd636db652a0bac0754a85d9134c5dcfa3f537c9a4ee091d0571ff47a3e4d24c", 58),
+    ("w5k2", 2, False, "11011", True): ("e4cce9b7282c51b18e4db0434d13e5a6cb9b1f57924a2504fbf179b9b09727ee", 6),
+    ("w5k2", 3, False, "10202", False): ("40165d6686049d88a067bdd12e59e18c57916eb0585cd962e617e700fdeae2b1", 5),
+}
+
+
+@pytest.mark.parametrize("name,q,aligned,v,add_trivial", sorted(PUNCTURED_DIGESTS))
+def test_punctured_code_files_are_pinned(name, q, aligned, v, add_trivial):
+    code = multilevel_fixture(name, make_field(q, 1), puncture_aligned=aligned)
+    p = puncture(code, tuple(map(int, v)), add_trivial=add_trivial)
+    digest, size = PUNCTURED_DIGESTS[name, q, aligned, v, add_trivial]
+    assert len(p) == size
+    assert hashlib.sha256(dumps_code(p).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("q,v", [(2, (2, 0, 0, 0, 1)), (2, (1, 0, 0, 0, 3)), (3, (0, 0, 0, 0, -1))])
+def test_puncture_rejects_entries_outside_the_field(q, v):
+    with pytest.raises(ShapeMismatch, match="outside GF"):
+        puncture(multilevel_fixture("w5k2", make_field(q, 1)), v)
+
+
+def test_puncture_checks_the_special_vector_once(gf2, monkeypatch):
+    # the special vector is checked and put in row form once, not once per
+    # word through it, and the kept words are deduplicated on their rows
+    code = multilevel_fixture("w8k4", gf2, puncture_aligned=True)
+    form = row_form(gf2, 8)
+    vector, calls, keys = form.vector, [], []
+    monkeypatch.setattr(form, "vector", lambda v: calls.append(v) or vector(v))
+    key = Subspace.key
+    monkeypatch.setattr(Subspace, "key", lambda self: keys.append(self) or key(self))
+    assert len(puncture(code, (0, 0, 0, 0, 0, 0, 0, 1), add_trivial=True)) == 384
+    assert len(calls) == 1 and keys == []
 
 
 def test_puncture_vacuous(gf2):
