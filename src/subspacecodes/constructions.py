@@ -28,7 +28,7 @@ from .errors import (
     SpecialVectorInQ,
 )
 from .fields import FieldSpec, extension_view
-from .matrices import MatGF, mat_mul, null_space, row_form
+from .matrices import MatGF, row_form
 from .packed import PackedCode
 from .rankcodes import FerrersRankCode, ZeroPattern, ferrers_d2_code, gabidulin
 from .subspaces import (
@@ -38,7 +38,6 @@ from .subspaces import (
     echelon_ferrers_shape,
     fill_free_entries,
     fits_shape,
-    from_span,
     full_space,
     zero_subspace,
 )
@@ -349,7 +348,7 @@ def puncture(
     if v[-1] == 0:
         raise SpecialVectorInQ("special vector must have a nonzero last coordinate")
 
-    form = row_form(spec, n)
+    form, short = row_form(spec, n), row_form(spec, n - 1)
     special = form.vector(v)  # checked and in row form once, for every word
     words: list[Subspace] = []
     seen = set()  # the kept words' rows: one field and n, so one row form
@@ -359,15 +358,26 @@ def puncture(
             seen.add(w.rows)
             words.append(w)
 
-    through = [any(form.entry(row, n - 1) for row in c.rows) for c in code.words]
-    for c, out in zip(code.words, through):
-        if not out:
-            keep(from_span([row[:-1] for row in c.gen.entries], spec, n - 1))
-    for c, out in zip(code.words, through):
-        if out and form.lead(form.remainder(special, c.rows)) is None:  # v in c
-            last_col = MatGF(spec, tuple((row[-1],) for row in c.gen.entries), cols=1)
-            coeffs = null_space(last_col.transpose())
-            keep(from_span([row[:-1] for row in mat_mul(coeffs, c.gen).entries], spec, n - 1))
+    def shortened(rows) -> tuple:
+        """Rows that are zero in the last column, without it, in GF(q)^(n-1)."""
+        return short.from_entries(tuple(row[:-1] for row in form.to_entries(rows)))
+
+    lasts = [[form.entry(row, n - 1) for row in c.rows] for c in code.words]
+    for c, last in zip(code.words, lasts):
+        if not any(last):  # c inside Q: its reduced rows stay reduced without the zero column
+            keep(Subspace.from_rows(spec, n - 1, shortened(c.rows)))
+    for c, last in zip(code.words, lasts):
+        if any(last) and form.lead(form.remainder(special, c.rows)) is None:  # v in c
+            # c ∩ Q is spanned by the other rows, each less the multiple of
+            # one row with a nonzero last entry that clears its own
+            at = next(i for i, x in enumerate(last) if x)
+            multiples, scale = form.multiples(c.rows[at]), spec.inv(last[at])
+            meet = [
+                form.sub_row(row, multiples[spec.mul(x, scale)])
+                for i, (row, x) in enumerate(zip(c.rows, last))
+                if i != at
+            ]
+            keep(Subspace.from_rows(spec, n - 1, short.rref(shortened(meet))))
     if add_trivial:
         keep(zero_subspace(spec, n - 1))
         keep(full_space(spec, n - 1))

@@ -7,11 +7,14 @@ the right of each pivot are free; those free positions form a Ferrers-shaped
 region, and filling them with field elements enumerates exactly the
 subspaces sharing that identifying vector.
 
-A Subspace also keeps its rows in its field's row form (``rows``; packed
-integers over GF(2), the generator's tuples otherwise), and the paths that
-work on rows go through that form: ``from_span`` eliminates on it and builds
-the Subspace from the result, and ``contains`` reduces on it.  Only the
-GF(2) index codec reads and writes the free entries of packed rows itself.
+A Subspace keeps its rows in its field's row form (``rows``; packed
+integers over GF(2), tuples otherwise), and the paths that work on rows go
+through that form: ``from_span`` eliminates on it and builds the Subspace
+from the result, ``contains`` reduces on it, and the code-file loader, the
+pair scan and the decoder read nothing else.  The generator matrix ``gen``
+is built from the rows on first read, so a word that is only loaded and
+verified never builds one.  Only the GF(2) index codec reads and writes the
+free entries of packed rows itself.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from operator import itemgetter
 from typing import Iterator
 
 from .errors import BadParams, FieldTooLarge, LengthMismatch, ParseError
-from .errors import ShapeViolation, TooLarge
+from .errors import ShapeMismatch, ShapeViolation, TooLarge
 from .fields import MAX_ORDER, FieldSpec, make_field, smallest_prime_factor
 from .matrices import _BITS, _FROM_DIGITS, MatGF, null_space, pack, row_form, unpack
 
@@ -131,16 +134,18 @@ class Subspace:
     The generator must be the subspace's full-rank reduced echelon form:
     each row's first nonzero entry is 1, these pivots move strictly right,
     and every pivot column is zero in the other rows.  The constructor
-    checks this in one scan and keeps the pivots as ``id_vector``.
+    checks this in one scan (``RowForm.check``) and keeps the pivots as
+    ``id_vector``, one shared object per pivot set and n.
 
     ``rows`` holds the generator's rows in the field's row form
-    (``matrices.row_form``): packed integers over GF(2), and for q > 2 the
-    very tuple ``gen.entries``.  The canonical form is checked on them.
-    ``from_rows`` takes rows in that form, checks them the same way and
-    derives ``gen`` from them, so the two never disagree.
+    (``matrices.row_form``): packed integers over GF(2), tuples otherwise.
+    ``from_rows`` takes rows in that form and checks them the same way.
+    ``gen``, the generator as a ``MatGF``, is the one given to the
+    constructor, or is built from ``rows`` on first read (for q > 2 on the
+    very tuple ``rows``), so the two never disagree.
     """
 
-    __slots__ = ("spec", "n", "k", "gen", "rows", "id_vector")
+    __slots__ = ("spec", "n", "k", "_gen", "rows", "id_vector")
 
     def __init__(self, spec: FieldSpec, n: int, gen: MatGF):
         if gen.cols != n:
@@ -162,9 +167,16 @@ class Subspace:
 
     def _set_rows(self, form, rows: tuple, gen: MatGF | None) -> None:
         pivots = form.check(rows)
-        self.spec, self.n, self.k, self.rows = form.spec, form.n, len(rows), rows
-        self.gen = MatGF(form.spec, form.to_entries(rows), cols=form.n) if gen is None else gen
-        self.id_vector = IdVector(unpack(pivots, form.n))
+        self.spec, self.n, self.k, self.rows, self._gen = form.spec, form.n, len(rows), rows, gen
+        self.id_vector = _id_vector(pivots, form.n)
+
+    @property
+    def gen(self) -> MatGF:
+        """The reduced echelon generator matrix, built from ``rows`` on first
+        read."""
+        if self._gen is None:
+            self._gen = MatGF(self.spec, row_form(self.spec, self.n).to_entries(self.rows), cols=self.n)
+        return self._gen
 
     def contains(self, vec) -> bool:
         form = row_form(self.spec, self.n)
@@ -188,6 +200,13 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace({to_literal(self)!r}, n={self.n}, GF({self.spec.order}))"
+
+
+@lru_cache(maxsize=4096)
+def _id_vector(pivots: int, n: int) -> IdVector:
+    """The identifying vector of the packed pivot set ``pivots``, one object
+    per pivot set and n, shared by every word that has them."""
+    return IdVector(unpack(pivots, n))
 
 
 def zero_subspace(spec: FieldSpec, n: int) -> Subspace:
@@ -282,22 +301,27 @@ def fill_free_entries(v: IdVector, entries, spec: FieldSpec) -> Subspace:
         flat = int(shape.gf2_codec[0] % entries or "0", 2)
         mask = (1 << n) - 1
         return Subspace.from_rows(spec, n, [flat >> (n * (k - 1 - r)) & mask for r in range(k)])
+    entries = tuple(map(int, entries))
+    bad = next((x for x in entries if not 0 <= x < spec.order), None)
+    if bad is not None:
+        raise ShapeMismatch(f"entry {bad} outside GF({spec.order})")
     it = iter(entries)
-    gen = []
+    rows = []
     for p, free in zip(v.support, shape.free_positions):
         row = [0] * v.n
         row[p] = 1
         for c, x in zip(free, it):  # zip takes from `it` only while `free` lasts
             row[c] = x
-        gen.append(row)
-    return Subspace(spec, v.n, MatGF(spec, gen, cols=v.n))
+        rows.append(tuple(row))
+    return Subspace.from_rows(spec, v.n, rows)
 
 
 def read_point_part(u: Subspace) -> tuple[tuple[int, ...], ...]:
     """Inverse of fill_shape: the free entries of u's generator matrix."""
     shape = echelon_ferrers_shape(u.id_vector)
     cols = shape.box_columns
-    return tuple(tuple(u.gen.entries[r][c] for c in cols) for r in range(u.k))
+    rows = row_form(u.spec, u.n).to_entries(u.rows)
+    return tuple(tuple(row[c] for c in cols) for row in rows)
 
 
 def free_entries_row_major(u: Subspace) -> tuple[int, ...]:
@@ -306,7 +330,7 @@ def free_entries_row_major(u: Subspace) -> tuple[int, ...]:
     if u.spec.order == 2:
         digits = format(pack(u.rows, u.n), "b").zfill(u.k * u.n).encode()
         return shape.gf2_codec[1](digits.translate(_FROM_DIGITS))
-    return tuple(row[c] for row, free in zip(u.gen.entries, shape.free_positions) for c in free)
+    return tuple(row[c] for row, free in zip(u.rows, shape.free_positions) for c in free)
 
 
 def gaussian(n: int, k: int, q: int) -> int:

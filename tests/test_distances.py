@@ -651,6 +651,19 @@ def test_gf3_w6k3_shortening_against_pair_scan(gf3):
     assert min_distance(code) == brute_min_distance(code.words)
 
 
+@pytest.mark.parametrize(
+    "name,q,v,add_trivial,size",
+    [("w8k4", 2, "01010011", False, 562), ("w6k3", 3, "002012", True, 58), ("w7k3", 3, "0001001", False, 261)],
+)
+def test_shortenings_the_join_settles_against_pair_scan(name, q, v, add_trivial, size, join_outcomes):
+    # class pairs that the join takes only since a key weighs less than a
+    # ranked pair
+    code = puncture(multilevel_fixture(name, make_field(q, 1)), tuple(map(int, v)), add_trivial=add_trivial)
+    assert len(code) == size
+    assert min_distance(code) == brute_min_distance(code.words)
+    assert join_outcomes
+
+
 def test_shortened_w8k4_against_flat_scan(gf2):
     # the 573-word shortening: the class step and the join against the
     # scan of all 163,878 pairs
@@ -791,9 +804,10 @@ def test_min_distance_in_class_join_hit_and_repeat(gf2, gf3, class_outcomes):
 
 def test_shortened_w8k4_verify_rank_calls(gf2, monkeypatch):
     # one load and verify of the 573-word shortening, as the CLI and the
-    # certify workload run it: the joins leave 2,362 rank calls (12,534
-    # without the in-class join, 91,542 with no class pair joined), so no
-    # class pair the joins settle can move back to the scan unnoticed
+    # certify workload run it: the joins leave 577 rank calls (2,362 when a
+    # key weighed as much as a ranked pair, 12,534 without the in-class join,
+    # 91,542 with no class pair joined), so no class pair the joins settle
+    # can move back to the scan unnoticed
     code = puncture(
         multilevel_fixture("w8k4", gf2, puncture_aligned=True), (1, 0, 0, 0, 0, 0, 0, 1), add_trivial=True
     )
@@ -808,7 +822,30 @@ def test_shortened_w8k4_verify_rank_calls(gf2, monkeypatch):
 
     monkeypatch.setattr(form, "rank", counting)
     assert min_distance(codefile.loads_code(text)) == 3
-    assert 0 < len(calls) <= 2362
+    assert 0 < len(calls) <= 577
+
+
+def test_one_word_class_joins_at_e_0(gf2, gf3, monkeypatch, join_outcomes):
+    # A = 10000;01000;00100 is alone in its class; its exclusive pivot 0 is
+    # left of the shared pivots 1 and 2, so e = 0 on both sides, and the two
+    # words of B (at distance 4 from each other) cost 1 + 2 keys against 2
+    # ranked pairs.  The join finds that B's first word lies in A, so
+    # d = h = 1, with no rank call once the classes' own minima are known.
+    for spec in (gf2, gf3):
+        code = SubspaceCode(spec, 5, _words(spec, 5, ["10000;01000;00100", "01000;00100", "01010;00101"]))
+        want = brute_min_distance(code.words)
+        code.packed.coset_minima  # noqa: B018 -- ranks B's differences before counting
+        calls = []
+        form = row_form(spec, 5)
+
+        def counting(rows, rank=form.rank):
+            calls.append(len(rows))
+            return rank(rows)
+
+        monkeypatch.setattr(form, "rank", counting)
+        assert min_distance(code) == 1 == want
+        assert calls == [], spec
+    assert join_outcomes == [True, True]
 
 
 def test_one_word_classes_make_no_rank_call(gf2, gf3, monkeypatch):

@@ -398,12 +398,51 @@ def test_packed_rows_on_every_route(gf2, gf3):
         }
         routes["loads_code"] = list(codefile.loads_code(codefile.dumps_code(multilevel_fixture("w5k2", spec))).words)
         routes["transmit"] = [transmit(w, rho, t, rng) for w in routes["multilevel"] for rho, t in ((0, 1), (1, 1), (2, 0))]
+        # only lift hands the constructor a generator; every other route
+        # builds it from the rows on first read (orthogonal_complement reads
+        # its argument's)
+        for name, words in routes.items():
+            assert all((u._gen is None) is (name != "lift") for u in words), name
         routes["orthogonal_complement"] = [orthogonal_complement(u) for u in routes["from_span"] + routes["lift"]]
+        assert all(u._gen is None for u in routes["orthogonal_complement"])
         for name, words in routes.items():
             assert words, name
             for u in words:
+                # built on first read: the matrix of the rows' entries, built eagerly
+                eager = MatGF(spec, [_entries_by_hand(spec, u.n, row) for row in u.rows], cols=u.n)
+                assert u.gen == eager and u.gen.cols == u.n and u.gen is u.gen, name
                 if q == 2:
                     assert type(u.rows) is tuple and u.rows == _packed_by_hand(u), name
                 else:
                     assert u.rows is u.gen.entries, name
                 assert u.id_vector.packed == int("".join(map(str, u.id_vector.bits)) or "0", 2), name
+
+
+def _entries_by_hand(spec, n, row) -> tuple[int, ...]:
+    return tuple(map(int, format(row, "b").zfill(n))) if spec.order == 2 else row
+
+
+def test_loading_and_verifying_build_no_matrix(gf2, monkeypatch):
+    # the 573-word shortening: loaded and verified on rows alone, no word
+    # builds its generator, and words with the same pivots share one
+    # identifying vector
+    from subspacecodes import codefile, matrices
+    from subspacecodes.constructions import multilevel_fixture, puncture
+    from subspacecodes.distances import min_distance
+
+    code = puncture(
+        multilevel_fixture("w8k4", gf2, puncture_aligned=True), (1, 0, 0, 0, 0, 0, 0, 1), add_trivial=True
+    )
+    text = codefile.dumps_code(code)
+    built = []
+    init = matrices.MatGF.__init__
+    monkeypatch.setattr(matrices.MatGF, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    loaded = codefile.loads_code(text)
+    assert min_distance(loaded) == 3
+    assert built == [] and all(w._gen is None for w in loaded)
+    by_pivots = {}
+    for w in loaded:
+        by_pivots.setdefault(w.id_vector.bits, set()).add(id(w.id_vector))
+    assert len(by_pivots) == len(loaded.packed.classes)
+    assert all(len(ids) == 1 for ids in by_pivots.values())
+    assert loaded.words[5].gen.entries == code.words[5].gen.entries and len(built) == 2
