@@ -320,8 +320,7 @@ def read_point_part(u: Subspace) -> tuple[tuple[int, ...], ...]:
     """Inverse of fill_shape: the free entries of u's generator matrix."""
     shape = echelon_ferrers_shape(u.id_vector)
     cols = shape.box_columns
-    rows = row_form(u.spec, u.n).to_entries(u.rows)
-    return tuple(tuple(row[c] for c in cols) for row in rows)
+    return tuple(tuple(u.gen.entries[r][c] for c in cols) for r in range(u.k))
 
 
 def free_entries_row_major(u: Subspace) -> tuple[int, ...]:
