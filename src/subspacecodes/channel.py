@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from .constructions import SubspaceCode
 from .distances import distance_fast
 from .errors import AmbientMismatch, InfeasibleParams, TooFewCodewords
-from .matrices import MatGF, rank, row_form
+from .matrices import row_form
 from .subspaces import Subspace
 
 _REJECTION_CAP = 64
@@ -57,18 +57,12 @@ class TrialOutcome:
     margin: int
 
 
-def _random_full_rank(rng: random.Random, spec, rows: int, cols: int) -> MatGF:
-    """Uniform full-rank rows x cols matrix by rejection (rows <= cols)."""
-    q = spec.order
+def _random_full_rank(rng: random.Random, spec, rows: int, cols: int) -> list:
+    """Entry rows of a uniform full-rank rows x cols matrix (rows <= cols), by rejection."""
+    q, form = spec.order, row_form(spec, cols)
     for _ in range(_REJECTION_CAP):
-        m = MatGF(
-            spec,
-            tuple(
-                tuple(rng.randrange(q) for _ in range(cols)) for _ in range(rows)
-            ),
-            cols=cols,
-        )
-        if rank(m) == rows:
+        m = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
+        if form.rank([form.row_of(row) for row in m]) == rows:
             return m
     raise InfeasibleParams("could not sample a full-rank matrix")
 
@@ -94,7 +88,7 @@ def transmit(v: Subspace, rho: int, t: int, rng: random.Random) -> Subspace:
         rows = ()
     else:
         coeff = _random_full_rank(rng, spec, keep, v.k)
-        rows = form.rref([form.combine(row, v.rows) for row in coeff.entries])
+        rows = form.rref([form.combine(row, v.rows) for row in coeff])
     for _ in range(t):
         for attempt in range(_REJECTION_CAP + 1):
             if attempt == _REJECTION_CAP:

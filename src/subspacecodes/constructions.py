@@ -133,29 +133,28 @@ class SubspaceCode:
 
 
 def lift(mats, spec: FieldSpec) -> SubspaceCode:
-    """Row spaces of [I | x] for each k x c matrix x; distance doubles."""
-    mats = [m if isinstance(m, MatGF) else MatGF(spec, m) for m in mats]
-    if not mats:
-        raise BadParams("nothing to lift")
-    k, c = mats[0].rows, mats[0].cols
-    words = []
+    """Row spaces of [I | x] for each k x c matrix x, a MatGF or its rows;
+    distance doubles.  Ragged rows, shapes that differ and entries outside
+    the field raise ShapeMismatch."""
+    shape, words = None, []
     for m in mats:
-        if m.rows != k or m.cols != c:
+        rows, cols = (m.entries, m.cols) if isinstance(m, MatGF) else (m, len(m[0]) if m else 0)
+        if shape is None:
+            shape, form = (len(rows), cols), row_form(spec, len(rows) + cols)
+            eye = [(0,) * r + (1,) + (0,) * (len(rows) - 1 - r) for r in range(len(rows))]
+        if (len(rows), cols) != shape or any(len(row) != cols for row in rows):
             raise ShapeMismatch("lifted matrices must share dimensions")
-        gen = tuple(
-            tuple(1 if j == r else 0 for j in range(k)) + m.entries[r]
-            for r in range(k)
-        )
-        words.append(Subspace(spec, k + c, MatGF(spec, gen, cols=k + c)))
-    return SubspaceCode(spec, k + c, words)
+        words.append(Subspace.from_rows(spec, form.n, [form.vector((*e, *row)) for e, row in zip(eye, rows)]))
+    if shape is None:
+        raise BadParams("nothing to lift")
+    return SubspaceCode(spec, form.n, words)
 
 
 def lift_gabidulin(view, n: int, d: int) -> SubspaceCode:
     """Lift every codeword of a Gabidulin code (rows are the coordinate
     expansions, so the lifted words have dimension n)."""
     code = gabidulin(view, n, d)
-    mats = [cw.matrix_form.transpose() for cw in code.enumerate()]
-    return lift(mats, view.base)
+    return lift(([view.expand(c) for c in cw.coords] for cw in code.enumerate()), view.base)
 
 
 def _rect_mrd_code(spec: FieldSpec, k: int, width: int) -> FerrersRankCode:
@@ -170,7 +169,7 @@ def _rect_mrd_code(spec: FieldSpec, k: int, width: int) -> FerrersRankCode:
     for i in range(code.k):
         for b in view.basis:
             cw = code.encode([0] * i + [b] + [0] * (code.k - i - 1))
-            basis.append(cw.matrix_form.transpose())
+            basis.append(MatGF(spec, tuple(map(view.expand, cw.coords)), cols=width))
     return FerrersRankCode(spec, pattern, k, tuple(basis))
 
 

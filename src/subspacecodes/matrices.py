@@ -128,9 +128,6 @@ class MatGF:
     def identity(cls, spec: FieldSpec, n: int) -> MatGF:
         return cls(spec, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MatGF)

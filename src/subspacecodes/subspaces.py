@@ -7,14 +7,14 @@ the right of each pivot are free; those free positions form a Ferrers-shaped
 region, and filling them with field elements enumerates exactly the
 subspaces sharing that identifying vector.
 
-A Subspace keeps its rows in its field's row form (``rows``; packed
-integers over GF(2), tuples otherwise), and the paths that work on rows go
-through that form: ``from_span`` eliminates on it and builds the Subspace
-from the result, ``contains`` reduces on it, and the code-file loader, the
-pair scan and the decoder read nothing else.  The generator matrix ``gen``
-is built from the rows on first read, so a word that is only loaded and
-verified never builds one.  Only the GF(2) index codec reads and writes the
-free entries of packed rows itself.
+A Subspace is its rows in its field's row form (``rows``; packed integers
+over GF(2), tuples otherwise) and the identifying vector of their pivots.
+The paths that work on rows go through that form: ``from_span`` eliminates
+on it, ``contains`` reduces on it, and the constructions, the channel, the
+code-file loader, the pair scan and the decoder read nothing else.  The
+generator matrix ``gen`` is built from the rows each time it is read.  Only
+the GF(2) index codec reads and writes the free entries of packed rows
+itself.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class FerrersShape:
     def row_dots(self) -> tuple[int, ...]:
         return tuple(len(r) for r in self.free_positions)
 
-    @property
+    @cached_property
     def dot_count(self) -> int:
         return sum(self.row_dots)
 
@@ -139,19 +139,19 @@ class Subspace:
 
     ``rows`` holds the generator's rows in the field's row form
     (``matrices.row_form``): packed integers over GF(2), tuples otherwise.
-    ``from_rows`` takes rows in that form and checks them the same way.
-    ``gen``, the generator as a ``MatGF``, is the one given to the
-    constructor, or is built from ``rows`` on first read (for q > 2 on the
-    very tuple ``rows``), so the two never disagree.
+    They and ``id_vector`` are all a Subspace keeps; ``from_rows`` takes
+    rows in that form and checks them the same way.  ``gen``, the generator
+    as a ``MatGF``, is built from ``rows`` on each read (for q > 2 on the
+    very tuple ``rows``).
     """
 
-    __slots__ = ("spec", "n", "k", "_gen", "rows", "id_vector")
+    __slots__ = ("spec", "n", "k", "rows", "id_vector")
 
     def __init__(self, spec: FieldSpec, n: int, gen: MatGF):
         if gen.cols != n:
             raise LengthMismatch(f"generator has {gen.cols} columns, ambient is {n}")
         form = row_form(spec, n)
-        self._set_rows(form, form.from_entries(gen.entries), gen)
+        self._set_rows(form, form.from_entries(gen.entries))
 
     @classmethod
     def from_rows(cls, spec: FieldSpec, n: int, rows) -> Subspace:
@@ -162,21 +162,19 @@ class Subspace:
     @classmethod
     def _of_rows(cls, form, rows: tuple) -> Subspace:
         u = cls.__new__(cls)
-        u._set_rows(form, rows, None)
+        u._set_rows(form, rows)
         return u
 
-    def _set_rows(self, form, rows: tuple, gen: MatGF | None) -> None:
+    def _set_rows(self, form, rows: tuple) -> None:
         pivots = form.check(rows)
-        self.spec, self.n, self.k, self.rows, self._gen = form.spec, form.n, len(rows), rows, gen
+        self.spec, self.n, self.k, self.rows = form.spec, form.n, len(rows), rows
         self.id_vector = _id_vector(pivots, form.n)
 
     @property
     def gen(self) -> MatGF:
-        """The reduced echelon generator matrix, built from ``rows`` on first
+        """The reduced echelon generator matrix, built from ``rows`` on each
         read."""
-        if self._gen is None:
-            self._gen = MatGF(self.spec, row_form(self.spec, self.n).to_entries(self.rows), cols=self.n)
-        return self._gen
+        return MatGF(self.spec, row_form(self.spec, self.n).to_entries(self.rows), cols=self.n)
 
     def contains(self, vec) -> bool:
         form = row_form(self.spec, self.n)
@@ -193,7 +191,7 @@ class Subspace:
         return (self.spec, self.n, self.gen.entries)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Subspace) and self.key() == other.key()
+        return other is self or isinstance(other, Subspace) and self.key() == other.key()
 
     def __hash__(self) -> int:
         return hash(self.key())
@@ -210,11 +208,11 @@ def _id_vector(pivots: int, n: int) -> IdVector:
 
 
 def zero_subspace(spec: FieldSpec, n: int) -> Subspace:
-    return Subspace(spec, n, MatGF.zero(spec, 0, n))
+    return Subspace.from_rows(spec, n, ())
 
 
 def full_space(spec: FieldSpec, n: int) -> Subspace:
-    return Subspace(spec, n, MatGF.identity(spec, n))
+    return from_span([[int(i == j) for j in range(n)] for i in range(n)], spec, n)
 
 
 def from_span(vectors, spec: FieldSpec, n: int) -> Subspace:
@@ -318,9 +316,9 @@ def fill_free_entries(v: IdVector, entries, spec: FieldSpec) -> Subspace:
 
 def read_point_part(u: Subspace) -> tuple[tuple[int, ...], ...]:
     """Inverse of fill_shape: the free entries of u's generator matrix."""
-    shape = echelon_ferrers_shape(u.id_vector)
-    cols = shape.box_columns
-    return tuple(tuple(u.gen.entries[r][c] for c in cols) for r in range(u.k))
+    cols = echelon_ferrers_shape(u.id_vector).box_columns
+    entry = row_form(u.spec, u.n).entry
+    return tuple(tuple(entry(row, c) for c in cols) for row in u.rows)
 
 
 def free_entries_row_major(u: Subspace) -> tuple[int, ...]:

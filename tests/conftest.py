@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from subspacecodes.distances import distance_naive
 from subspacecodes.fields import make_field
+from subspacecodes.matrices import MatGF
 from subspacecodes.subspaces import Subspace, from_span
 
 
@@ -14,6 +16,22 @@ def gf2():
 @pytest.fixture
 def gf3():
     return make_field(3, 1)
+
+
+@pytest.fixture
+def matrices_built(monkeypatch):
+    """The arguments of each MatGF built while the test runs, in order."""
+    built = []
+    init = MatGF.__init__
+    monkeypatch.setattr(MatGF, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    return built
+
+
+def brute_min_distance(words):
+    """Exhaustive pair scan with the definition-level distance."""
+    return min(
+        distance_naive(a, b) for i, a in enumerate(words) for b in words[i + 1 :]
+    )
 
 
 def random_subspace(spec, n: int, rng: random.Random, k: int | None = None) -> Subspace:

@@ -1,6 +1,5 @@
 import hashlib
 import random
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +16,8 @@ from subspacecodes.distances import distance_fast, distance_naive, min_distance
 from subspacecodes.errors import AmbientMismatch, InfeasibleParams, TooFewCodewords
 from subspacecodes.matrices import MatGF, mat_mul, rank, row_form
 from subspacecodes.fields import make_field
-from subspacecodes.subspaces import IdVector, echelon_ferrers_shape, fill_free_entries, from_span, to_literal
-from .conftest import random_subspace
+from subspacecodes.subspaces import IdVector, Subspace, echelon_ferrers_shape, fill_free_entries, from_span, to_literal
+from .conftest import brute_min_distance, random_subspace
 from .test_distances import _structured_class
 
 
@@ -242,6 +241,25 @@ def test_simulate_infeasible(gf2):
         ChannelConfig(rho=-1, t=0)
 
 
+def test_comparing_a_word_with_itself_builds_no_matrix(gf2, gf3, matrices_built):
+    # a decoded codeword is the very object that was sent, so comparing
+    # them needs no generator; equal subspaces that are distinct objects
+    # still compare by their generators
+    for spec in (gf2, gf3):
+        code = multilevel_fixture("w5k2", spec)
+        code.packed
+        rng = random.Random(13)
+        start = len(matrices_built)
+        u = code.words[3]
+        assert u == u and not u != u
+        for _ in range(30):
+            sent = code.words[rng.randrange(len(code))]
+            decoded, _ = min_distance_decode(code, transmit(sent, 0, 1, rng))
+            assert decoded == sent
+        assert len(matrices_built) == start
+        assert u == Subspace.from_rows(spec, u.n, u.rows) and u != code.words[4]
+
+
 def test_trial_outcomes(gf2):
     code = multilevel_fixture("w5k2", gf2)
     stats = simulate(code, ChannelConfig(rho=0, t=1, seed=9, trials=50), keep_outcomes=True)
@@ -249,10 +267,6 @@ def test_trial_outcomes(gf2):
         assert outcome.success == (outcome.decoded == outcome.sent)
         assert outcome.received.k == outcome.sent.k + 1
         assert outcome.channel_distance == 1  # t=1 error dim, disjoint by construction
-
-
-def brute_min_distance(words):
-    return min(distance_naive(u, w) for u, w in combinations(words, 2))
 
 
 def _decoding_case(rng: random.Random):

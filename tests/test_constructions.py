@@ -56,9 +56,35 @@ def test_lift_preserves_count_and_doubles_distance(gf2):
     assert min_distance(code) == 4
 
 
-def test_lift_shape_mismatch(gf2):
+def test_lift_shape_mismatch(gf2, gf3):
     with pytest.raises(ShapeMismatch):
         lift([MatGF.zero(gf2, 2, 3), MatGF.zero(gf2, 2, 2)], gf2)
+    for spec, mats in [
+        (gf2, [[[0, 2, 0], [1, 0, 1]]]),  # an entry outside the field
+        (gf2, [[[0, 1, 0], [1, -1, 1]]]),
+        (gf3, [[[0, 1, 3], [1, 0, 2]]]),
+        (gf2, [[[0, 1, 0], [1, 0]]]),  # ragged rows
+        (gf2, [[[0, 1], [1, 0, 1]]]),
+        (gf2, [[[0, 1, 0], [1, 0, 1]], [[1, 1, 0]]]),  # mismatched shapes
+        (gf2, [[[0, 1, 0], [1, 0, 1]], [[1, 1], [0, 1]]]),
+        (gf3, [MatGF.zero(gf3, 2, 3), [[1, 2], [0, 1]]]),
+    ]:
+        with pytest.raises(ShapeMismatch):
+            lift(mats, spec)
+    with pytest.raises(BadParams, match="nothing to lift"):
+        lift([], gf2)
+    # rows of entries lift to the words their matrices lift to
+    mats = [[(0, 1, 2), (1, 0, 1)], [(2, 2, 0), (0, 0, 1)]]
+    assert lift(mats, gf3).words == lift([MatGF(gf3, m) for m in mats], gf3).words
+
+
+def test_lift_gabidulin_builds_no_matrix_per_codeword(gf2, matrices_built):
+    view = extension_view(gf2, 4)
+    start = len(matrices_built)
+    code = lift_gabidulin(view, 4, 3)
+    assert len(matrices_built) == start
+    assert len(code) == 256 and code.n == 8 and code.dims == (4,)
+    assert min_distance(code) == 6
 
 
 def test_constant_weight_code_validation():
@@ -198,23 +224,15 @@ def test_supplied_code_with_a_stricter_pattern_builds(gf2):
     assert list(code.words[:8]) == planted
 
 
-def test_multilevel_builds_one_matrix_per_word(gf2, monkeypatch):
-    calls = 0
-    init = MatGF.__init__
-
-    def counted(self, *args, **kwargs):
-        nonlocal calls
-        calls += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(MatGF, "__init__", counted)
+def test_multilevel_builds_one_matrix_per_word(gf2, matrices_built):
     cw, codes = _fixture_levels("w6k3", gf2, False)
     for _ in _levels(cw, 2, gf2, codes, True):
         pass
-    bases, calls = calls, 0  # the level codes' own matrices
+    bases = len(matrices_built)  # the level codes' own matrices
+    matrices_built.clear()
     code = multilevel_fixture("w6k3", gf2)
     assert len(code) == 71
-    assert calls <= len(code) + bases
+    assert len(matrices_built) <= len(code) + bases
 
 
 def test_puncture_aligned_fixture_matches_defaults(gf2):

@@ -30,7 +30,7 @@ from subspacecodes.subspaces import (
     literal_rows,
     zero_subspace,
 )
-from .conftest import random_subspace
+from .conftest import brute_min_distance, random_subspace
 
 
 def intersection_dim_oracle(u, w):
@@ -270,13 +270,6 @@ def test_n64_boundary(gf2, n):
     rows.append([a ^ b for a, b in zip(rows[0], rows[1])])
     want = rank(MatGF(gf2, rows, cols=n))
     assert gf2_rank([pack_row(r) for r in rows]) == want
-
-
-def brute_min_distance(words):
-    """Exhaustive pair scan with the definition-level distance."""
-    return min(
-        distance_naive(a, b) for i, a in enumerate(words) for b in words[i + 1 :]
-    )
 
 
 @pytest.mark.parametrize(

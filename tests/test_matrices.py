@@ -245,7 +245,7 @@ def test_rref_idempotent_property(p, rows):
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (2, 2)])
-def test_rank_over_gf3_and_gf4_against_the_generic_elimination(p, m, monkeypatch):
+def test_rank_over_gf3_and_gf4_against_the_generic_elimination(p, m, matrices_built):
     # zero rows and zero columns included; rank reduces copies of the rows
     # and builds no matrix of the reduced rows
     spec = make_field(p, m)
@@ -258,17 +258,10 @@ def test_rank_over_gf3_and_gf4_against_the_generic_elimination(p, m, monkeypatch
         for _ in range(3)
     ]
     mats = [MatGF(spec, rows, cols=len(rows[0]) if rows else 4) for rows in cases]
-    built = []
-    init = MatGF.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(MatGF, "__init__", counting)
+    matrices_built.clear()
     for mat in mats:
         assert rank(mat) == _rref_generic(spec, [list(r) for r in mat.entries], mat.cols)[0], mat
-    assert built == []
+    assert matrices_built == []
 
 
 _ROW_FIELDS = [(2, 1), (3, 1), (2, 2)]

@@ -376,45 +376,74 @@ def _packed_by_hand(u) -> tuple[int, ...]:
     return tuple(int("".join(map(str, row)), 2) for row in u.gen.entries)
 
 
-def test_packed_rows_on_every_route(gf2, gf3):
+def test_packed_rows_on_every_route(gf2, gf3, matrices_built):
     # over GF(2) a subspace keeps its rows packed; over GF(3) its rows are
-    # the generator's own tuple
+    # the generator's own tuple.  No route builds a matrix for its words: a
+    # word's generator is built from its rows each time it is read
     import random as _random
 
     from subspacecodes import codefile
     from subspacecodes.channel import transmit
-    from subspacecodes.constructions import lift_gabidulin, multilevel_fixture, spread_like
+    from subspacecodes.constructions import (
+        _fixture_levels,
+        _levels,
+        _rect_mrd_code,
+        lift,
+        lift_gabidulin,
+        multilevel_fixture,
+        puncture,
+        spread_like,
+    )
     from subspacecodes.fields import extension_view
 
     for spec in (gf2, gf3):
         q = spec.order
         rng = _random.Random(8)
-        routes = {
-            "from_span": [from_span([[rng.randrange(q) for _ in range(7)] for _ in range(4)], spec, 7) for _ in range(20)],
-            "fill_free_entries": list(subspaces_with_id(IdVector.from_string("0101100" if q == 2 else "01011"), spec)),
-            "multilevel": list(multilevel_fixture("w6k3", spec).words),
-            "lift": list(lift_gabidulin(extension_view(spec, 3), 3, 2).words),
-            "spread": list(spread_like(6, 2, spec).words),
+        view = extension_view(spec, 3)
+        text = codefile.dumps_code(multilevel_fixture("w5k2", spec))
+        # the level codes' own basis matrices, which multilevel and
+        # spread_like build once per level
+        start = len(matrices_built)
+        cw, codes = _fixture_levels("w6k3", spec, False)
+        list(_levels(cw, 2, spec, codes, True))
+        bases = {"multilevel": len(matrices_built) - start}
+        start = len(matrices_built)
+        for width in (4, 2, 0):
+            _rect_mrd_code(spec, 2, width)
+        bases["spread"] = len(matrices_built) - start
+        makers = {
+            "from_span": lambda: [from_span([[rng.randrange(q) for _ in range(7)] for _ in range(4)], spec, 7) for _ in range(20)],
+            "fill_free_entries": lambda: subspaces_with_id(IdVector.from_string("0101100" if q == 2 else "01011"), spec),
+            "multilevel": lambda: multilevel_fixture("w6k3", spec).words,
+            "lift": lambda: lift([[m[:3], m[3:]] for m in list(product(range(q), repeat=6))[:30]], spec).words,
+            "lift_gabidulin": lambda: lift_gabidulin(view, 3, 2).words,
+            "spread": lambda: spread_like(6, 2, spec).words,
+            "loads_code": lambda: codefile.loads_code(text).words,
+            "transmit": lambda: [transmit(w, rho, t, rng) for w in routes["multilevel"] for rho, t in ((0, 1), (1, 1), (2, 0))],
+            "puncture": lambda: puncture(SubspaceCode(spec, 6, routes["multilevel"]), (0, 0, 1, 0, 0, 1), add_trivial=True).words,
+            "zero_subspace": lambda: [zero_subspace(spec, n) for n in range(5)],
+            "full_space": lambda: [full_space(spec, n) for n in range(5)],
         }
-        routes["loads_code"] = list(codefile.loads_code(codefile.dumps_code(multilevel_fixture("w5k2", spec))).words)
-        routes["transmit"] = [transmit(w, rho, t, rng) for w in routes["multilevel"] for rho, t in ((0, 1), (1, 1), (2, 0))]
-        # only lift hands the constructor a generator; every other route
-        # builds it from the rows on first read (orthogonal_complement reads
-        # its argument's)
-        for name, words in routes.items():
-            assert all((u._gen is None) is (name != "lift") for u in words), name
+        routes = {}
+        for name, make in makers.items():
+            start = len(matrices_built)
+            routes[name] = list(make())
+            assert len(matrices_built) - start == bases.get(name, 0), name
+        # orthogonal_complement reads its argument's generator
         routes["orthogonal_complement"] = [orthogonal_complement(u) for u in routes["from_span"] + routes["lift"]]
-        assert all(u._gen is None for u in routes["orthogonal_complement"])
         for name, words in routes.items():
             assert words, name
             for u in words:
-                # built on first read: the matrix of the rows' entries, built eagerly
+                # built on each read: the matrix of the rows' entries, built eagerly
                 eager = MatGF(spec, [_entries_by_hand(spec, u.n, row) for row in u.rows], cols=u.n)
-                assert u.gen == eager and u.gen.cols == u.n and u.gen is u.gen, name
+                start = len(matrices_built)
+                gen = u.gen
+                assert len(matrices_built) == start + 1, name
+                assert gen == eager and gen.cols == u.n and gen is not u.gen, name
                 if q == 2:
                     assert type(u.rows) is tuple and u.rows == _packed_by_hand(u), name
                 else:
-                    assert u.rows is u.gen.entries, name
+                    assert u.rows is gen.entries, name
                 assert u.id_vector.packed == int("".join(map(str, u.id_vector.bits)) or "0", 2), name
 
 
@@ -422,11 +451,11 @@ def _entries_by_hand(spec, n, row) -> tuple[int, ...]:
     return tuple(map(int, format(row, "b").zfill(n))) if spec.order == 2 else row
 
 
-def test_loading_and_verifying_build_no_matrix(gf2, monkeypatch):
+def test_loading_and_verifying_build_no_matrix(gf2, matrices_built):
     # the 573-word shortening: loaded and verified on rows alone, no word
     # builds its generator, and words with the same pivots share one
     # identifying vector
-    from subspacecodes import codefile, matrices
+    from subspacecodes import codefile
     from subspacecodes.constructions import multilevel_fixture, puncture
     from subspacecodes.distances import min_distance
 
@@ -434,12 +463,11 @@ def test_loading_and_verifying_build_no_matrix(gf2, monkeypatch):
         multilevel_fixture("w8k4", gf2, puncture_aligned=True), (1, 0, 0, 0, 0, 0, 0, 1), add_trivial=True
     )
     text = codefile.dumps_code(code)
-    built = []
-    init = matrices.MatGF.__init__
-    monkeypatch.setattr(matrices.MatGF, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    built = matrices_built
+    built.clear()
     loaded = codefile.loads_code(text)
     assert min_distance(loaded) == 3
-    assert built == [] and all(w._gen is None for w in loaded)
+    assert built == []
     by_pivots = {}
     for w in loaded:
         by_pivots.setdefault(w.id_vector.bits, set()).add(id(w.id_vector))
