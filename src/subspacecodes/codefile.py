@@ -8,9 +8,11 @@ the rows as written, so the Subspace constructor is the canonical-form check;
 with the uniqueness check, load followed by save is byte-identical.  A code
 has few distinct rows, so the loader parses each distinct row literal once,
 and equal rows of different codewords are one shared row, which keeps a
-loaded code small.  A row is parsed straight into its field's row form
-(a packed integer over GF(2), a tuple otherwise) and each codeword is built
-from those rows (``Subspace.from_rows``).  Every codeword still gets its own
+loaded code small: a codeword whose row literals were all seen before is
+one split and one lookup per row, and any other goes through the full parse
+(``subspaces.literal_rows``).  A row is parsed straight into its field's row
+form (a packed integer over GF(2), a tuple otherwise) and each codeword is
+built from those rows.  Every codeword still gets its own
 canonical-form and uniqueness checks; the latter compares the words' rows.
 Saving writes each word from its rows (``to_literal``), each distinct row
 once.
@@ -22,6 +24,7 @@ import json
 
 from .constructions import SubspaceCode
 from .errors import BadParams, InvariantViolation, ParseError
+from .matrices import row_form
 from .subspaces import Subspace, field_for_order, literal_rows, to_literal
 
 FORMAT_VERSION = 1
@@ -64,25 +67,28 @@ def loads_code(text: str) -> SubspaceCode:
     spec = field_for_order(q)
     if not isinstance(doc["codewords"], list):
         raise ParseError("codewords must be a list of row literals")
+    form = row_form(spec, n)
     words = []
     seen = set()
     parsed = {}  # row literal -> its row, parsed once and kept by every word that has it
     for i, lit in enumerate(doc["codewords"]):
         if not isinstance(lit, str):
             raise ParseError(f"codeword {i}: expected a string, got {type(lit).__name__}")
+        rows = tuple(map(parsed.get, lit.split(";")))
+        if None in rows:  # a row seen for the first time, or not a bare row literal
+            try:
+                rows = literal_rows(lit, spec, n, parsed)
+            except ParseError as e:
+                raise ParseError(f"codeword {i}: {e}") from e
         try:
-            rows = literal_rows(lit, spec, n, parsed)
-        except ParseError as e:
-            raise ParseError(f"codeword {i}: {e}") from e
-        try:
-            w = Subspace.from_rows(spec, n, rows)
+            w = Subspace._of_rows(form, rows)
         except BadParams:
             raise InvariantViolation(
                 f"codeword {i}: rows are not a reduced echelon generator matrix"
             ) from None
         # one field and one n: the rows alone tell words apart
         size = len(seen)
-        seen.add(w.rows)
+        seen.add(rows)
         if len(seen) == size:
             raise InvariantViolation(f"codeword {i}: duplicate subspace")
         words.append(w)

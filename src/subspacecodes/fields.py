@@ -244,7 +244,7 @@ class FieldSpec:
         return f"FieldSpec(GF({self.p}^{self.m_total}))"
 
     def __eq__(self, other) -> bool:
-        return (
+        return other is self or (
             isinstance(other, FieldSpec)
             and self.p == other.p
             and self.modulus == other.modulus

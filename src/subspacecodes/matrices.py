@@ -200,13 +200,15 @@ class RowForm:
       ``entry(row, p)`` the entry in column p, ``lead(row)`` a key for the
       first nonzero column and its entry (None for zero), ``code(row)`` the
       integer whose base-q digits are the entries; ``flatten(rows)`` joins k
-      rows into one row and ``unflatten(row, k)`` splits it again.
+      rows into one row and ``unflatten(row, k)`` splits it again;
+    - ``scaled(rows)`` is, per nonzero c in GF(q) in order, the rows
+      c * row for each of ``rows`` (over GF(2), ``rows`` alone).
 
     ``vector(v)``, the row of v checked to be a vector of GF(q)^n, and
     ``span(rows, start)``, start plus every combination of the rows, are one
     body for both formats.  ``rank``, ``rref``, ``sub_row``, ``multiples``,
-    ``lead``, ``code`` and ``span`` also take rows of another width, such as
-    flattened ones.
+    ``scaled``, ``lead``, ``code`` and ``span`` also take rows of another
+    width, such as flattened ones.
     """
 
     def __init__(self, spec: FieldSpec, n: int) -> None:
@@ -222,6 +224,7 @@ class RowForm:
             self.combine = lambda coeffs, rows: reduce(xor, compress(rows, coeffs), 0)
             self.check = partial(_gf2_check, n)
             self.multiples = lambda row: (0, row)
+            self.scaled = lambda rows: (rows,)
             self.entry = lambda row, p: row >> (n - 1 - p) & 1
             self.lead = lambda row: (row.bit_length(), 1) if row else None
             self.flatten = lambda rows: pack(rows, n)
@@ -237,7 +240,8 @@ class RowForm:
             self.remainder = partial(_tuple_remainder, spec)
             self.combine = partial(_tuple_combine, spec, n)
             self.check = partial(_tuple_check, n, q)
-            self.multiples = lambda row: [tuple(mul(c, x) for x in row) for c in range(q)]
+            self.multiples = multiples = lambda row: [tuple(mul(c, x) for x in row) for c in range(q)]
+            self.scaled = lambda rows: list(zip(*map(multiples, rows)))[1:]
             self.entry, self.lead = getitem, _first_nonzero
             self.flatten = lambda rows: tuple(chain.from_iterable(rows))
             self.unflatten = lambda row, k: [row[r * n : (r + 1) * n] for r in range(k)]

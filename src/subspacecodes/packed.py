@@ -66,6 +66,7 @@ class PackedCode:
         self.rows = [r for _, r in packed]
         self.classes: dict[int, list[int]] = {}
         self._meet_plans: dict[tuple[int, int], list] = {}
+        self._columns: dict[int, list] = {}  # per class, row slot by row slot
         for i, v in enumerate(self.ids):
             self.classes.setdefault(v, []).append(i)
 
@@ -281,20 +282,24 @@ class PackedCode:
         key.  The rows are built for the whole class at once, one row slot
         at a time: a slot's column holds that row of every word, and each of
         its q^e_p variants is one ``sub_row`` map over such columns; a key
-        is a choice of variant per slot, read off word by word.
+        is a choice of variant per slot, read off word by word.  A class's
+        columns are kept on the view, built on first use.
         """
         plan = self._meet_plans.get((cid, exclusive))
         if plan is None:
             plan = self._meet_plans[cid, exclusive] = self._meet_plan(cid, exclusive)
-        members, rows, sub, multiples = self.classes[cid], self.rows, self.form.sub_row, self.form.multiples
+        members = self.classes[cid]
         if not plan:  # X is the zero space, one key per word
             return repeat((), len(members))
-        columns = list(zip(*[rows[i] for i in members]))
+        columns = self._columns.get(cid)
+        if columns is None:
+            columns = self._columns[cid] = list(zip(*[self.rows[i] for i in members]))
+        sub, scaled = self.form.sub_row, self.form.scaled
         slots = []
         for p, later in plan:
             xs = [columns[p]]
             for j in later:
-                nonzero = list(zip(*map(multiples, columns[j])))[1:]  # c * row j, per c != 0
+                nonzero = scaled(columns[j])  # c * row j of every word, per c != 0
                 xs += [tuple(map(sub, x, m)) for x in xs for m in nonzero]
             slots.append(xs)
         return chain.from_iterable(starmap(zip, product(*slots)))

@@ -597,6 +597,38 @@ def test_loader_names_the_bad_row_after_shared_rows(codewords, message):
     assert str(e.value) == message
 
 
+_FIRST = ((1, 0, 0, 0),)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize(
+    "codewords,want",
+    [
+        # surrounding whitespace is stripped from a codeword, not from a row
+        (["1000;0100", " 1000;0010 "], [_FIRST + ((0, 1, 0, 0),), _FIRST + ((0, 0, 1, 0),)]),
+        (["0100", "\t0100\n"], "InvariantViolation: codeword 1: duplicate subspace"),
+        (["1000", "1000 ;0100"], "ParseError: codeword 1: row 0, column 4: invalid digit ' ' for GF({q})"),
+        # a known row, then a bad digit or a row of the wrong length
+        (["1000", "1000;01x0"], "ParseError: codeword 1: row 1, column 2: invalid digit 'x' for GF({q})"),
+        (["1000", "1000;010"], "ParseError: codeword 1: row 1: length 3, expected 4"),
+        (["0100", "1000;0100;"], "ParseError: codeword 1: row 2: length 0, expected 4"),
+        # the zero subspace, once and twice; a repeated word
+        (["1000", ""], [_FIRST, ()]),
+        (["", "0001", ""], "InvariantViolation: codeword 2: duplicate subspace"),
+        (["1000;0100", "0010", "1000;0100"], "InvariantViolation: codeword 2: duplicate subspace"),
+    ],
+)
+def test_loader_on_edge_literals(q, codewords, want):
+    # the words, or the error, of codewords whose rows were mostly seen
+    # before: the loader's lookup of known rows gives what a full parse
+    # of each codeword gives
+    try:
+        got = [w.gen.entries for w in codefile.loads_code(_doc(q=q, n=4, codewords=codewords)).words]
+    except (ParseError, InvariantViolation) as e:
+        got = f"{type(e).__name__}: {e}"
+    assert got == (want.format(q=q) if isinstance(want, str) else want)
+
+
 def _reference_rows(lit, q, n):
     """A literal's rows parsed digit by digit, or the ParseError text."""
     rows = []

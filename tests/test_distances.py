@@ -462,8 +462,8 @@ def test_class_keys_against_brute_force(q, sizes):
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2)])
 def test_class_keys_on_multi_word_classes(p, m):
     # the keys of a whole class, as a multiset, are its words' brute-force
-    # key lists put together; GF(4) is not a prime field, and its
-    # multiples come from the field's tables
+    # key lists put together, on the first call and on a second one; GF(4)
+    # is not a prime field, and its multiples come from the field's tables
     spec = make_field(p, m)
     q = spec.order
     rng = random.Random(40 + q)
@@ -484,8 +484,11 @@ def test_class_keys_on_multi_word_classes(p, m):
                 for excl in combinations(pivots, r):
                     shared = tuple(c for c in pivots if c not in excl)
                     want = [key for w in words for key in _brute_keys(w, shared, grassmannians)]
-                    got = list(view.class_keys(cid, pack(IdVector.from_support(n, excl).bits)))
+                    mask = pack(IdVector.from_support(n, excl).bits)
+                    got = list(view.class_keys(cid, mask))
                     assert sorted(got) == sorted(want), (words, excl)
+                    # again, on the columns the view kept from an earlier call
+                    assert sorted(view.class_keys(cid, mask)) == sorted(got), (words, excl)
                     checked += 1
                     several += len(words) > 1 and len(got) > len(words)
     assert checked > 30 and several > 10
@@ -800,22 +803,31 @@ def test_shortened_w8k4_verify_rank_calls(gf2, monkeypatch):
     # certify workload run it: the joins leave 577 rank calls (2,362 when a
     # key weighed as much as a ranked pair, 12,534 without the in-class join,
     # 91,542 with no class pair joined), so no class pair the joins settle
-    # can move back to the scan unnoticed
+    # can move back to the scan unnoticed.  Over GF(2) the join keys take
+    # each class's row columns as they are (``RowForm.scaled``), so no row
+    # is scaled on its own by ``multiples`` (4,482 calls when each later
+    # exclusive slot scaled its rows one by one).
     code = puncture(
         multilevel_fixture("w8k4", gf2, puncture_aligned=True), (1, 0, 0, 0, 0, 0, 0, 1), add_trivial=True
     )
     text = codefile.dumps_code(code)
-    calls = []
+    calls, scaled = [], []
     form = row_form(gf2, code.n)  # the row form the code's view ranks with
-    rank = form.rank
+    rank, multiples = form.rank, form.multiples
 
     def counting(rows):
         calls.append(len(rows))
         return rank(rows)
 
+    def counting_multiples(row):
+        scaled.append(row)
+        return multiples(row)
+
     monkeypatch.setattr(form, "rank", counting)
+    monkeypatch.setattr(form, "multiples", counting_multiples)
     assert min_distance(codefile.loads_code(text)) == 3
     assert 0 < len(calls) <= 577
+    assert scaled == []
 
 
 def test_one_word_class_joins_at_e_0(gf2, gf3, monkeypatch, join_outcomes):
