@@ -97,6 +97,17 @@ class SubspaceCode:
         # one field and one n, checked above: the rows alone tell words apart
         if len({w.rows for w in words}) != len(words):
             raise BadParams("duplicate codewords")
+        self._set_words(spec, n, words, kind)
+
+    @classmethod
+    def _of_distinct(cls, spec: FieldSpec, n: int, words: tuple, kind: str | None = None) -> SubspaceCode:
+        """A code of words its caller has already checked to lie in GF(q)^n
+        and to be distinct, as the code-file loader does word by word."""
+        code = cls.__new__(cls)
+        code._set_words(spec, n, words, kind)
+        return code
+
+    def _set_words(self, spec: FieldSpec, n: int, words: tuple, kind: str | None) -> None:
         self.spec = spec
         self.n = n
         self.words = words

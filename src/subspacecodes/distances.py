@@ -69,11 +69,12 @@ def distance_fast(u: Subspace, w: Subspace) -> int:
 # How many join keys cost as much as one ranked pair, kept below the measured
 # ratio.  On the 573-word shortened w8k4 code (GF(2), n = 7; Python 3.11, two
 # cores) a key, built and then hashed or probed, costs about 0.13 us (the 44
-# joins of one verify list 9,145 keys in 1.2 ms) and a ranked pair about
-# 1.4 us (``PackedCode.nearest`` on one pair of words from classes at Hamming
-# distance h <= 2), a ratio of about 10.  A weight of 8 would cut that
-# verify's rank calls from 577 to 373, for about 4% of its time.
-JOIN_WEIGHT = 4
+# joins of one verify at weight 4 list 9,145 keys in 1.2 ms) and a ranked
+# pair about 1.4 us (``PackedCode.nearest`` on one pair of words from classes
+# at Hamming distance h <= 2), a ratio of about 10.  At 8 rather than 4 that
+# verify joins the class pairs it would otherwise scan and makes 204 fewer
+# rank calls; the GF(3) w7k3 verify does the same work at either weight.
+JOIN_WEIGHT = 8
 
 
 def min_distance(code) -> int:
@@ -100,9 +101,9 @@ def min_distance(code) -> int:
     those subspaces (``class_keys``, |A| q^e_A keys for class A) costs no
     more than ranking the |A| |B| pairs, a hash join settles the class
     pair: the side with fewer keys is hashed and the other side's keys
-    probe it until the first hit.  A key costs under a quarter of a ranked
+    probe it until the first hit.  A key costs under an eighth of a ranked
     pair (``JOIN_WEIGHT``), so the join is taken when
-    |A| q^e_A + |B| q^e_B <= 4 |A| |B|.  A shared key gives d = h; with
+    |A| q^e_A + |B| q^e_B <= 8 |A| |B|.  A shared key gives d = h; with
     none, the pair can only matter if the best so far exceeds h + 2, and
     only then are its pairs scanned.  Either route is exact, so the weight
     only decides which runs.

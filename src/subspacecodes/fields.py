@@ -152,6 +152,8 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
+        if self.m_total == 1:
+            return (a + b) % self.p
         out = 0
         scale = 1
         for _ in range(self.m_total):
@@ -164,6 +166,8 @@ class FieldSpec:
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
+        if self.m_total == 1:
+            return -a % self.p
         out = 0
         scale = 1
         for _ in range(self.m_total):
@@ -173,6 +177,10 @@ class FieldSpec:
         return out
 
     def sub(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
+        if self.m_total == 1:
+            return (a - b) % self.p
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:

@@ -195,7 +195,10 @@ class RowForm:
       ``remainder(x, rows)``, x reduced by the rows of a reduced echelon
       form, zero exactly when x is in their span; ``check(rows)``, the pivot
       columns of a full-rank reduced echelon form packed into one integer,
-      BadParams if the rows are not one;
+      BadParams if the rows are not one; ``rank_at_most_one(rows)``, whether
+      every nonzero row is a multiple of one row, with no elimination and
+      reading the rows once (over GF(2), whether they hold one distinct
+      nonzero row at most);
     - ``sub_row(x, y)`` is x - y, ``multiples(row)`` c * row by c in GF(q),
       ``entry(row, p)`` the entry in column p, ``lead(row)`` a key for the
       first nonzero column and its entry (None for zero), ``code(row)`` the
@@ -207,8 +210,8 @@ class RowForm:
     ``vector(v)``, the row of v checked to be a vector of GF(q)^n, and
     ``span(rows, start)``, start plus every combination of the rows, are one
     body for both formats.  ``rank``, ``rref``, ``sub_row``, ``multiples``,
-    ``scaled``, ``lead``, ``code`` and ``span`` also take rows of another
-    width, such as flattened ones.
+    ``scaled``, ``rank_at_most_one``, ``lead``, ``code`` and ``span`` also
+    take rows of another width, such as flattened ones.
     """
 
     def __init__(self, spec: FieldSpec, n: int) -> None:
@@ -221,6 +224,7 @@ class RowForm:
             self.from_entries = lambda entries: tuple(map(pack, entries))
             self.to_entries = lambda rows: [unpack(v, n) for v in rows]
             self.rank, self.rref, self.remainder = gf2_rank, gf2_rref, _gf2_remainder
+            self.rank_at_most_one = lambda rows: len({0, *rows}) <= 2
             self.combine = lambda coeffs, rows: reduce(xor, compress(rows, coeffs), 0)
             self.check = partial(_gf2_check, n)
             self.multiples = lambda row: (0, row)
@@ -242,6 +246,7 @@ class RowForm:
             self.check = partial(_tuple_check, n, q)
             self.multiples = multiples = lambda row: [tuple(mul(c, x) for x in row) for c in range(q)]
             self.scaled = lambda rows: list(zip(*map(multiples, rows)))[1:]
+            self.rank_at_most_one = partial(_tuple_rank_at_most_one, spec)
             self.entry, self.lead = getitem, _first_nonzero
             self.flatten = lambda rows: tuple(chain.from_iterable(rows))
             self.unflatten = lambda row, k: [row[r * n : (r + 1) * n] for r in range(k)]
@@ -339,6 +344,18 @@ def _tuple_combine(spec: FieldSpec, n: int, coeffs, rows) -> tuple:
         if c:
             acc = tuple(add(a, mul(c, x)) for a, x in zip(acc, row))
     return acc
+
+
+def _tuple_rank_at_most_one(spec: FieldSpec, rows) -> bool:
+    rows = iter(rows)  # read once: the zero rows, the first nonzero one, then the rest
+    row = next(filter(any, rows), None)
+    if row is None:
+        return True
+    mul = spec.mul
+    c, x = _first_nonzero(row)
+    unit = spec.inv(x)
+    # each later row must be the multiple of row with its own entry in column c
+    return all(y == tuple(mul(mul(y[c], unit), v) for v in row) for y in rows)
 
 
 def _first_nonzero(row):

@@ -38,6 +38,18 @@ def meet_exponent(shared: int, exclusive: int) -> int:
     return e
 
 
+def _least(values, floor: int) -> int:
+    """The least of ``values``, read only up to the first that equals
+    ``floor``, a lower bound on them all."""
+    low = None
+    for v in values:
+        if v == floor:
+            return v
+        if low is None or v < low:
+            low = v
+    return low
+
+
 class CosetClass(NamedTuple):
     """A class G_0 + span(D_1..D_r) as the containment decoder reads it."""
 
@@ -61,9 +73,8 @@ class PackedCode:
         self.n = n
         self.form = row_form(spec, n)
         self.words = tuple(words)
-        packed = [self.pack_word(w) for w in self.words]
-        self.ids = [v for v, _ in packed]
-        self.rows = [r for _, r in packed]
+        self.ids = [w.id_vector.packed for w in self.words]
+        self.rows = [w.rows for w in self.words]
         self.classes: dict[int, list[int]] = {}
         self._meet_plans: dict[tuple[int, int], list] = {}
         self._columns: dict[int, list] = {}  # per class, row slot by row slot
@@ -119,27 +130,40 @@ class PackedCode:
         the zero one; they form a linear space exactly when they are
         distinct and number q^r, r the rank of their span.  Then every
         pairwise difference is one of them, and the class minimum is
-        2 min rank(G_i - G_0) over i > 0.  A one-word class is a coset
-        with no minimum, and costs no rank call.  Computed once, for both
-        ``min_distance`` and the decoder table.
+        2 min rank(G_i - G_0) over i > 0.  Each of those differences is
+        nonzero, so of rank at least 1, and the minimum stops at that
+        floor: a screen with no elimination (``RowForm.rank_at_most_one``)
+        finds a difference of rank 1 if there is one, and otherwise every
+        difference has rank at least 2, so ranking them in class order stops
+        at the first of rank 2.  Only a class whose minimum rank is above 2
+        (a lifted Gabidulin code at d = 6, say) ranks every difference.  A
+        one-word class is a coset with no minimum, and costs no rank call.
+        Computed once, for both ``min_distance`` and the decoder table.
         """
-        minima, q = {}, self.spec.order
+        minima, q, rows = {}, self.spec.order, self.rows
+        rank, sub, rank_at_most_one = self.form.rank, self.form.sub_row, self.form.rank_at_most_one
         for cid, members in self.classes.items():
             if len(members) == 1:
                 minima[cid] = None
                 continue
-            diffs, index = self._differences(members)
-            if len(index) == len(members) == q ** self.form.rank(list(index)):
-                minima[cid] = 2 * min(map(self.form.rank, diffs[1:]))
+            index = self._differences(members)
+            if not len(index) == len(members) == q ** rank(list(index)):
+                continue
+            base, others = rows[members[0]], [rows[i] for i in members[1:]]
+            if any(rank_at_most_one(map(sub, r, base)) for r in others):
+                minima[cid] = 2
+            else:
+                minima[cid] = 2 * _least(map(rank, map(self.difference, others, repeat(base))), 2)
         return minima
 
-    def _differences(self, members) -> tuple[list, dict]:
-        """The differences G_i - G_0 over a class's words i, and a dict from
-        each, flattened, to its word, in class order."""
-        rows = self.rows
-        base = rows[members[0]]
-        diffs = [self.difference(rows[i], base) for i in members]
-        return diffs, dict(zip(map(self.form.flatten, diffs), members))
+    def _differences(self, members) -> dict:
+        """A dict from each difference G_i - G_0 over a class's words i,
+        flattened, to its word, in class order.  Flattening is linear, so
+        each word is flattened once and the differences are of flat rows."""
+        flatten, sub = self.form.flatten, self.form.sub_row
+        flats = [flatten(self.rows[i]) for i in members]
+        base = flats[0]
+        return dict(zip([sub(f, base) for f in flats], members))
 
     @cached_property
     def decoder(self):
@@ -159,7 +183,7 @@ class PackedCode:
             low = self.coset_minima[cid]
             if low is not None:
                 lows.append(low)
-            _, index = self._differences(members)
+            index = self._differences(members)
             q, r = self.spec.order, 0
             while q**r < len(members):
                 r += 1

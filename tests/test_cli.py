@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from subspacecodes import codefile
 from subspacecodes.cli import run
-from subspacecodes.constructions import multilevel_fixture
-from subspacecodes.errors import FieldTooLarge, InvariantViolation, ParseError
-from subspacecodes.subspaces import field_for_order, from_span, to_literal
+from subspacecodes.constructions import SubspaceCode, multilevel_fixture
+from subspacecodes.errors import BadParams, FieldTooLarge, InvariantViolation, ParseError
+from subspacecodes.subspaces import Subspace, field_for_order, from_span, to_literal
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -598,6 +598,7 @@ def test_loader_names_the_bad_row_after_shared_rows(codewords, message):
 
 
 _FIRST = ((1, 0, 0, 0),)
+_NOT_ECHELON = "rows are not a reduced echelon generator matrix"
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -616,6 +617,18 @@ _FIRST = ((1, 0, 0, 0),)
         (["1000", ""], [_FIRST, ()]),
         (["", "0001", ""], "InvariantViolation: codeword 2: duplicate subspace"),
         (["1000;0100", "0010", "1000;0100"], "InvariantViolation: codeword 2: duplicate subspace"),
+        # two faults: the first in file order is named
+        (["1000", "1000", "01x0"], "InvariantViolation: codeword 1: duplicate subspace"),
+        (["1000", "1x00", "1000"], "ParseError: codeword 1: row 0, column 1: invalid digit 'x' for GF({q})"),
+        (["0100", "0100;1000", "0100"], f"InvariantViolation: codeword 1: {_NOT_ECHELON}"),
+        (["1000;0100", "0010;001", "1000;0100"], "ParseError: codeword 1: row 1: length 3, expected 4"),
+        # a new row among rows seen before, last, in the middle and twice
+        (
+            ["1000;0100", "0010", "1000;0010;0001"],
+            [_FIRST + ((0, 1, 0, 0),), ((0, 0, 1, 0),), _FIRST + ((0, 0, 1, 0), (0, 0, 0, 1))],
+        ),
+        (["1000", "0010", "1000;0100;0010"], [_FIRST, ((0, 0, 1, 0),), _FIRST + ((0, 1, 0, 0), (0, 0, 1, 0))]),
+        (["1000", "1000;0001;0001"], f"InvariantViolation: codeword 1: {_NOT_ECHELON}"),
     ],
 )
 def test_loader_on_edge_literals(q, codewords, want):
@@ -627,6 +640,39 @@ def test_loader_on_edge_literals(q, codewords, want):
     except (ParseError, InvariantViolation) as e:
         got = f"{type(e).__name__}: {e}"
     assert got == (want.format(q=q) if isinstance(want, str) else want)
+
+
+@pytest.mark.parametrize(
+    "codewords,want",
+    [
+        ([""], [()]),
+        ([";"], f"InvariantViolation: codeword 0: {_NOT_ECHELON}"),
+        (["", ""], "InvariantViolation: codeword 1: duplicate subspace"),
+    ],
+)
+def test_loader_in_the_zero_ambient_space(codewords, want):
+    # with n = 0 every row literal is "", so "" must stay the zero
+    # subspace rather than one empty row
+    try:
+        got = [w.rows for w in codefile.loads_code(_doc(n=0, codewords=codewords)).words]
+    except InvariantViolation as e:
+        got = f"{type(e).__name__}: {e}"
+    assert got == want
+
+
+def test_one_load_scans_for_duplicates_once(monkeypatch, gf2):
+    # the loader's in-order check, which names the codeword, is the load's
+    # one duplicate scan: no word's rows are read back after it is built
+    # (the code's constructor read each word's rows to scan them again)
+    text = codefile.dumps_code(multilevel_fixture("w6k3", gf2))
+    slot, reads = Subspace.__dict__["rows"], []
+    monkeypatch.setattr(Subspace, "rows", property(lambda u: reads.append(u) or slot.__get__(u), slot.__set__))
+    code = codefile.loads_code(text)
+    assert len(code) == 71 and reads == []
+    # the public constructor still scans the words it is given
+    assert len(SubspaceCode(gf2, 6, code.words)) == 71 and len(reads) == 71
+    with pytest.raises(BadParams, match="duplicate codewords"):
+        SubspaceCode(gf2, 6, code.words[:2] + code.words[:1])
 
 
 def _reference_rows(lit, q, n):

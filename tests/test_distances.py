@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from subspacecodes import codefile, distances
 
-from subspacecodes.constructions import SubspaceCode, lift_gabidulin, multilevel_fixture, puncture
+from subspacecodes.constructions import SubspaceCode, lift, lift_gabidulin, multilevel_fixture, puncture
 from subspacecodes.errors import AmbientMismatch, TooFewCodewords
 from subspacecodes.distances import (
     dim_intersection,
@@ -17,7 +17,7 @@ from subspacecodes.distances import (
     min_distance,
 )
 from subspacecodes.fields import extension_view, make_field
-from subspacecodes.matrices import MatGF, gf2_rank, pack, rank, row_form, vconcat
+from subspacecodes.matrices import MatGF, _rref_generic, gf2_rank, pack, rank, row_form, vconcat
 from subspacecodes.packed import PackedCode, meet_exponent
 from subspacecodes.subspaces import (
     IdVector,
@@ -376,6 +376,69 @@ def test_coset_test_rejects_non_cosets(gf2, gf3):
         view = PackedCode(spec, 6, odd)
         (cid,) = view.classes
         assert cid not in view.coset_minima
+
+
+def _check_coset_minima(code, monkeypatch) -> dict:
+    """``coset_minima`` of a code whose classes are all cosets, against
+    2 min rank(G_i - G_0) with every difference ranked by the generic
+    elimination, and against the pair scan on classes of up to 64 words.
+    Its rank calls are pinned too: one coset test per class of two or more
+    words, none more when a difference has rank 1, and otherwise one per
+    difference in class order up to the first of rank 2, or every one when
+    none has rank 2.  Returns the minima."""
+    spec, n = code.spec, code.n
+    view = PackedCode(spec, n, code.words)
+    want, calls_wanted = {}, 0
+    for cid, members in view.classes.items():
+        if len(members) == 1:
+            want[cid] = None
+            continue
+        g0 = view.words[members[0]].gen.entries
+        ranks = [
+            _rref_generic(spec, [list(map(spec.sub, x, y)) for x, y in zip(view.words[i].gen.entries, g0)], n)[0]
+            for i in members[1:]
+        ]
+        want[cid] = 2 * min(ranks)
+        calls_wanted += 1 + (0 if 1 in ranks else ranks.index(2) + 1 if 2 in ranks else len(ranks))
+        if len(members) <= 64:
+            assert brute_min_distance([view.words[i] for i in members]) == want[cid]
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(view.form, "rank", lambda rows, rank=view.form.rank: calls.append(rows) or rank(rows))
+        assert view.coset_minima == want
+    assert len(calls) == calls_wanted
+    return want
+
+
+def test_coset_minima_stop_at_a_rank_one_difference(monkeypatch):
+    # lifted span(B1, B2), B2 of rank 1 and the more significant coefficient,
+    # so the class's first q - 1 differences have rank 2 and its q-th rank 1:
+    # the screen finds it, and only the coset test ranks
+    for q, m in ((2, 1), (3, 1), (2, 2)):
+        spec = make_field(q, m)
+        b1, b2 = ((1, 0, 0), (0, 1, 0)), ((0, 0, 1), (0, 0, 1))
+        mats = [[[spec.add(spec.mul(a, x), spec.mul(b, y)) for x, y in zip(r1, r2)] for r1, r2 in zip(b1, b2)]
+                for b, a in product(range(spec.order), repeat=2)]
+        code = lift(mats, spec)
+        assert list(_check_coset_minima(code, monkeypatch).values()) == [2]
+        assert min_distance(code) == 2 == brute_min_distance(code.words)
+
+
+@pytest.mark.parametrize("fixture,q,m", [("w8k4", 2, 1), ("w6k3", 2, 1), ("w6k3", 3, 1), ("w5k2", 2, 2)])
+def test_coset_minima_of_the_mrd_classes(fixture, q, m, monkeypatch):
+    # every class of a multilevel code is a lifted Ferrers-diagram code of
+    # rank distance 2, so ranking stops at the first difference of rank 2
+    code = multilevel_fixture(fixture, make_field(q, m))
+    minima = _check_coset_minima(code, monkeypatch)
+    assert {d for d in minima.values() if d is not None} == {4}
+
+
+def test_coset_minima_of_lifted_gabidulin_rank_every_difference(monkeypatch):
+    # rank distance 3 (d = 6): no difference reaches the floor of 2, so
+    # every one is ranked, as before the stop
+    for q, m in ((2, 1), (3, 1), (2, 2)):
+        code = lift_gabidulin(extension_view(make_field(q, m), 3), 3, 3)
+        assert list(_check_coset_minima(code, monkeypatch).values()) == [6]
 
 
 def test_min_distance_counts_repeated_words(gf2):
@@ -800,13 +863,16 @@ def test_min_distance_in_class_join_hit_and_repeat(gf2, gf3, class_outcomes):
 
 def test_shortened_w8k4_verify_rank_calls(gf2, monkeypatch):
     # one load and verify of the 573-word shortening, as the CLI and the
-    # certify workload run it: the joins leave 577 rank calls (2,362 when a
-    # key weighed as much as a ranked pair, 12,534 without the in-class join,
-    # 91,542 with no class pair joined), so no class pair the joins settle
-    # can move back to the scan unnoticed.  Over GF(2) the join keys take
-    # each class's row columns as they are (``RowForm.scaled``), so no row
-    # is scaled on its own by ``multiples`` (4,482 calls when each later
-    # exclusive slot scaled its rows one by one).
+    # certify workload run it: 33 rank calls, so no class pair the joins
+    # settle can move back to the scan, and no coset minimum can rank past
+    # its floor, unnoticed.  The count was 577 when each coset class ranked
+    # every difference and a key weighed a quarter of a ranked pair, 2,362
+    # when a key weighed as much as a ranked pair, 12,534 without the
+    # in-class join, and 91,542 with no class pair joined.  Over GF(2) the
+    # join keys take each class's row columns as they are
+    # (``RowForm.scaled``), so no row is scaled on its own by ``multiples``
+    # (4,482 calls when each later exclusive slot scaled its rows one by
+    # one).
     code = puncture(
         multilevel_fixture("w8k4", gf2, puncture_aligned=True), (1, 0, 0, 0, 0, 0, 0, 1), add_trivial=True
     )
@@ -826,7 +892,7 @@ def test_shortened_w8k4_verify_rank_calls(gf2, monkeypatch):
     monkeypatch.setattr(form, "rank", counting)
     monkeypatch.setattr(form, "multiples", counting_multiples)
     assert min_distance(codefile.loads_code(text)) == 3
-    assert 0 < len(calls) <= 577
+    assert 0 < len(calls) <= 33
     assert scaled == []
 
 

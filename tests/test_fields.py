@@ -101,6 +101,22 @@ def test_field_axioms_exhaustive(p, m):
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
 
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)])
+def test_add_neg_sub_against_the_digit_definition(p, m):
+    # an element's base-p digits are its polynomial coefficients, and the
+    # field adds them digit by digit mod p; a prime field takes `%` on the
+    # element itself, GF(4) and GF(9) keep the digit loops
+    f = make_field(p, m)
+
+    def digitwise(op, *xs):
+        return f.from_digits(op(*ds) % p for ds in zip(*map(f.digits, xs)))
+
+    for a, b in itertools.product(range(f.order), repeat=2):
+        assert f.add(a, b) == digitwise(lambda x, y: x + y, a, b)
+        assert f.sub(a, b) == digitwise(lambda x, y: x - y, a, b)
+        assert f.neg(a) == digitwise(lambda x: -x, a)
+
+
 def test_frobenius_is_squaring_over_gf2():
     gf2 = make_field(2, 1)
     view = extension_view(gf2, 3)

@@ -397,3 +397,26 @@ def test_row_format_branches_stay_in_matrices():
     assert [f for f in found if f[:2] not in _ROW_FORMAT_BRANCHES] == []
     assert len(found) <= len(_ROW_FORMAT_BRANCHES)
 
+
+
+@pytest.mark.parametrize("q,m", [(2, 1), (3, 1), (2, 2)])
+def test_rank_at_most_one_against_rank(q, m):
+    # seeded matrices of rank 0, 1 and above: multiples of one row, with
+    # zero rows among them, then one row changed; rows given as a list and
+    # as an iterator, which the screen reads once
+    spec = make_field(q, m)
+    rng = random.Random(1500 + spec.order)
+    seen = set()
+    for n in (1, 3, 5):
+        form = row_form(spec, n)
+        for _ in range(150):
+            k = rng.randrange(0, 5)
+            row = [rng.randrange(spec.order) for _ in range(n)]
+            rows = [[spec.mul(rng.randrange(spec.order), x) for x in row] for _ in range(k)]
+            if rows and rng.random() < 0.5:
+                rows[rng.randrange(k)] = [rng.randrange(spec.order) for _ in range(n)]
+            kept = [form.row_of(r) for r in rows]
+            rk = _rref_generic(spec, [list(r) for r in rows], n)[0]
+            assert form.rank_at_most_one(kept) == (rk <= 1) == form.rank_at_most_one(iter(kept)), (n, rows)
+            seen.add(rk)
+    assert {0, 1, 2} <= seen
