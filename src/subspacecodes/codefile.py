@@ -9,14 +9,13 @@ with the uniqueness check, load followed by save is byte-identical.  A code
 has few distinct rows, so the loader parses each distinct row literal once,
 and equal rows of different codewords are one shared row, which keeps a
 loaded code small: a codeword whose row literals were all seen before is
-one split and one lookup per row, and in any other only the rows not seen
-before are parsed.  A literal that is not a plain list of rows (empty, with
-whitespace or a bad digit, or a row of the wrong length) goes through the
-full parse (``subspaces.literal_rows``), which gives its error text.  A row
-is parsed straight into its field's row form (a packed integer over GF(2), a
-tuple otherwise) and each codeword is built from those rows.  Every codeword
-still gets its own canonical-form and uniqueness checks, in file order; the
-latter compares the words' rows, and it is the load's one duplicate scan.
+one split and one lookup per row, and any other goes through the full parse
+(``subspaces.literal_rows``), which reads the rows seen before from the same
+dict, parses only the new ones and gives the error text.  A row is parsed
+straight into its field's row form (a packed integer over GF(2), a tuple
+otherwise) and each codeword is built from those rows.  Every codeword still
+gets its own canonical-form and uniqueness checks, in file order; the latter
+compares the words' rows, and it is the load's one duplicate scan.
 Saving writes each word from its rows (``to_literal``), each distinct row
 once.
 """
@@ -71,31 +70,18 @@ def loads_code(text: str) -> SubspaceCode:
     if not isinstance(doc["codewords"], list):
         raise ParseError("codewords must be a list of row literals")
     form = row_form(spec, n)
-    row_of, digits = form.row_of, "0123456789"[:q]
     words = []
     seen = set()
     parsed = {}  # row literal -> its row, parsed once and kept by every word that has it
-
-    def new_row(part, row):
-        """``row``, or if it is None the row of ``part`` parsed and kept when
-        ``part`` is a bare row literal; None otherwise."""
-        if row is None and len(part) == n and not part.strip(digits):
-            row = parsed[part] = row_of(map(int, part))
-        return row
-
     for i, lit in enumerate(doc["codewords"]):
         if not isinstance(lit, str):
             raise ParseError(f"codeword {i}: expected a string, got {type(lit).__name__}")
-        parts = lit.split(";")
-        rows = tuple(map(parsed.get, parts))
+        rows = tuple(map(parsed.get, lit.split(";")))
         if None in rows:  # a row seen for the first time, or not a bare row literal
-            # "" is the zero subspace, not one empty row, even when n = 0
-            rows = tuple(map(new_row, parts, rows)) if lit else (None,)
-            if None in rows:  # the full parse: "", whitespace, or the error text
-                try:
-                    rows = literal_rows(lit, spec, n, parsed)
-                except ParseError as e:
-                    raise ParseError(f"codeword {i}: {e}") from e
+            try:
+                rows = literal_rows(lit, spec, n, parsed)
+            except ParseError as e:
+                raise ParseError(f"codeword {i}: {e}") from e
         try:
             w = Subspace._of_rows(form, rows)
         except BadParams:

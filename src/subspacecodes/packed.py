@@ -73,8 +73,9 @@ class PackedCode:
         self.n = n
         self.form = row_form(spec, n)
         self.words = tuple(words)
-        self.ids = [w.id_vector.packed for w in self.words]
-        self.rows = [w.rows for w in self.words]
+        packed = [self.pack_word(w) for w in self.words]
+        self.ids = [v for v, _ in packed]
+        self.rows = [r for _, r in packed]
         self.classes: dict[int, list[int]] = {}
         self._meet_plans: dict[tuple[int, int], list] = {}
         self._columns: dict[int, list] = {}  # per class, row slot by row slot

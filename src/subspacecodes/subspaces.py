@@ -434,17 +434,17 @@ def literal_rows(s: str, spec: FieldSpec, n: int, parsed: dict | None = None) ->
         return ()
     if parsed is None:
         parsed = {}
+    digits, row_of = "0123456789"[: spec.order], row_form(spec, n).row_of
     rows = []
     for i, part in enumerate(s.split(";")):
         row = parsed.get(part)
         if row is None:
-            digits = "0123456789"[: spec.order]
             if len(part) != n or part.strip(digits):
                 bad = next(((j, c) for j, c in enumerate(part) if c not in digits), None)
                 if bad is not None:
                     raise ParseError(f"row {i}, column {bad[0]}: invalid digit {bad[1]!r} for GF({spec.order})")
                 raise ParseError(f"row {i}: length {len(part)}, expected {n}")
-            row = parsed[part] = row_form(spec, n).row_of(map(int, part))
+            row = parsed[part] = row_of(map(int, part))
         rows.append(row)
     return tuple(rows)
 

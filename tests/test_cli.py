@@ -663,10 +663,11 @@ def test_loader_in_the_zero_ambient_space(codewords, want):
 def test_one_load_scans_for_duplicates_once(monkeypatch, gf2):
     # the loader's in-order check, which names the codeword, is the load's
     # one duplicate scan: no word's rows are read back after it is built
-    # (the code's constructor read each word's rows to scan them again)
+    # (the code's constructor read each word's rows to scan them again);
+    # reads of Subspace.rows are counted, writes pass through
     text = codefile.dumps_code(multilevel_fixture("w6k3", gf2))
-    slot, reads = Subspace.__dict__["rows"], []
-    monkeypatch.setattr(Subspace, "rows", property(lambda u: reads.append(u) or slot.__get__(u), slot.__set__))
+    rows, reads = Subspace.__dict__["rows"], []
+    monkeypatch.setattr(Subspace, "rows", property(lambda u: reads.append(u) or rows.__get__(u, Subspace), rows.__set__))
     code = codefile.loads_code(text)
     assert len(code) == 71 and reads == []
     # the public constructor still scans the words it is given
