@@ -2,8 +2,9 @@
 
 A code file is canonical JSON (sorted keys, two-space indent, LF endings,
 one trailing newline) with fields format_version, q, n, kind, codewords.
-Each codeword is the ';'-joined row literal of a canonical generator matrix
-(the zero subspace is the empty string).  Loading builds each Subspace from
+Each codeword is the ';'-joined row literal of a canonical generator matrix,
+one digit per entry, so a file holds a code over GF(q) with q <= 10 (the
+zero subspace is the empty string).  Loading builds each Subspace from
 the rows as written, so the Subspace constructor is the canonical-form check;
 with the uniqueness check, load followed by save is byte-identical.  A code
 has few distinct rows, so the loader parses each distinct row literal once,
@@ -33,6 +34,10 @@ FORMAT_VERSION = 1
 
 
 def dumps_code(code: SubspaceCode) -> str:
+    """The code file's text; BadParams for q > 10, whose entries need more
+    than the one digit a row literal gives each."""
+    if code.spec.order > 10:
+        raise BadParams(f"code files write one digit per entry, so q must be at most 10, got {code.spec.order}")
     written = {}  # row -> its digit string, written once for every word that has it
     doc = {
         "format_version": FORMAT_VERSION,
@@ -45,8 +50,9 @@ def dumps_code(code: SubspaceCode) -> str:
 
 
 def save_code(code: SubspaceCode, path: str) -> None:
+    text = dumps_code(code)  # before the file is opened, so a code it refuses writes no file
     with open(path, "w", newline="\n") as fh:
-        fh.write(dumps_code(code))
+        fh.write(text)
 
 
 def loads_code(text: str) -> SubspaceCode:

@@ -82,16 +82,18 @@ def min_distance(code) -> int:
 
     Exact, and built on the code's structure.  Words sharing an identifying
     vector form a class, and two words of a class are at distance 0, 2 or
-    at least 4.  When a class is a coset of a linear space of matrices its
-    minimum is 2 min rank(G_i - G_0) (``PackedCode.coset_minima``).  Otherwise
-    equal rows give 0, and two words at distance 2 share a hyperplane, a
-    (k-1)-subspace, whose pivots are all but one of the class's: listing
-    the hyperplanes of every word of the class (``PackedCode.class_keys``
-    once per pivot) settles the class as 2 when the list holds a
-    duplicate.  A class with no shared hyperplane has minimum at least 4;
-    that is only a lower bound, so it never becomes the best so far, and
-    the class's pairs are scanned at the end, only if the best then exceeds
-    4.
+    at least 4.  The view's one coset analysis of each class
+    (``PackedCode.cosets``) finds the cosets of a linear space of
+    matrices, whose minimum is 2 min rank(G_i - G_0)
+    (``PackedCode.coset_minima``), and the classes with a repeated word,
+    whose minimum is 0.  In any other class two words at distance 2 share
+    a hyperplane, a (k-1)-subspace, whose pivots are all but one of the
+    class's: listing the hyperplanes of every word of the class
+    (``PackedCode.class_keys`` once per pivot) settles the class as 2 when
+    the list holds a duplicate.  A class with no shared hyperplane has
+    minimum at least 4; that is only a lower bound, so it never becomes the
+    best so far, and the class's pairs are scanned at the end, only if the
+    best then exceeds 4.
 
     Pairs of classes go in order of the Hamming distance h of their
     identifying vectors, a lower bound on every distance between them,
@@ -122,18 +124,16 @@ def min_distance(code) -> int:
     ids, rows, q, minima = view.ids, view.rows, view.spec.order, view.coset_minima
     best, deferred = None, []
     for cid, members in view.classes.items():
-        if len(members) < 2:
-            continue
         if cid in minima:
-            d = minima[cid]
-        elif len({tuple(rows[i]) for i in members}) < len(members):
-            d = 0  # a repeated word; the hyperplane join would say 2
+            d = minima[cid]  # None for a one-word class
+        elif cid in view.cosets:  # not a coset: a repeated word
+            d = 0  # the hyperplane join would say 2
         elif _shares_hyperplane(view, cid):
             d = 2
         else:
             deferred.append(members)
             continue
-        if best is None or d < best:
+        if d is not None and (best is None or d < best):
             best = d
 
     pairs = sorted(((a ^ b).bit_count(), a, b) for a, b in combinations(view.classes, 2))

@@ -208,8 +208,8 @@ class RowForm:
       c * row for each of ``rows`` (over GF(2), ``rows`` alone).
 
     ``vector(v)``, the row of v checked to be a vector of GF(q)^n, and
-    ``span(rows, start)``, start plus every combination of the rows, are one
-    body for both formats.  ``rank``, ``rref``, ``sub_row``, ``multiples``,
+    ``span(rows, starts)``, each start plus every combination of the rows,
+    are one body for both formats.  ``rank``, ``rref``, ``sub_row``, ``multiples``,
     ``scaled``, ``rank_at_most_one``, ``lead``, ``code`` and ``span`` also
     take rows of another width, such as flattened ones.
     """
@@ -264,15 +264,17 @@ class RowForm:
 
         self.vector = vector
 
-    def span(self, rows, start) -> list:
-        """start + sum c_i rows[i] for every coefficient tuple c, in
-        ``itertools.product`` order: the first row's coefficient is the
-        most significant."""
-        out = [start]
-        minus_one = self.spec.neg(1)
+    def span(self, rows, starts) -> list:
+        """start + sum c_i rows[i] for each start of ``starts`` in turn and
+        every coefficient tuple c, in ``itertools.product`` order: the first
+        row's coefficient is the most significant.  So a span extended by
+        one more row is ``span([row], span(rows, starts))``."""
+        out, sub = list(starts), self.sub_row
         for row in rows:
-            minus = self.multiples(self.multiples(row)[minus_one])  # c * (-row), by c
-            out = [self.sub_row(x, m) for x in out for m in minus]
+            zero = sub(row, row)
+            # c * (-row), by c; over GF(2) ``scaled`` scales nothing
+            minus = [zero, *chain.from_iterable(self.scaled([sub(zero, row)]))]
+            out = [sub(x, m) for x in out for m in minus]
         return out
 
 

@@ -86,9 +86,6 @@ class PackedCode:
         """Packed identifying vector and the rows a subspace keeps."""
         return u.id_vector.packed, u.rows
 
-    def difference(self, a, b) -> list:
-        return list(map(self.form.sub_row, a, b))
-
     def nearest(self, qid: int, qrows, candidates, best: int | None = None):
         """First candidate strictly closer to the query than ``best``.
 
@@ -97,7 +94,7 @@ class PackedCode:
         (index, distance), or (None, best) when no candidate beats ``best``
         (None means no bound).
         """
-        ids, rows, rank, difference = self.ids, self.rows, self.form.rank, self.difference
+        ids, rows, rank, sub = self.ids, self.rows, self.form.rank, self.form.sub_row
         kq = len(qrows)
         found = None
         for i in candidates:
@@ -108,7 +105,7 @@ class PackedCode:
             if s:
                 d = 2 * rank([*qrows, *r]) - kq - len(r)
             else:
-                d = 2 * rank(difference(qrows, r))
+                d = 2 * rank(list(map(sub, qrows, r)))
             if best is None or d < best:
                 best, found = d, i
         return found, best
@@ -123,38 +120,54 @@ class PackedCode:
         return best
 
     @cached_property
-    def coset_minima(self) -> dict:
-        """The classes that are cosets of a linear space of matrices, by
-        identifying vector, each with its minimum (None for one word).
-
-        The differences G_i - G_0, each flattened to one vector, include
-        the zero one; they form a linear space exactly when they are
-        distinct and number q^r, r the rank of their span.  Then every
-        pairwise difference is one of them, and the class minimum is
-        2 min rank(G_i - G_0) over i > 0.  Each of those differences is
-        nonzero, so of rank at least 1, and the minimum stops at that
-        floor: a screen with no elimination (``RowForm.rank_at_most_one``)
-        finds a difference of rank 1 if there is one, and otherwise every
-        difference has rank at least 2, so ranking them in class order stops
-        at the first of rank 2.  Only a class whose minimum rank is above 2
-        (a lifted Gabidulin code at d = 6, say) ranks every difference.  A
-        one-word class is a coset with no minimum, and costs no rank call.
-        Computed once, for both ``min_distance`` and the decoder table.
-        """
-        minima, q, rows = {}, self.spec.order, self.rows
-        rank, sub, rank_at_most_one = self.form.rank, self.form.sub_row, self.form.rank_at_most_one
+    def cosets(self) -> dict:
+        """The one coset analysis of each class, by identifying vector: a basis
+        D_1..D_r is taken from the differences G_i - G_0 (``_differences``) in
+        class order, each outside the span of those before, until the span
+        (``RowForm.span``, in coefficient order) is as large as the class, as
+        it is once it holds every difference.  The class is a coset exactly
+        when each element of the span is one of its differences, and maps to
+        (the flat D_j, its words in coefficient order); a class with a
+        repeated word maps to None, and no other class is listed."""
+        out, span = {}, self.form.span
         for cid, members in self.classes.items():
-            if len(members) == 1:
-                minima[cid] = None
-                continue
             index = self._differences(members)
-            if not len(index) == len(members) == q ** rank(list(index)):
-                continue
-            base, others = rows[members[0]], [rows[i] for i in members[1:]]
-            if any(rank_at_most_one(map(sub, r, base)) for r in others):
+            zero = next(iter(index))  # G_0 - G_0
+            basis, spanned, seen = [], [zero], {zero}  # the span in coefficient order, and as a set
+            for f in index:
+                if f not in seen:
+                    basis.append(f)
+                    spanned = span([f], spanned)
+                    if len(spanned) >= len(index):
+                        break
+                    seen = set(spanned)
+            by_coords = list(map(index.get, spanned))
+            if len(index) < len(members):
+                out[cid] = None  # a repeated word
+            elif None not in by_coords:
+                out[cid] = basis, by_coords
+        return out
+
+    @cached_property
+    def coset_minima(self) -> dict:
+        """The coset classes (``cosets``), by identifying vector, each with
+        its minimum (None for one word): 2 min rank(G_i - G_0) over i > 0,
+        as every pairwise difference is one of the G_i - G_0.  A screen with
+        no elimination (``RowForm.rank_at_most_one``) finds a difference of
+        rank 1 if there is one; otherwise ranking them in class order stops
+        at the first of rank 2.  Only a class whose minimum rank is above 2
+        (a lifted Gabidulin code at d = 6, say) ranks every difference.
+        """
+        minima, rows = {}, self.rows
+        rank, sub, rank_at_most_one = self.form.rank, self.form.sub_row, self.form.rank_at_most_one
+        for cid in filter(self.cosets.get, self.cosets):  # not the classes mapped to None
+            base, *others = [rows[i] for i in self.classes[cid]]
+            if not others:
+                minima[cid] = None
+            elif any(rank_at_most_one(map(sub, r, base)) for r in others):
                 minima[cid] = 2
             else:
-                minima[cid] = 2 * _least(map(rank, map(self.difference, others, repeat(base))), 2)
+                minima[cid] = 2 * _least((rank(list(map(sub, r, base))) for r in others), 2)
         return minima
 
     def _differences(self, members) -> dict:
@@ -168,7 +181,7 @@ class PackedCode:
 
     @cached_property
     def decoder(self):
-        """The containment decoder's table, built on first use.
+        """The containment decoder's table, built on first use from ``cosets``.
 
         Returns (bound, cosets).  ``bound`` is a lower bound L on the
         minimum distance (None for at most one word): the least of each
@@ -178,33 +191,18 @@ class PackedCode:
         """
         lows, cosets = [], []
         for cid, members in self.classes.items():
-            if cid not in self.coset_minima:
-                lows.append(2)
-                continue
-            low = self.coset_minima[cid]
+            coset, low = self.cosets.get(cid), self.coset_minima.get(cid, 2)
             if low is not None:
                 lows.append(low)
-            index = self._differences(members)
-            q, r = self.spec.order, 0
-            while q**r < len(members):
-                r += 1
+            if not coset:
+                continue
+            flats, by_coords = coset
+            r, pivots, base = len(flats), self.pivots(cid), self.rows[members[0]]
+            # each D_j tracks its unit row e_j, so a solution tracks its coordinates
             eye = [self.form.row_of(tuple(int(i == j) for i in range(r))) for j in range(r)]
+            diffs = [self.form.unflatten(f, len(base)) for f in flats]
+            basis = [(d, self._by_pivot(pivots, d), e) for d, e in zip(diffs, eye)]
             zero = self.form.row_of((0,) * r)
-            pivots = self.pivots(cid)
-            base = self.rows[members[0]]
-            # a basis D_1..D_r of the differences; at decode time each D_j
-            # tracks its unit row e_j, so a solution tracks its coordinates
-            basis, flats, spanned = [], [], {}
-            for f, i in index.items():
-                if len(basis) == r:
-                    break
-                unit = eye[len(basis)]
-                if self._insert(spanned, f, unit):
-                    d = self.difference(self.rows[i], base)
-                    basis.append((d, self._by_pivot(pivots, d), unit))
-                    flats.append(f)
-            # the span in coefficient order, so the coordinates' codes count up
-            by_coords = [index[f] for f in self.form.span(flats, next(iter(index)))]
             cosets.append(CosetClass(cid, len(base), base, self._by_pivot(pivots, base), basis, by_coords, zero))
         hamming = ((a ^ b).bit_count() for a, b in combinations(self.classes, 2))
         return min(chain(lows, hamming), default=None), cosets

@@ -233,7 +233,7 @@ class FerrersRankCode:
         if self.size > cap:
             raise TooLarge(f"code has {self.size} codewords, cap is {cap}")
         flat = row_form(self.spec, self.pattern.nrows * self.pattern.ncols)
-        yield from flat.span(self._reduced_basis(), flat.row_of((0,) * flat.n))
+        yield from flat.span(self._reduced_basis(), [flat.row_of((0,) * flat.n)])
 
     def codewords(self, cap: int = ENUMERATION_CAP):
         """Every matrix in the span, each exactly once, in the order of

@@ -15,6 +15,7 @@ from subspacecodes.constructions import SubspaceCode, multilevel_fixture, punctu
 from subspacecodes.distances import distance_fast, distance_naive, min_distance
 from subspacecodes.errors import AmbientMismatch, InfeasibleParams, TooFewCodewords
 from subspacecodes.matrices import MatGF, mat_mul, rank, row_form
+from subspacecodes.packed import PackedCode
 from subspacecodes.fields import make_field
 from subspacecodes.subspaces import IdVector, Subspace, echelon_ferrers_shape, fill_free_entries, from_span, to_literal
 from .conftest import brute_min_distance, random_subspace
@@ -390,6 +391,29 @@ def test_verify_then_decode_ranks_each_class_once(gf3, monkeypatch):
     verified = len(calls)
     bound, _ = code.packed.decoder
     assert d == brute and verified and len(calls) == verified and bound <= d
+
+
+@pytest.mark.parametrize("name,q,m,special", [
+    ("w6k3", 2, 1, None), ("w6k3", 3, 1, (0, 0, 1, 0, 0, 1)), ("w5k2", 2, 2, None)
+])
+def test_verify_then_decode_takes_each_class_differences_once(name, q, m, special, monkeypatch):
+    # the classes' one coset analysis serves the verify and the decoder
+    # table, so each class's words are flattened and differenced once
+    code = multilevel_fixture(name, make_field(q, m))
+    if special:
+        code = puncture(code, special)
+    view, seen = code.packed, []
+    differences = PackedCode._differences
+
+    def spy(self, members):
+        seen.append(tuple(members))
+        return differences(self, members)
+
+    monkeypatch.setattr(PackedCode, "_differences", spy)
+    assert min_distance(code) == brute_min_distance(code.words)
+    view.decoder  # noqa: B018 -- builds the table
+    assert sorted(seen) == sorted(map(tuple, view.classes.values()))
+    assert view.contained(*view.pack_word(code.words[0])) == (0, 0)
 
 
 def test_simulate_names_the_smallest_infeasible_dimension(gf2):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from subspacecodes import codefile
 from subspacecodes.cli import run
-from subspacecodes.constructions import SubspaceCode, multilevel_fixture
+from subspacecodes.constructions import SubspaceCode, multilevel_fixture, spread_like
 from subspacecodes.errors import BadParams, FieldTooLarge, InvariantViolation, ParseError
 from subspacecodes.subspaces import Subspace, field_for_order, from_span, to_literal
 
@@ -30,6 +30,14 @@ def check_golden(name: str, text: str):
     path = GOLDEN / name
     assert path.exists(), f"golden file {name} missing"
     assert text == path.read_text()
+
+
+def test_construct_refuses_q_above_10_and_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "f.json"
+    rc, stdout, err = run_capture(capsys, ["construct", "spread", "--q", "11", "--n", "4", "--k", "2", "--out", str(out)])
+    assert (rc, stdout) == (1, "")
+    assert err == "error: code files write one digit per entry, so q must be at most 10, got 11\n"
+    assert not out.exists()
 
 
 def test_construct_multilevel_and_verify(tmp_path, capsys):
@@ -538,6 +546,23 @@ def test_codefile_roundtrip_byte_identical(tmp_path, gf2):
     assert [w.key() for w in loaded.words] == [w.key() for w in code.words]
     assert codefile.dumps_code(loaded) == text
     assert text.endswith("\n")
+
+
+def test_codefile_refuses_fields_with_two_digit_entries(tmp_path):
+    # a row literal gives each entry one digit, so over GF(11) the entry 10
+    # would be written as two and the file read back as a longer row
+    code = spread_like(4, 2, field_for_order(11))
+    word = next(w for w in code.words if any(10 in row for row in w.gen.entries))
+    assert "10" in repr(word)  # the repr still writes it
+    refused = "^code files write one digit per entry, so q must be at most 10, got 11$"
+    with pytest.raises(BadParams, match=refused):
+        codefile.dumps_code(code)
+    path = tmp_path / "code.json"
+    with pytest.raises(BadParams, match=refused):
+        codefile.save_code(code, str(path))
+    assert not path.exists()
+    nine = spread_like(4, 2, field_for_order(9))
+    assert codefile.dumps_code(codefile.loads_code(codefile.dumps_code(nine))) == codefile.dumps_code(nine)
 
 
 def test_loaded_code_shares_equal_rows(gf2):

@@ -378,14 +378,80 @@ def test_coset_test_rejects_non_cosets(gf2, gf3):
         assert cid not in view.coset_minima
 
 
+def _affine(spec, offset, gens) -> list:
+    """offset + sum c_j gens[j] over every coefficient tuple c, by field
+    arithmetic, without repeats."""
+    out = []
+    for coeffs in product(range(spec.order), repeat=len(gens)):
+        v = list(offset)
+        for c, g in zip(coeffs, gens):
+            v = [spec.add(a, spec.mul(c, b)) for a, b in zip(v, g)]
+        out.append(tuple(v))
+    return list(dict.fromkeys(out))
+
+
+def _is_coset_by_definition(spec, words) -> bool:
+    """Whether the words' differences G_i - G_0, flattened, are distinct and
+    number q^rank, ranked by the generic elimination."""
+    g0 = [x for row in words[0].gen.entries for x in row]
+    diffs = [[spec.sub(x, y) for x, y in zip((x for row in w.gen.entries for x in row), g0)] for w in words]
+    distinct = {tuple(d) for d in diffs}
+    return len(distinct) == len(words) == spec.order ** _rref_generic(spec, diffs, len(g0))[0]
+
+
+@pytest.mark.parametrize("q,m", [(2, 1), (3, 1), (2, 2)])
+def test_coset_verdict_agrees_with_the_definition(q, m):
+    # seeded classes of one identifying vector (6 free entries): cosets of
+    # every dimension, q^r distinct words that are no coset (a coset with one
+    # word swapped out, and random sets), sizes that are not a power of q,
+    # and a coset with a repeated word
+    spec = make_field(q, m)
+    q, v = spec.order, IdVector((1, 0, 0, 1, 0, 0))
+    dots = echelon_ferrers_shape(v).dot_count
+    rng = random.Random(1000 * q + m)
+    vec = lambda: tuple(rng.randrange(q) for _ in range(dots))  # noqa: E731
+    kinds = ("coset", "swapped", "random", "odd size", "repeated")
+    for trial in range(60):
+        kind = kinds[trial % len(kinds)]
+        fills = _affine(spec, vec(), [vec() for _ in range(rng.randrange(4))])
+        if kind == "swapped":
+            # one word of a coset of at least 3 swapped for one outside it: two
+            # cosets of one size cannot share all but one word
+            while len(fills) < 3:
+                fills = _affine(spec, vec(), [vec() for _ in range(3)])
+            outside = next(f for f in iter(vec, None) if f not in fills)
+            fills[rng.randrange(1, len(fills))] = outside
+        elif kind == "random":  # as many distinct words as the coset had
+            fills = list({vec() for _ in range(4 * len(fills))})[: len(fills)]
+        elif kind == "odd size":
+            size = rng.choice([s for s in range(2, 10) if s not in (q, q * q, q**3)])
+            fills = list({vec() for _ in range(4 * size)})[:size]
+        elif kind == "repeated":
+            fills.insert(rng.randrange(len(fills) + 1), rng.choice(fills))
+        rng.shuffle(fills)
+        words = [_word_from_free(v, f, spec) for f in fills]
+        view = PackedCode(spec, v.n, words)
+        (cid,) = view.classes
+        want = _is_coset_by_definition(spec, words)
+        assert (cid in view.coset_minima) == want, (kind, fills)
+        assert want == (kind == "coset") or kind == "random", kind
+        if want:
+            basis, by_coords = view.cosets[cid]
+            assert sorted(by_coords) == list(range(len(words))) and q ** len(basis) == len(words)
+        elif kind == "repeated":
+            assert view.cosets[cid] is None
+        else:
+            assert cid not in view.cosets
+
+
 def _check_coset_minima(code, monkeypatch) -> dict:
     """``coset_minima`` of a code whose classes are all cosets, against
     2 min rank(G_i - G_0) with every difference ranked by the generic
     elimination, and against the pair scan on classes of up to 64 words.
-    Its rank calls are pinned too: one coset test per class of two or more
-    words, none more when a difference has rank 1, and otherwise one per
-    difference in class order up to the first of rank 2, or every one when
-    none has rank 2.  Returns the minima."""
+    Its rank calls are pinned too: none for the coset test, none when a
+    difference has rank 1, and otherwise one per difference in class order
+    up to the first of rank 2, or every one when none has rank 2.  Returns
+    the minima."""
     spec, n = code.spec, code.n
     view = PackedCode(spec, n, code.words)
     want, calls_wanted = {}, 0
@@ -399,7 +465,7 @@ def _check_coset_minima(code, monkeypatch) -> dict:
             for i in members[1:]
         ]
         want[cid] = 2 * min(ranks)
-        calls_wanted += 1 + (0 if 1 in ranks else ranks.index(2) + 1 if 2 in ranks else len(ranks))
+        calls_wanted += 0 if 1 in ranks else ranks.index(2) + 1 if 2 in ranks else len(ranks)
         if len(members) <= 64:
             assert brute_min_distance([view.words[i] for i in members]) == want[cid]
     calls = []
@@ -413,7 +479,7 @@ def _check_coset_minima(code, monkeypatch) -> dict:
 def test_coset_minima_stop_at_a_rank_one_difference(monkeypatch):
     # lifted span(B1, B2), B2 of rank 1 and the more significant coefficient,
     # so the class's first q - 1 differences have rank 2 and its q-th rank 1:
-    # the screen finds it, and only the coset test ranks
+    # the screen finds it, and nothing is ranked
     for q, m in ((2, 1), (3, 1), (2, 2)):
         spec = make_field(q, m)
         b1, b2 = ((1, 0, 0), (0, 1, 0)), ((0, 0, 1), (0, 0, 1))
@@ -863,16 +929,18 @@ def test_min_distance_in_class_join_hit_and_repeat(gf2, gf3, class_outcomes):
 
 def test_shortened_w8k4_verify_rank_calls(gf2, monkeypatch):
     # one load and verify of the 573-word shortening, as the CLI and the
-    # certify workload run it: 33 rank calls, so no class pair the joins
-    # settle can move back to the scan, and no coset minimum can rank past
-    # its floor, unnoticed.  The count was 577 when each coset class ranked
-    # every difference and a key weighed a quarter of a ranked pair, 2,362
+    # certify workload run it: 16 rank calls, so no class pair the joins
+    # settle can move back to the scan, no coset minimum can rank past its
+    # floor and no coset test can rank, unnoticed.  The count was 33 when
+    # each coset test ranked the class's differences, 577 when each coset
+    # class ranked every difference and a key weighed a quarter of a ranked pair, 2,362
     # when a key weighed as much as a ranked pair, 12,534 without the
     # in-class join, and 91,542 with no class pair joined.  Over GF(2) the
     # join keys take each class's row columns as they are
     # (``RowForm.scaled``), so no row is scaled on its own by ``multiples``
     # (4,482 calls when each later exclusive slot scaled its rows one by
-    # one).
+    # one), and the coset analysis takes its basis by span lookups, which
+    # scale no row over GF(2) either.
     code = puncture(
         multilevel_fixture("w8k4", gf2, puncture_aligned=True), (1, 0, 0, 0, 0, 0, 0, 1), add_trivial=True
     )
@@ -892,7 +960,7 @@ def test_shortened_w8k4_verify_rank_calls(gf2, monkeypatch):
     monkeypatch.setattr(form, "rank", counting)
     monkeypatch.setattr(form, "multiples", counting_multiples)
     assert min_distance(codefile.loads_code(text)) == 3
-    assert 0 < len(calls) <= 33
+    assert len(calls) == 16
     assert scaled == []
 
 

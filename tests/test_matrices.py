@@ -348,7 +348,9 @@ def test_row_form_against_field_arithmetic(case, data):
     if q**rk <= 81:
         start = form.row_of(data.draw(st.tuples(*[entries] * n)))
         (offset,) = form.to_entries([start])
-        got = form.to_entries(form.span(reduced, start))
+        got = form.to_entries(form.span(reduced, [start]))
+        # extending a span by one row at a time gives the same list
+        assert form.span(reduced[1:], form.span(reduced[:1], [start])) == form.span(reduced, [start])
         red = [tuple(r) for r in work[:rk]]
         want = [
             tuple(map(spec.add, offset, _combination(spec, c, red, n))) for c in product(range(q), repeat=rk)
