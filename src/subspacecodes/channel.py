@@ -114,14 +114,14 @@ def min_distance_decode(
     distance >= the best subspace distance so far are skipped, which is
     sound because the subspace distance dominates that Hamming distance.
     """
-    if len(code.words) < 1:
+    if len(code) < 1:
         raise TooFewCodewords("decoding needs a nonempty code")
     if u.n != code.n or u.spec != code.spec:
         raise AmbientMismatch("received subspace lives in a different ambient space")
     view = code.packed
     qid, qrows = view.pack_word(u)
     found = view.contained(qid, qrows)
-    i, d = found if found is not None else view.nearest(qid, qrows, range(len(code.words)))
+    i, d = found if found is not None else view.nearest(qid, qrows, range(len(code)))
     return code.words[i], d
 
 

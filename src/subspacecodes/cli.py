@@ -177,7 +177,7 @@ def _cmd_simulate(args) -> int:
     cfg = ChannelConfig(rho=args.rho, t=args.t, seed=args.seed, trials=args.trials)
     stats = simulate(code, cfg)
     doc = stats.as_dict()
-    doc["code_size"] = len(code.words)
+    doc["code_size"] = len(code)
     doc["n"] = code.n
     doc["q"] = code.spec.order
     _emit_json(doc, args.out)
@@ -208,9 +208,9 @@ def _cmd_verify(args) -> int:
         "q": code.spec.order,
         "n": code.n,
         "kind": code.kind,
-        "size": len(code.words),
+        "size": len(code),
         "dimensions": list(code.dims),
-        "min_distance": min_distance(code) if len(code.words) >= 2 else None,
+        "min_distance": min_distance(code) if len(code) >= 2 else None,
     }
     if args.format == "csv":
         _emit_rows([{k: v for k, v in doc.items() if k != "dimensions"}], "csv", args.out)

@@ -4,21 +4,22 @@ A code file is canonical JSON (sorted keys, two-space indent, LF endings,
 one trailing newline) with fields format_version, q, n, kind, codewords.
 Each codeword is the ';'-joined row literal of a canonical generator matrix,
 one digit per entry, so a file holds a code over GF(q) with q <= 10 (the
-zero subspace is the empty string).  Loading builds each Subspace from
-the rows as written, so the Subspace constructor is the canonical-form check;
-with the uniqueness check, load followed by save is byte-identical.  A code
-has few distinct rows, so the loader parses each distinct row literal once,
-and equal rows of different codewords are one shared row, which keeps a
-loaded code small: a codeword whose row literals were all seen before is
-one split and one lookup per row, and any other goes through the full parse
-(``subspaces.literal_rows``), which reads the rows seen before from the same
-dict, parses only the new ones and gives the error text.  A row is parsed
-straight into its field's row form (a packed integer over GF(2), a tuple
-otherwise) and each codeword is built from those rows.  Every codeword still
-gets its own canonical-form and uniqueness checks, in file order; the latter
-compares the words' rows, and it is the load's one duplicate scan.
-Saving writes each word from its rows (``to_literal``), each distinct row
-once.
+zero subspace is the empty string).  A code is its words' rows
+(``SubspaceCode.ids`` and ``rows``), and loading builds no ``Subspace``:
+each codeword's rows, as written, go through the row form's canonical-form
+check (``RowForm.check``, the check a ``Subspace`` makes), which gives its
+packed pivots; with the uniqueness check, load followed by save is
+byte-identical.  A code has few distinct rows, so the loader parses each
+distinct row literal once, and equal rows of different codewords are one
+shared row, which keeps a loaded code small: a codeword whose row literals
+were all seen before is one split and one lookup per row, and any other
+goes through the full parse (``subspaces.literal_rows``), which reads the
+rows seen before from the same dict, parses only the new ones and gives the
+error text.  A row is parsed straight into its field's row form (a packed
+integer over GF(2), a tuple otherwise).  Every codeword still gets its own
+canonical-form and uniqueness checks, in file order; the latter compares
+the words' rows, and it is the load's one duplicate scan.  Saving writes
+each word from its rows (``rows_literal``), each distinct row once.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import json
 from .constructions import SubspaceCode
 from .errors import BadParams, InvariantViolation, ParseError
 from .matrices import row_form
-from .subspaces import Subspace, field_for_order, literal_rows, to_literal
+from .subspaces import field_for_order, literal_rows, rows_literal
 
 FORMAT_VERSION = 1
 
@@ -44,7 +45,7 @@ def dumps_code(code: SubspaceCode) -> str:
         "q": code.spec.order,
         "n": code.n,
         "kind": code.kind,
-        "codewords": [to_literal(w, written) for w in code.words],
+        "codewords": [rows_literal(rows, code.spec, code.n, written) for rows in code.rows],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -75,8 +76,8 @@ def loads_code(text: str) -> SubspaceCode:
     spec = field_for_order(q)
     if not isinstance(doc["codewords"], list):
         raise ParseError("codewords must be a list of row literals")
-    form = row_form(spec, n)
-    words = []
+    check = row_form(spec, n).check
+    ids, words = [], []
     seen = set()
     parsed = {}  # row literal -> its row, parsed once and kept by every word that has it
     for i, lit in enumerate(doc["codewords"]):
@@ -89,7 +90,7 @@ def loads_code(text: str) -> SubspaceCode:
             except ParseError as e:
                 raise ParseError(f"codeword {i}: {e}") from e
         try:
-            w = Subspace._of_rows(form, rows)
+            pivots = check(rows)
         except BadParams:
             raise InvariantViolation(
                 f"codeword {i}: rows are not a reduced echelon generator matrix"
@@ -99,9 +100,10 @@ def loads_code(text: str) -> SubspaceCode:
         seen.add(rows)
         if len(seen) == size:
             raise InvariantViolation(f"codeword {i}: duplicate subspace")
-        words.append(w)
+        ids.append(pivots)
+        words.append(rows)
     # the one duplicate scan is the one above, which names the codeword
-    return SubspaceCode._of_distinct(spec, n, tuple(words), kind=doc["kind"])
+    return SubspaceCode._of_rows(spec, n, ids, words, kind=doc["kind"])
 
 
 def _is_int(x) -> bool:

@@ -14,7 +14,7 @@ puncture    drop the last coordinate: words inside the hyperplane keep their
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 from .distances import hamming, min_distance
 from .errors import (
@@ -26,11 +26,12 @@ from .errors import (
     ShapeMismatch,
     ShapeViolation,
     SpecialVectorInQ,
+    TooLarge,
 )
 from .fields import FieldSpec, extension_view
 from .matrices import MatGF, row_form
 from .packed import PackedCode
-from .rankcodes import FerrersRankCode, ZeroPattern, ferrers_d2_code, gabidulin
+from .rankcodes import ENUMERATION_CAP, FerrersRankCode, ZeroPattern, ferrers_d2_code, gabidulin
 from .subspaces import (
     FerrersShape,
     IdVector,
@@ -87,38 +88,55 @@ class ConstantWeightCode:
 
 
 class SubspaceCode:
-    """Collection of distinct subspaces of one ambient space."""
+    """Collection of distinct subspaces of one ambient space.
+
+    A code is its words' rows: ``ids`` holds each word's packed identifying
+    vector (column 0 in the highest bit) and ``rows`` its reduced echelon
+    rows in the field's row form (``matrices.row_form``), in code order.
+    ``words``, the words as ``Subspace``s, is built from them on first read;
+    a code made from ``Subspace``s keeps the tuple it was given.
+    """
 
     def __init__(self, spec: FieldSpec, n: int, words, kind: str | None = None):
         words = tuple(words)
         for w in words:
             if w.n != n or w.spec != spec:
                 raise AmbientMismatch("codeword in a different ambient space")
+        rows = [w.rows for w in words]
         # one field and one n, checked above: the rows alone tell words apart
-        if len({w.rows for w in words}) != len(words):
+        if len(set(rows)) != len(words):
             raise BadParams("duplicate codewords")
-        self._set_words(spec, n, words, kind)
+        self._set_rows(spec, n, [w.id_vector.packed for w in words], rows, kind)
+        self.words = words
 
     @classmethod
-    def _of_distinct(cls, spec: FieldSpec, n: int, words: tuple, kind: str | None = None) -> SubspaceCode:
-        """A code of words its caller has already checked to lie in GF(q)^n
-        and to be distinct, as the code-file loader does word by word."""
+    def _of_rows(cls, spec: FieldSpec, n: int, ids: list, rows: list, kind: str | None = None) -> SubspaceCode:
+        """A code of words its caller has already checked: each of ``rows``
+        a reduced echelon form in GF(q)^n with the pivots in ``ids``, and
+        no two equal, as the code-file loader checks word by word."""
         code = cls.__new__(cls)
-        code._set_words(spec, n, words, kind)
+        code._set_rows(spec, n, ids, rows, kind)
         return code
 
-    def _set_words(self, spec: FieldSpec, n: int, words: tuple, kind: str | None) -> None:
+    def _set_rows(self, spec: FieldSpec, n: int, ids: list, rows: list, kind: str | None) -> None:
         self.spec = spec
         self.n = n
-        self.words = words
-        dims = {w.k for w in words}
+        self.ids = ids
+        self.rows = rows
+        dims = {v.bit_count() for v in ids}
         if kind is None:
             kind = "constant-dimension" if len(dims) <= 1 else "projective"
         self.kind = kind
         self.dims = tuple(sorted(dims))
 
+    @cached_property
+    def words(self) -> tuple[Subspace, ...]:
+        """The codewords, built from ``ids`` and ``rows`` on first read."""
+        of_rows = partial(Subspace._of_rows, row_form(self.spec, self.n))
+        return tuple(map(of_rows, self.rows, self.ids))
+
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.rows)
 
     def __iter__(self):
         return iter(self.words)
@@ -126,7 +144,7 @@ class SubspaceCode:
     @cached_property
     def packed(self) -> PackedCode:
         """Packed identifying vectors, rows and classes, built on first use."""
-        return PackedCode(self.spec, self.n, self.words)
+        return PackedCode(self.spec, self.n, self.ids, self.rows)
 
     @cached_property
     def dmin(self) -> int:
@@ -138,7 +156,7 @@ class SubspaceCode:
 
     def __repr__(self) -> str:
         return (
-            f"SubspaceCode(n={self.n}, q={self.spec.order}, size={len(self.words)},"
+            f"SubspaceCode(n={self.n}, q={self.spec.order}, size={len(self.rows)},"
             f" kind={self.kind})"
         )
 
@@ -227,8 +245,14 @@ def multilevel(
     minimum subspace distance exactly 2*delta (when at least one level code
     realises rank distance delta).
     """
-    levels = _levels(cw, delta, spec, ferrers_codes, verify_supplied)
-    return SubspaceCode(spec, cw.n, [u for v, level in levels for u in _plant(v, level, spec)])
+    ids, rows, shared = [], [], {}
+    for v, level in _levels(cw, delta, spec, ferrers_codes, verify_supplied):
+        planted = _plant(v, level, spec, shared)
+        ids += [v.packed] * len(planted)
+        rows += planted
+    # distinct: the levels' identifying vectors differ, and each level's
+    # words are a span over an independent basis
+    return SubspaceCode._of_rows(spec, cw.n, ids, rows)
 
 
 def _levels(cw, delta, spec, ferrers_codes, verify_supplied):
@@ -258,26 +282,40 @@ def _levels(cw, delta, spec, ferrers_codes, verify_supplied):
         yield v, level
 
 
-def _plant(v: IdVector, level: FerrersRankCode, spec: FieldSpec):
-    """Each codeword of the level planted into the echelon form of v, in
-    ``flat_codewords`` order: the subspace with identifying vector v whose
-    free entries are the codeword's entries at the shape's dots.
+def _plant(v: IdVector, level: FerrersRankCode, spec: FieldSpec, shared: dict | None = None) -> list:
+    """The rows of each codeword of the level planted into the echelon form
+    of v, in ``flat_codewords`` order: the subspace with identifying vector
+    v whose free entries are the codeword's entries at the shape's dots.
 
     A codeword's columns are the shape's box columns.  Every codeword is a
     combination of the basis matrices, so it fits the shape when they all
     do and the code has the shape's size; both are checked once, here, and
-    ShapeViolation raised otherwise.
+    ShapeViolation raised otherwise.  Planting is affine: the zero codeword
+    plants to the echelon form G_0 of v with no free entry set, and a
+    combination of codewords to G_0 plus that combination of what each adds
+    to G_0.  So the level's words are G_0 plus the span of the planted
+    reduced basis rows less G_0, each flattened to one row, and only those
+    are planted one by one (``fill_free_entries``).  ``shared`` maps each
+    row to one object that every word with that row keeps.
     """
     shape = echelon_ferrers_shape(v)
     nr, nc = level.pattern.nrows, level.pattern.ncols
     for m in (((0,) * nc,) * nr, *(b.entries for b in level.basis)):
         if not fits_shape(shape, m):
             raise ShapeViolation(f"matrix does not fit the echelon form of {v}")
+    if level.size > ENUMERATION_CAP:
+        raise TooLarge(f"code has {level.size} codewords, cap is {ENUMERATION_CAP}")
     col_of = {c: j for j, c in enumerate(shape.box_columns)}
     dots = [r * nc + col_of[c] for r, free in enumerate(shape.free_positions) for c in free]
-    entry = row_form(level.spec, nr * nc).entry
-    for f in level.flat_codewords():
-        yield fill_free_entries(v, [entry(f, i) for i in dots], spec)
+    entry, form = row_form(level.spec, nr * nc).entry, row_form(spec, v.n)
+
+    def planted(entries):
+        return form.flatten(fill_free_entries(v, entries, spec).rows)
+
+    base = planted([0] * len(dots))
+    basis = [form.sub_row(planted([entry(b, i) for i in dots]), base) for b in level._reduced_basis()]
+    shared = {} if shared is None else shared
+    return [tuple(shared.setdefault(r, r) for r in form.unflatten(f, v.weight)) for f in form.span(basis, [base])]
 
 
 def _fixture_levels(name: str, spec: FieldSpec, puncture_aligned: bool):
@@ -360,38 +398,39 @@ def puncture(
 
     form, short = row_form(spec, n), row_form(spec, n - 1)
     special = form.vector(v)  # checked and in row form once, for every word
-    words: list[Subspace] = []
-    seen = set()  # the kept words' rows: one field and n, so one row form
+    ids, rows, seen = [], [], set()  # the kept words: one field and n, so one row form
 
-    def keep(w: Subspace) -> None:
-        if w.rows not in seen:
-            seen.add(w.rows)
-            words.append(w)
+    def keep(kept: tuple) -> None:
+        """Keep a word of GF(q)^(n-1) by its rows, checked, unless kept already."""
+        if kept not in seen:
+            seen.add(kept)
+            ids.append(short.check(kept))
+            rows.append(kept)
 
     def shortened(rows) -> tuple:
         """Rows that are zero in the last column, without it, in GF(q)^(n-1)."""
         return short.from_entries(tuple(row[:-1] for row in form.to_entries(rows)))
 
-    lasts = [[form.entry(row, n - 1) for row in c.rows] for c in code.words]
-    for c, last in zip(code.words, lasts):
+    lasts = [[form.entry(row, n - 1) for row in c] for c in code.rows]
+    for c, last in zip(code.rows, lasts):
         if not any(last):  # c inside Q: its reduced rows stay reduced without the zero column
-            keep(Subspace.from_rows(spec, n - 1, shortened(c.rows)))
-    for c, last in zip(code.words, lasts):
-        if any(last) and form.lead(form.remainder(special, c.rows)) is None:  # v in c
+            keep(shortened(c))
+    for c, last in zip(code.rows, lasts):
+        if any(last) and form.lead(form.remainder(special, c)) is None:  # v in c
             # c ∩ Q is spanned by the other rows, each less the multiple of
             # one row with a nonzero last entry that clears its own
             at = next(i for i, x in enumerate(last) if x)
-            multiples, scale = form.multiples(c.rows[at]), spec.inv(last[at])
+            multiples, scale = form.multiples(c[at]), spec.inv(last[at])
             meet = [
                 form.sub_row(row, multiples[spec.mul(x, scale)])
-                for i, (row, x) in enumerate(zip(c.rows, last))
+                for i, (row, x) in enumerate(zip(c, last))
                 if i != at
             ]
-            keep(Subspace.from_rows(spec, n - 1, short.rref(shortened(meet))))
+            keep(tuple(short.rref(shortened(meet))))
     if add_trivial:
-        keep(zero_subspace(spec, n - 1))
-        keep(full_space(spec, n - 1))
-    return SubspaceCode(spec, n - 1, words, kind="projective")
+        keep(zero_subspace(spec, n - 1).rows)
+        keep(full_space(spec, n - 1).rows)
+    return SubspaceCode._of_rows(spec, n - 1, ids, rows, kind="projective")
 
 
 def greedy_constant_weight(n: int, k: int, d: int) -> ConstantWeightCode:

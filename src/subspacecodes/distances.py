@@ -110,16 +110,17 @@ def min_distance(code) -> int:
     only then are its pairs scanned.  Either route is exact, so the weight
     only decides which runs.
     """
-    words = code.words if hasattr(code, "words") else tuple(code)
-    if len(words) < 2:
+    if not hasattr(code, "packed"):  # not a code, Subspaces
+        code = tuple(code)
+    if len(code) < 2:
         raise TooFewCodewords("minimum distance needs at least two codewords")
     if hasattr(code, "packed"):
         view = code.packed
     else:
-        spec, n = words[0].spec, words[0].n
-        if any(w.spec != spec or w.n != n for w in words):
+        spec, n = code[0].spec, code[0].n
+        if any(w.spec != spec or w.n != n for w in code):
             raise AmbientMismatch("codewords live in different ambient spaces")
-        view = PackedCode(spec, n, words)
+        view = PackedCode.of_words(spec, n, code)
 
     ids, rows, q, minima = view.ids, view.rows, view.spec.order, view.coset_minima
     best, deferred = None, []

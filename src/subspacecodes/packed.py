@@ -2,8 +2,8 @@
 decoder.
 
 A code's identifying vectors are packed into integers (column 0 in the
-highest bit).  The view's rows are the rows each ``Subspace`` already keeps
-(``Subspace.rows``), shared and never converted, and every row operation
+highest bit).  The view's identifying vectors and rows are the lists the code keeps
+(``SubspaceCode.ids`` and ``rows``), shared and never converted, and every row operation
 goes through the field's row form (``matrices.row_form``): XOR on packed
 integers over GF(2), field arithmetic on tuples otherwise.
 
@@ -63,24 +63,27 @@ class CosetClass(NamedTuple):
 
 
 class PackedCode:
-    """The words of a code with packed identifying vectors and rows, grouped
-    into classes by identifying vector (each class in code order).  Rows
-    are in the field's row form ``form``, and only its primitives touch
-    them."""
+    """The words of a code as their packed identifying vectors ``ids`` and
+    rows ``rows``, grouped into classes by identifying vector (each class in
+    code order).  Rows are in the field's row form ``form``, and only its
+    primitives touch them."""
 
-    def __init__(self, spec, n: int, words):
+    def __init__(self, spec, n: int, ids, rows):
         self.spec = spec
         self.n = n
         self.form = row_form(spec, n)
-        self.words = tuple(words)
-        packed = [self.pack_word(w) for w in self.words]
-        self.ids = [v for v, _ in packed]
-        self.rows = [r for _, r in packed]
+        self.ids = ids
+        self.rows = rows
         self.classes: dict[int, list[int]] = {}
         self._meet_plans: dict[tuple[int, int], list] = {}
         self._columns: dict[int, list] = {}  # per class, row slot by row slot
         for i, v in enumerate(self.ids):
             self.classes.setdefault(v, []).append(i)
+
+    @classmethod
+    def of_words(cls, spec, n: int, words) -> PackedCode:
+        """The view of ``Subspace``s, which need not be distinct."""
+        return cls(spec, n, [w.id_vector.packed for w in words], [w.rows for w in words])
 
     def pack_word(self, u) -> tuple[int, tuple]:
         """Packed identifying vector and the rows a subspace keeps."""
@@ -123,13 +126,16 @@ class PackedCode:
     def cosets(self) -> dict:
         """The one coset analysis of each class, by identifying vector: a basis
         D_1..D_r is taken from the differences G_i - G_0 (``_differences``) in
-        class order, each outside the span of those before, until the span
-        (``RowForm.span``, in coefficient order) is as large as the class, as
-        it is once it holds every difference.  The class is a coset exactly
-        when each element of the span is one of its differences, and maps to
-        (the flat D_j, its words in coefficient order); a class with a
-        repeated word maps to None, and no other class is listed."""
-        out, span = {}, self.form.span
+        class order, each outside the span of those before, until the span is
+        as large as the class, as it is once it holds every difference.  The
+        span grows in place: a new D_j appends x + c D_j for each nonzero c and
+        each x so far, so the last D_j's coefficient is the most significant.
+        The class is a coset exactly when each element of the span is one of
+        its differences, and maps to (the flat D_j, the last first, and its
+        words in coefficient order, the first D_j's coefficient the most
+        significant); a class with a repeated word maps to None, and no other
+        class is listed."""
+        out, sub, scaled = {}, self.form.sub_row, self.form.scaled
         for cid, members in self.classes.items():
             index = self._differences(members)
             zero = next(iter(index))  # G_0 - G_0
@@ -137,15 +143,17 @@ class PackedCode:
             for f in index:
                 if f not in seen:
                     basis.append(f)
-                    spanned = span([f], spanned)
+                    # x + c f = x - c (-f), each c != 0 in turn
+                    grown = [sub(x, m) for (m,) in scaled([sub(zero, f)]) for x in spanned]
+                    spanned += grown
                     if len(spanned) >= len(index):
                         break
-                    seen = set(spanned)
+                    seen.update(grown)
             by_coords = list(map(index.get, spanned))
             if len(index) < len(members):
                 out[cid] = None  # a repeated word
             elif None not in by_coords:
-                out[cid] = basis, by_coords
+                out[cid] = basis[::-1], by_coords
         return out
 
     @cached_property

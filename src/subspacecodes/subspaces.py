@@ -160,13 +160,16 @@ class Subspace:
         return cls._of_rows(row_form(spec, n), tuple(rows))
 
     @classmethod
-    def _of_rows(cls, form, rows: tuple) -> Subspace:
+    def _of_rows(cls, form, rows: tuple, pivots: int | None = None) -> Subspace:
+        """The subspace of ``rows``, checked by ``form.check`` unless their
+        packed pivots are given, as a code gives them for rows it checked."""
         u = cls.__new__(cls)
-        u._set_rows(form, rows)
+        u._set_rows(form, rows, pivots)
         return u
 
-    def _set_rows(self, form, rows: tuple) -> None:
-        pivots = form.check(rows)
+    def _set_rows(self, form, rows: tuple, pivots: int | None = None) -> None:
+        if pivots is None:
+            pivots = form.check(rows)
         self.spec, self.n, self.k, self.rows = form.spec, form.n, len(rows), rows
         self.id_vector = _id_vector(pivots, form.n)
 
@@ -402,17 +405,23 @@ def orthogonal_complement(u: Subspace) -> Subspace:
 
 
 def to_literal(u: Subspace, written: dict | None = None) -> str:
-    """Rows as digit strings joined by ';'.  The zero subspace is ''.
+    """Rows as digit strings joined by ';'.  The zero subspace is ''."""
+    return rows_literal(u.rows, u.spec, u.n, written)
 
-    The rows are read from ``u.rows`` through the row form.  ``written``
-    maps rows to their digit strings and is read and filled, so that over
-    many subspaces of one field and n each distinct row is written once.
+
+def rows_literal(rows, spec: FieldSpec, n: int, written: dict | None = None) -> str:
+    """The ';'-joined row literal of rows in the field's row form; the
+    inverse of ``literal_rows``.
+
+    ``written`` maps rows to their digit strings and is read and filled, so
+    that over many subspaces of one field and n each distinct row is
+    written once.
     """
     if written is None:
         written = {}
-    form = row_form(u.spec, u.n)
+    form = row_form(spec, n)
     out = []
-    for row in u.rows:
+    for row in rows:
         lit = written.get(row)
         if lit is None:
             lit = written[row] = "".join(map(str, form.to_entries([row])[0]))

@@ -66,7 +66,7 @@ def test_criterion_1_paper_code_sizes():
     sizes["(8,4573,4,4)"] = (len(c84), dist84)
     # the class step against the prefiltered scan over all 10.45M pairs
     view = c84.packed
-    scanned = view.scan_pairs(range(len(view.words)))
+    scanned = view.scan_pairs(range(len(view.rows)))
     ok = (
         sizes["(5,9,4,2)"] == (9, 4)
         and sizes["(6,71,4,3)"] == (71, 4)

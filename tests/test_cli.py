@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from subspacecodes import codefile
 from subspacecodes.cli import run
 from subspacecodes.constructions import SubspaceCode, multilevel_fixture, spread_like
+from subspacecodes.distances import min_distance
 from subspacecodes.errors import BadParams, FieldTooLarge, InvariantViolation, ParseError
 from subspacecodes.subspaces import Subspace, field_for_order, from_span, to_literal
 
@@ -699,6 +700,24 @@ def test_one_load_scans_for_duplicates_once(monkeypatch, gf2):
     assert len(SubspaceCode(gf2, 6, code.words)) == 71 and len(reads) == 71
     with pytest.raises(BadParams, match="duplicate codewords"):
         SubspaceCode(gf2, 6, code.words[:2] + code.words[:1])
+
+
+def test_a_loaded_code_is_its_rows(monkeypatch, gf2, tmp_path):
+    # loading, len, min_distance, saving and the CLI's verify read the
+    # words' rows and build no Subspace; the words are built on first read,
+    # once
+    text = codefile.dumps_code(multilevel_fixture("w6k3", gf2))
+    path = tmp_path / "w6k3.json"
+    path.write_text(text)
+    built, of_rows = [], Subspace._of_rows.__func__
+    monkeypatch.setattr(Subspace, "_of_rows", classmethod(lambda cls, *a: built.append(a) or of_rows(cls, *a)))
+    code = codefile.loads_code(text)
+    assert len(code) == 71 and min_distance(code) == 4 and codefile.dumps_code(code) == text
+    rc, out, _ = _run_quietly(["verify", str(path)])
+    assert rc == 0 and json.loads(out)["min_distance"] == 4
+    assert built == [] and "words" not in vars(code)
+    words = code.words
+    assert len(built) == 71 and code.words is words
 
 
 def _reference_rows(lit, q, n):

@@ -369,11 +369,11 @@ def test_coset_test_rejects_non_cosets(gf2, gf3):
         v = IdVector((1, 0, 0, 0, 1, 0))
         rng = random.Random(spec.order)
         linear = _structured_class(v, "linear", spec, rng)
-        view = PackedCode(spec, 6, linear)
+        view = PackedCode.of_words(spec, 6, linear)
         (cid,) = view.classes
         assert cid in view.coset_minima
         odd = _structured_class(v, "noncoset", spec, rng)
-        view = PackedCode(spec, 6, odd)
+        view = PackedCode.of_words(spec, 6, odd)
         (cid,) = view.classes
         assert cid not in view.coset_minima
 
@@ -430,7 +430,7 @@ def test_coset_verdict_agrees_with_the_definition(q, m):
             fills.insert(rng.randrange(len(fills) + 1), rng.choice(fills))
         rng.shuffle(fills)
         words = [_word_from_free(v, f, spec) for f in fills]
-        view = PackedCode(spec, v.n, words)
+        view = PackedCode.of_words(spec, v.n, words)
         (cid,) = view.classes
         want = _is_coset_by_definition(spec, words)
         assert (cid in view.coset_minima) == want, (kind, fills)
@@ -453,21 +453,21 @@ def _check_coset_minima(code, monkeypatch) -> dict:
     up to the first of rank 2, or every one when none has rank 2.  Returns
     the minima."""
     spec, n = code.spec, code.n
-    view = PackedCode(spec, n, code.words)
+    view, words = PackedCode(spec, n, code.ids, code.rows), code.words
     want, calls_wanted = {}, 0
     for cid, members in view.classes.items():
         if len(members) == 1:
             want[cid] = None
             continue
-        g0 = view.words[members[0]].gen.entries
+        g0 = words[members[0]].gen.entries
         ranks = [
-            _rref_generic(spec, [list(map(spec.sub, x, y)) for x, y in zip(view.words[i].gen.entries, g0)], n)[0]
+            _rref_generic(spec, [list(map(spec.sub, x, y)) for x, y in zip(words[i].gen.entries, g0)], n)[0]
             for i in members[1:]
         ]
         want[cid] = 2 * min(ranks)
         calls_wanted += 0 if 1 in ranks else ranks.index(2) + 1 if 2 in ranks else len(ranks)
         if len(members) <= 64:
-            assert brute_min_distance([view.words[i] for i in members]) == want[cid]
+            assert brute_min_distance([words[i] for i in members]) == want[cid]
     calls = []
     with monkeypatch.context() as patch:
         patch.setattr(view.form, "rank", lambda rows, rank=view.form.rank: calls.append(rows) or rank(rows))
@@ -573,7 +573,7 @@ def test_class_keys_against_brute_force(q, sizes):
     for n in sizes:
         for _ in range(3 if q == 2 else 2):
             u = random_subspace(spec, n, rng, k=rng.randrange(1, min(n, 4) + 1))
-            view = PackedCode(spec, n, [u])
+            view = PackedCode.of_words(spec, n, [u])
             pivots = u.id_vector.support
             for r in range(len(pivots) + 1):
                 for excl in combinations(pivots, r):
@@ -606,7 +606,7 @@ def test_class_keys_on_multi_word_classes(p, m):
             words = list({
                 w.key(): w for w in (_word_from_free(v, [rng.randrange(q) for _ in range(dots)], spec) for _ in range(5))
             }.values())
-            view = PackedCode(spec, n, words)
+            view = PackedCode.of_words(spec, n, words)
             (cid,) = view.classes
             pivots = v.support
             for r in range(len(pivots) + 1):
@@ -632,7 +632,7 @@ def test_class_pair_join_either_side_hashed(q):
     for _ in range(30):
         n = rng.randrange(4, 7)
         words = _join_code(q, n, rng)
-        view = PackedCode(words[0].spec, n, words)
+        view = PackedCode.of_words(words[0].spec, n, words)
         for a, b in combinations(view.classes, 2):
             h = (a ^ b).bit_count()
             if h > 2:
@@ -877,7 +877,7 @@ def test_min_distance_in_class_joins_against_pair_scans(class_outcomes):
         if len(words) < 2:
             return
         want = brute_min_distance(words)
-        view = PackedCode(spec, n, words)
+        view = PackedCode.of_words(spec, n, words)
         assert min_distance(words) == want == scan_pairs(view, range(len(words)))
         seen["noncoset"] += sum(len(m) > 1 and cid not in view.coset_minima for cid, m in view.classes.items())
         seen["repeated"] += want == 0
@@ -916,7 +916,7 @@ def test_min_distance_in_class_join_hit_and_repeat(gf2, gf3, class_outcomes):
     joins, _, _ = class_outcomes
     v = IdVector((1, 1, 0, 0, 0))
     u, w, x = (_word_from_free(v, free, gf2) for free in ((0, 0, 0, 0, 0, 0), (1, 1, 0, 1, 0, 1), (1, 1, 0, 1, 1, 1)))
-    assert pack(v.bits) not in PackedCode(gf2, 5, [u, w, x]).coset_minima
+    assert pack(v.bits) not in PackedCode.of_words(gf2, 5, [u, w, x]).coset_minima
     assert min_distance([u, w, x]) == 2 == brute_min_distance([u, w, x])
     assert joins == [True]
     # a repeated word is found before the join, which would report 2
@@ -1004,7 +1004,7 @@ def test_one_word_classes_make_no_rank_call(gf2, gf3, monkeypatch):
             from_span([[int(j == c) for j in range(6)] for c in cols], spec, 6)
             for cols in combinations(range(6), 3)
         ]
-        view = PackedCode(spec, 6, words)
+        view = PackedCode.of_words(spec, 6, words)
         assert view.coset_minima == dict.fromkeys(view.classes) and len(view.classes) == 20
     assert calls == []
 
@@ -1022,7 +1022,7 @@ def test_packed_code_keeps_the_rows_its_words_keep(gf2, monkeypatch):
 
     for module in (matrices, subspaces):
         monkeypatch.setattr(module, "pack", counting)
-    view = PackedCode(gf2, 6, words)
+    view = PackedCode.of_words(gf2, 6, words)
     assert calls == []
     assert all(r is w.rows for r, w in zip(view.rows, words))
     assert view.ids == [w.id_vector.packed for w in words]
