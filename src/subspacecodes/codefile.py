@@ -77,7 +77,7 @@ def loads_code(text: str) -> SubspaceCode:
     if not isinstance(doc["codewords"], list):
         raise ParseError("codewords must be a list of row literals")
     check = row_form(spec, n).check
-    ids, words = [], []
+    ids, words = [], []  # each word's pivots and rows
     seen = set()
     parsed = {}  # row literal -> its row, parsed once and kept by every word that has it
     for i, lit in enumerate(doc["codewords"]):

@@ -156,7 +156,7 @@ class SubspaceCode:
 
     def __repr__(self) -> str:
         return (
-            f"SubspaceCode(n={self.n}, q={self.spec.order}, size={len(self.rows)},"
+            f"SubspaceCode(n={self.n}, q={self.spec.order}, size={len(self)},"
             f" kind={self.kind})"
         )
 
@@ -282,7 +282,7 @@ def _levels(cw, delta, spec, ferrers_codes, verify_supplied):
         yield v, level
 
 
-def _plant(v: IdVector, level: FerrersRankCode, spec: FieldSpec, shared: dict | None = None) -> list:
+def _plant(v: IdVector, level: FerrersRankCode, spec: FieldSpec, shared: dict) -> list:
     """The rows of each codeword of the level planted into the echelon form
     of v, in ``flat_codewords`` order: the subspace with identifying vector
     v whose free entries are the codeword's entries at the shape's dots.
@@ -314,7 +314,6 @@ def _plant(v: IdVector, level: FerrersRankCode, spec: FieldSpec, shared: dict | 
 
     base = planted([0] * len(dots))
     basis = [form.sub_row(planted([entry(b, i) for i in dots]), base) for b in level._reduced_basis()]
-    shared = {} if shared is None else shared
     return [tuple(shared.setdefault(r, r) for r in form.unflatten(f, v.weight)) for f in form.span(basis, [base])]
 
 
@@ -398,14 +397,14 @@ def puncture(
 
     form, short = row_form(spec, n), row_form(spec, n - 1)
     special = form.vector(v)  # checked and in row form once, for every word
-    ids, rows, seen = [], [], set()  # the kept words: one field and n, so one row form
+    ids, words, seen = [], [], set()  # the kept words' pivots and rows: one field and n, so one row form
 
-    def keep(kept: tuple) -> None:
+    def keep(rows: tuple) -> None:
         """Keep a word of GF(q)^(n-1) by its rows, checked, unless kept already."""
-        if kept not in seen:
-            seen.add(kept)
-            ids.append(short.check(kept))
-            rows.append(kept)
+        if rows not in seen:
+            seen.add(rows)
+            ids.append(short.check(rows))
+            words.append(rows)
 
     def shortened(rows) -> tuple:
         """Rows that are zero in the last column, without it, in GF(q)^(n-1)."""
@@ -430,7 +429,7 @@ def puncture(
     if add_trivial:
         keep(zero_subspace(spec, n - 1).rows)
         keep(full_space(spec, n - 1).rows)
-    return SubspaceCode._of_rows(spec, n - 1, ids, rows, kind="projective")
+    return SubspaceCode._of_rows(spec, n - 1, ids, words, kind="projective")
 
 
 def greedy_constant_weight(n: int, k: int, d: int) -> ConstantWeightCode:

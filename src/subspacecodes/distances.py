@@ -110,7 +110,7 @@ def min_distance(code) -> int:
     only then are its pairs scanned.  Either route is exact, so the weight
     only decides which runs.
     """
-    if not hasattr(code, "packed"):  # not a code, Subspaces
+    if not hasattr(code, "packed"):  # Subspaces, not a code
         code = tuple(code)
     if len(code) < 2:
         raise TooFewCodewords("minimum distance needs at least two codewords")

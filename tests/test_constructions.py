@@ -203,10 +203,10 @@ def test_planted_words_equal_fill_shape_of_each_codeword(name, q, aligned):
     for v, level in levels:
         if level.size > ENUMERATION_CAP:  # GF(4) w8k4's top level
             with pytest.raises(TooLarge):
-                _plant(v, level, spec)
+                _plant(v, level, spec, {})
         if level.size > 4096:
             level = FerrersRankCode(spec, level.pattern, level.d, level.basis[:6])
-        assert _plant(v, level, spec) == [fill_shape(v, m.entries, spec).rows for m in level.codewords()]
+        assert _plant(v, level, spec, {}) == [fill_shape(v, m.entries, spec).rows for m in level.codewords()]
 
 
 def _full_code(spec, word: str):
