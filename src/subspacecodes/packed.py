@@ -2,10 +2,11 @@
 decoder.
 
 A code's identifying vectors are packed into integers (column 0 in the
-highest bit).  The view's identifying vectors and rows are the lists the code keeps
-(``SubspaceCode.ids`` and ``rows``), shared and never converted, and every row operation
-goes through the field's row form (``matrices.row_form``): XOR on packed
-integers over GF(2), field arithmetic on tuples otherwise.
+highest bit).  The view's identifying vectors and rows are the lists the
+code keeps (``SubspaceCode.ids`` and ``rows``), shared and never converted,
+and every row operation goes through the field's row form
+(``matrices.row_form``): XOR on packed integers over GF(2), field arithmetic
+on tuples otherwise.
 
 The subspace distance dominates the Hamming distance of identifying
 vectors, d(U, W) >= d_H(v(U), v(W)), so a word whose identifying vector is

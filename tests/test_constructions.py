@@ -449,6 +449,7 @@ def test_rows_backed_and_words_backed_codes_agree(name, q):
         assert (len(other), other.ids, other.rows, other.dims) == (len(code), code.ids, code.rows, code.dims)
         ours, theirs = code.packed, other.packed
         assert (ours.ids, ours.rows, ours.classes) == (theirs.ids, theirs.rows, theirs.classes)
-        assert (ours.cosets, ours.coset_minima, ours.decoder[0]) == (theirs.cosets, theirs.coset_minima, theirs.decoder[0])
+        assert (ours.cosets, ours.coset_minima) == (theirs.cosets, theirs.coset_minima)
+        assert ours.decoder[0] == theirs.decoder[0]
         assert min_distance(code) == min_distance(other) == min_distance(words)
 
