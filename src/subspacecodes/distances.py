@@ -109,6 +109,12 @@ def min_distance(code) -> int:
     none, the pair can only matter if the best so far exceeds h + 2, and
     only then are its pairs scanned.  Either route is exact, so the weight
     only decides which runs.
+
+    Every scan stops at its floor, a lower bound on each pair it reaches
+    (``PackedCode.nearest``'s ``floor``): h for a class pair scanned
+    without a join, h + 2 after a join with no shared key, and 4 in a
+    deferred class.  No later pair can be closer than the first one at
+    its floor, so no pair after it is ranked.
     """
     if not hasattr(code, "packed"):  # Subspaces, not a code
         code = tuple(code)
@@ -144,19 +150,23 @@ def min_distance(code) -> int:
         ours, others = view.classes[a], view.classes[b]
         s, x, y = a & b, a & ~b, b & ~a
         na, nb = len(ours) * q ** meet_exponent(s, x), len(others) * q ** meet_exponent(s, y)
+        floor = h  # a lower bound on every pair of the two classes
         if na + nb <= JOIN_WEIGHT * len(ours) * len(others):
             sides = ((a, x), (b, y)) if na <= nb else ((b, y), (a, x))  # the fewer keys hashed
             if _meets(view, *sides):
                 best = h
                 continue
-            if best is not None and best <= h + 2:
+            floor = h + 2
+            if best is not None and best <= floor:
                 continue
         for i in ours:
-            _, best = view.nearest(ids[i], rows[i], others, best)
+            _, best = view.nearest(ids[i], rows[i], others, best, floor)
+            if best == floor:
+                break
 
     for members in deferred:  # each class's minimum is at least 4
         if best is None or best > 4:
-            best = view.scan_pairs(members, best)
+            best = view.scan_pairs(members, best, 4)
     return best
 
 

@@ -21,7 +21,7 @@ is one elimination (``PackedCode.contained``).
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, product, repeat, starmap
 from typing import NamedTuple
 
@@ -37,6 +37,16 @@ def meet_exponent(shared: int, exclusive: int) -> int:
         e += (exclusive & (low - 1)).bit_count()
         shared ^= low
     return e
+
+
+@lru_cache(maxsize=1024)
+def meet_plan(cid: int, exclusive: int) -> tuple:
+    """For ``PackedCode.class_keys`` on words with the packed identifying
+    vector ``cid``: per row whose pivot is not in ``exclusive``, its
+    position and the positions of the later rows whose pivots are."""
+    bits = [b for b in range(cid.bit_length() - 1, -1, -1) if cid >> b & 1]  # rows' pivots, in row order
+    later = [r for r, b in enumerate(bits) if exclusive >> b & 1]
+    return tuple((r, tuple(j for j in later if j > r)) for r, b in enumerate(bits) if not exclusive >> b & 1)
 
 
 def _least(values, floor: int) -> int:
@@ -76,7 +86,7 @@ class PackedCode:
         self.ids = ids
         self.rows = rows
         self.classes: dict[int, list[int]] = {}
-        self._meet_plans: dict[tuple[int, int], list] = {}
+        self._slots: dict[tuple[int, int], list] = {}  # per (class, exclusive set), for class_keys
         self._columns: dict[int, list] = {}  # per class, row slot by row slot
         for i, v in enumerate(self.ids):
             self.classes.setdefault(v, []).append(i)
@@ -90,13 +100,15 @@ class PackedCode:
         """Packed identifying vector and the rows a subspace keeps."""
         return u.id_vector.packed, u.rows
 
-    def nearest(self, qid: int, qrows, candidates, best: int | None = None):
+    def nearest(self, qid: int, qrows, candidates, best: int | None = None, floor: int = 0):
         """First candidate strictly closer to the query than ``best``.
 
         Candidates are word indices, scanned in the given order; a later
-        word at the same distance never replaces an earlier one.  Returns
-        (index, distance), or (None, best) when no candidate beats ``best``
-        (None means no bound).
+        word at the same distance never replaces an earlier one.  ``floor``
+        is a lower bound on every candidate's distance, so the scan stops
+        at the first candidate that meets it; at 0, the default, that is a
+        word equal to the query.  Returns (index, distance), or (None,
+        best) when no candidate beats ``best`` (None means no bound).
         """
         ids, rows, rank, sub = self.ids, self.rows, self.form.rank, self.form.sub_row
         kq = len(qrows)
@@ -112,15 +124,20 @@ class PackedCode:
                 d = 2 * rank(list(map(sub, qrows, r)))
             if best is None or d < best:
                 best, found = d, i
+                if d <= floor:
+                    break
         return found, best
 
-    def scan_pairs(self, members, best: int | None = None) -> int | None:
+    def scan_pairs(self, members, best: int | None = None, floor: int = 0) -> int | None:
         """Minimum distance over unordered pairs of the given words (a list
         or range of indices), by the nearest scan alone; ``best`` if no pair
-        is closer."""
+        is closer.  ``floor`` is a lower bound on every pair's distance, and
+        the scan stops at the first pair that meets it."""
         ids, rows = self.ids, self.rows
         for pos, i in enumerate(members):
-            _, best = self.nearest(ids[i], rows[i], members[pos + 1 :], best)
+            if best is not None and best <= floor:
+                break
+            _, best = self.nearest(ids[i], rows[i], members[pos + 1 :], best, floor)
         return best
 
     @cached_property
@@ -312,20 +329,28 @@ class PackedCode:
         ``meet_exponent(S, I)``, all distinct.  The key is the tuple of X's
         rows, so two words share such a subspace exactly when they share a
         key.  The rows are built for the whole class at once, one row slot
-        at a time: a slot's column holds that row of every word, and each of
-        its q^e_p variants is one ``sub_row`` map over such columns; a key
-        is a choice of variant per slot, read off word by word.  A class's
-        columns are kept on the view, built on first use.
+        at a time (``meet_plan``): a slot's column holds that row of every
+        word, and each of its q^e_p variants is one ``sub_row`` map over
+        such columns; a key is a choice of variant per slot, read off word
+        by word.  Each class's columns and each (class, exclusive set)'s
+        slots are kept on the view, built on first use.
         """
-        plan = self._meet_plans.get((cid, exclusive))
-        if plan is None:
-            plan = self._meet_plans[cid, exclusive] = self._meet_plan(cid, exclusive)
-        members = self.classes[cid]
-        if not plan:  # X is the zero space, one key per word
-            return repeat((), len(members))
+        slots = self._slots.get((cid, exclusive))
+        if slots is None:
+            slots = self._slots[cid, exclusive] = self._meet_slots(cid, exclusive)
+        if not slots:  # X is the zero space, one key per word
+            return repeat((), len(self.classes[cid]))
+        return chain.from_iterable(starmap(zip, product(*slots)))
+
+    def _meet_slots(self, cid: int, exclusive: int) -> list:
+        """Per row slot of ``meet_plan(cid, exclusive)``, the column of its
+        variants' rows, one row per word of the class."""
+        plan = meet_plan(cid, exclusive)
+        if not plan:
+            return []
         columns = self._columns.get(cid)
         if columns is None:
-            columns = self._columns[cid] = list(zip(*[self.rows[i] for i in members]))
+            columns = self._columns[cid] = list(zip(*[self.rows[i] for i in self.classes[cid]]))
         sub, scaled = self.form.sub_row, self.form.scaled
         slots = []
         for p, later in plan:
@@ -334,12 +359,4 @@ class PackedCode:
                 nonzero = scaled(columns[j])  # c * row j of every word, per c != 0
                 xs += [tuple(map(sub, x, m)) for x in xs for m in nonzero]
             slots.append(xs)
-        return chain.from_iterable(starmap(zip, product(*slots)))
-
-    def _meet_plan(self, cid: int, exclusive: int) -> list:
-        """For ``class_keys`` on words with identifying vector ``cid``: per
-        row whose pivot is shared, its position and the positions of the
-        later rows whose pivots are exclusive."""
-        bits = [b for b in range(self.n - 1, -1, -1) if cid >> b & 1]  # rows' pivots, in row order
-        later = [r for r, b in enumerate(bits) if exclusive >> b & 1]
-        return [(r, [j for j in later if j > r]) for r, b in enumerate(bits) if not exclusive >> b & 1]
+        return slots

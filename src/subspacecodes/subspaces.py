@@ -200,7 +200,13 @@ class Subspace:
         return hash(self.key())
 
     def __repr__(self) -> str:
-        return f"Subspace({to_literal(self)!r}, n={self.n}, GF({self.spec.order}))"
+        """The row literal of ``to_literal``; over GF(q), q > 10, where an
+        entry may take two digits, the entries are comma-separated."""
+        if self.spec.order <= 10:
+            lit = to_literal(self)
+        else:
+            lit = ";".join(",".join(map(str, row)) for row in self.gen.entries)
+        return f"Subspace({lit!r}, n={self.n}, GF({self.spec.order}))"
 
 
 @lru_cache(maxsize=4096)

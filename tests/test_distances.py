@@ -616,7 +616,7 @@ def test_class_keys_on_multi_word_classes(p, m):
                     mask = pack(IdVector.from_support(n, excl).bits)
                     got = list(view.class_keys(cid, mask))
                     assert sorted(got) == sorted(want), (words, excl)
-                    # again, on the columns the view kept from an earlier call
+                    # again, on the slots the view kept from an earlier call
                     assert sorted(view.class_keys(cid, mask)) == sorted(got), (words, excl)
                     checked += 1
                     several += len(words) > 1 and len(got) > len(words)
@@ -789,12 +789,17 @@ def test_shortenings_the_join_settles_against_pair_scan(name, q, v, add_trivial,
     assert join_outcomes
 
 
+def _shortened_w8k4(spec):
+    """The 573-word shortening of the puncture-aligned w8k4 code."""
+    return puncture(
+        multilevel_fixture("w8k4", spec, puncture_aligned=True), (1, 0, 0, 0, 0, 0, 0, 1), add_trivial=True
+    )
+
+
 def test_shortened_w8k4_against_flat_scan(gf2):
     # the 573-word shortening: the class step and the join against the
     # scan of all 163,878 pairs
-    code = puncture(
-        multilevel_fixture("w8k4", gf2, puncture_aligned=True), (1, 0, 0, 0, 0, 0, 0, 1), add_trivial=True
-    )
+    code = _shortened_w8k4(gf2)
     assert len(code) == 573
     view = code.packed
     assert min_distance(code) == view.scan_pairs(range(len(code))) == 3
@@ -854,9 +859,9 @@ def class_outcomes(monkeypatch):
         joins.append(shares(*args))
         return joins[-1]
 
-    def scan_spy(self, members, best=None):
+    def scan_spy(self, members, best=None, floor=0):
         scans.append(best)
-        return scan_pairs(self, members, best)
+        return scan_pairs(self, members, best, floor)
 
     monkeypatch.setattr(distances, "_shares_hyperplane", join_spy)
     monkeypatch.setattr(PackedCode, "scan_pairs", scan_spy)
@@ -929,9 +934,11 @@ def test_min_distance_in_class_join_hit_and_repeat(gf2, gf3, class_outcomes):
 
 def test_shortened_w8k4_verify_rank_calls(gf2, monkeypatch):
     # one load and verify of the 573-word shortening, as the CLI and the
-    # certify workload run it: 16 rank calls, so no class pair the joins
+    # certify workload run it: 15 rank calls, so no class pair the joins
     # settle can move back to the scan, no coset minimum can rank past its
-    # floor and no coset test can rank, unnoticed.  The count was 33 when
+    # floor, no coset test can rank and no scan can go on past a pair at
+    # its floor, unnoticed.  The count was 16 when a class pair's scan
+    # ranked all its pairs after one at d = h, 33 when
     # each coset test ranked the class's differences, 577 when each coset
     # class ranked every difference and a key weighed a quarter of a ranked pair, 2,362
     # when a key weighed as much as a ranked pair, 12,534 without the
@@ -941,9 +948,7 @@ def test_shortened_w8k4_verify_rank_calls(gf2, monkeypatch):
     # (4,482 calls when each later exclusive slot scaled its rows one by
     # one), and the coset analysis takes its basis by span lookups, which
     # scale no row over GF(2) either.
-    code = puncture(
-        multilevel_fixture("w8k4", gf2, puncture_aligned=True), (1, 0, 0, 0, 0, 0, 0, 1), add_trivial=True
-    )
+    code = _shortened_w8k4(gf2)
     text = codefile.dumps_code(code)
     calls, scaled = [], []
     form = row_form(gf2, code.n)  # the row form the code's view ranks with
@@ -960,8 +965,90 @@ def test_shortened_w8k4_verify_rank_calls(gf2, monkeypatch):
     monkeypatch.setattr(form, "rank", counting)
     monkeypatch.setattr(form, "multiples", counting_multiples)
     assert min_distance(codefile.loads_code(text)) == 3
-    assert len(calls) == 16
+    assert len(calls) == 15
     assert scaled == []
+
+
+def test_shortened_w8k4_verifies_in_few_rank_calls_in_any_order(gf2, monkeypatch):
+    # the 573-word shortening in 300 word orders, order s shuffled by
+    # random.Random(s): d = 3 every time, in at most 60 rank calls (55 at
+    # most here).  Before each class pair's scan stopped at its floor, 29
+    # of these orders ranked all 8,192 pairs of a 32-word and a 256-word
+    # class after a join at h = 1 found no shared key (8,216 calls at
+    # most).  What is left is still order luck, the pairs a scan ranks
+    # before one meets its floor h + 2: over orders 0..1999 the most is 60
+    code = _shortened_w8k4(gf2)
+    form = row_form(gf2, code.n)
+    calls = []
+    rank = form.rank
+
+    def counting(rows):
+        calls.append(len(rows))
+        return rank(rows)
+
+    monkeypatch.setattr(form, "rank", counting)
+    most = 0
+    for seed in range(300):
+        words = list(code.words)
+        random.Random(seed).shuffle(words)
+        calls.clear()
+        assert min_distance(SubspaceCode(gf2, code.n, words)) == 3
+        most = max(most, len(calls))
+    assert most <= 60, most
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_nearest_with_a_true_floor_is_nearest_without(q):
+    # any floor at most the least distance from the query to a candidate
+    # leaves the answer alone: the first candidate at the least distance,
+    # if it beats best, by distance_naive
+    spec = make_field(q, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(3, 6), st.integers(0, 2**32), st.data())
+    def check(n, seed, data):
+        rng = random.Random(seed)
+        words = [random_subspace(spec, n, rng) for _ in range(rng.randrange(2, 12))]
+        view = PackedCode.of_words(spec, n, words)
+        qid, qrows = view.pack_word(random_subspace(spec, n, rng) if rng.random() < 0.7 else rng.choice(words))
+        query = Subspace.from_rows(spec, n, qrows)
+        candidates = rng.sample(range(len(words)), rng.randrange(1, len(words) + 1))
+        dists = [distance_naive(query, words[i]) for i in candidates]
+        low = min(dists)
+        best = data.draw(st.sampled_from([None, low, low + 1, low + 2, n + 1]))
+        floor = data.draw(st.integers(0, low))
+        want = (candidates[dists.index(low)], low) if best is None or low < best else (None, best)
+        assert view.nearest(qid, qrows, candidates, best, floor) == want == view.nearest(qid, qrows, candidates, best)
+
+    check()
+
+
+def test_class_keys_builds_each_slot_once(monkeypatch):
+    # a second class_keys call with the same class and exclusive set gives
+    # the same keys and builds no variant: no row is subtracted or scaled
+    for q in (2, 3):
+        spec = make_field(q, 1)
+        code = _shortened_w8k4(spec) if q == 2 else multilevel_fixture("w6k3", spec)
+        view = PackedCode(spec, code.n, code.ids, code.rows)
+        form = row_form(spec, code.n)
+        built = []
+        sub, scaled = form.sub_row, form.scaled
+        monkeypatch.setattr(form, "sub_row", lambda a, b: built.append(1) or sub(a, b))
+        monkeypatch.setattr(form, "scaled", lambda rows: built.append(1) or scaled(rows))
+        asked = several = 0
+        for cid, members in view.classes.items():
+            for b in range(code.n):
+                if not cid >> b & 1:
+                    continue
+                for exclusive in (1 << b, cid & ~(1 << b)):
+                    first = sorted(view.class_keys(cid, exclusive))
+                    before = len(built)
+                    assert sorted(view.class_keys(cid, exclusive)) == first
+                    assert len(built) == before
+                    asked += 1
+                    several += len(members) > 1 and len(first) > len(members)
+        assert asked > 20 and several > 5 and built, (q, asked, several)
+        monkeypatch.undo()
 
 
 def test_one_word_class_joins_at_e_0(gf2, gf3, monkeypatch, join_outcomes):

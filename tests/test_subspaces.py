@@ -474,3 +474,27 @@ def test_loading_and_verifying_build_no_matrix(gf2, matrices_built):
     assert len(by_pivots) == len(loaded.packed.classes)
     assert all(len(ids) == 1 for ids in by_pivots.values())
     assert loaded.words[5].gen.entries == code.words[5].gen.entries and len(built) == 2
+
+
+def test_repr_writes_every_entry_of_the_q_11_spread_once(gf2, gf3):
+    # over GF(11) the entry 10 takes two digits, so a row literal reads
+    # back as a longer row; the repr separates the entries there, and
+    # each word of the spread reads back as its own rows
+    from subspacecodes.constructions import spread_like
+    from subspacecodes.subspaces import field_for_order
+
+    gf11 = field_for_order(11)
+    code = spread_like(4, 2, gf11)
+    texts = [repr(w) for w in code.words]
+    assert len(set(texts)) == len(texts) == len(code)
+    word = Subspace(gf11, 4, MatGF(gf11, [[1, 0, 0, 1], [0, 1, 10, 0]]))
+    assert word in code.words
+    assert repr(word) == "Subspace('1,0,0,1;0,1,10,0', n=4, GF(11))"
+    for w, text in zip(code.words, texts):
+        lit = text.split("'")[1]
+        assert tuple(tuple(map(int, row.split(","))) for row in lit.split(";")) == w.gen.entries
+    assert any("10" in text for text in texts)
+    # q <= 10 keeps the digit literal
+    assert repr(from_literal("1001;0100", gf2, 4)) == "Subspace('1001;0100', n=4, GF(2))"
+    assert repr(from_literal("102;011", gf3, 3)) == "Subspace('102;011', n=3, GF(3))"
+    assert repr(zero_subspace(gf11, 4)) == "Subspace('', n=4, GF(11))"
