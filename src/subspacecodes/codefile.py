@@ -11,16 +11,15 @@ check (``RowForm.check``, the check a ``Subspace`` makes), which gives its
 packed pivots; with the uniqueness check, load followed by save is
 byte-identical.  A code has few distinct rows, so the loader parses each
 distinct row literal once, and equal rows of different codewords are one
-shared row, which keeps a loaded code small: a codeword is one split and
-one lookup per row, and a row literal not seen before is parsed once, when
-it is bare (n digits of the field), before the codeword is looked up again.
-Only a codeword with a literal that is not bare goes through the full
-parse (``subspaces.literal_rows``), which gives the error text.  A row is
-parsed straight into its field's row form (a packed integer over GF(2), a
-tuple otherwise).  Every codeword still gets its own canonical-form and
-uniqueness checks, in file order; the latter compares the words' rows, and
-it is the load's one duplicate scan.  Saving writes each word from its
-rows (``rows_literal``), each distinct row once.
+shared row, which keeps a loaded code small: a codeword whose row literals
+were all seen before is one split and one lookup per row, and any other
+goes through the full parse (``subspaces.literal_rows``), which reads the
+rows seen before from the same dict, parses only the new ones and gives the
+error text.  A row is parsed straight into its field's row form (a packed
+integer over GF(2), a tuple otherwise).  Every codeword still gets its own
+canonical-form and uniqueness checks, in file order; the latter compares
+the words' rows, and it is the load's one duplicate scan.  Saving writes
+each word from its rows (``rows_literal``), each distinct row once.
 """
 
 from __future__ import annotations
@@ -77,26 +76,19 @@ def loads_code(text: str) -> SubspaceCode:
     spec = field_for_order(q)
     if not isinstance(doc["codewords"], list):
         raise ParseError("codewords must be a list of row literals")
-    form = row_form(spec, n)
-    check, row_of, digits = form.check, form.row_of, "0123456789"[:q]
+    check = row_form(spec, n).check
     ids, words = [], []  # each word's pivots and rows
     seen = set()
     parsed = {}  # row literal -> its row, parsed once and kept by every word that has it
     for i, lit in enumerate(doc["codewords"]):
         if not isinstance(lit, str):
             raise ParseError(f"codeword {i}: expected a string, got {type(lit).__name__}")
-        parts = lit.split(";")
-        rows = tuple(map(parsed.get, parts))
+        rows = tuple(map(parsed.get, lit.split(";")))
         if None in rows:  # a row seen for the first time, or not a bare row literal
-            for part in parts:
-                if part not in parsed and part and len(part) == n and not part.strip(digits):
-                    parsed[part] = row_of(map(int, part))
-            rows = tuple(map(parsed.get, parts))
-            if None in rows:  # not a bare row literal: the full parse, and its error text
-                try:
-                    rows = literal_rows(lit, spec, n, parsed)
-                except ParseError as e:
-                    raise ParseError(f"codeword {i}: {e}") from e
+            try:
+                rows = literal_rows(lit, spec, n, parsed)
+            except ParseError as e:
+                raise ParseError(f"codeword {i}: {e}") from e
         try:
             pivots = check(rows)
         except BadParams:

@@ -21,7 +21,7 @@ is one elimination (``PackedCode.contained``).
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain, combinations, product, repeat, starmap
 from typing import NamedTuple
 
@@ -37,16 +37,6 @@ def meet_exponent(shared: int, exclusive: int) -> int:
         e += (exclusive & (low - 1)).bit_count()
         shared ^= low
     return e
-
-
-@lru_cache(maxsize=1024)
-def meet_plan(cid: int, exclusive: int) -> tuple:
-    """For ``PackedCode.class_keys`` on words with the packed identifying
-    vector ``cid``: per row whose pivot is not in ``exclusive``, its
-    position and the positions of the later rows whose pivots are."""
-    bits = [b for b in range(cid.bit_length() - 1, -1, -1) if cid >> b & 1]  # rows' pivots, in row order
-    later = [r for r, b in enumerate(bits) if exclusive >> b & 1]
-    return tuple((r, tuple(j for j in later if j > r)) for r, b in enumerate(bits) if not exclusive >> b & 1)
 
 
 def _least(values, floor: int) -> int:
@@ -329,11 +319,11 @@ class PackedCode:
         ``meet_exponent(S, I)``, all distinct.  The key is the tuple of X's
         rows, so two words share such a subspace exactly when they share a
         key.  The rows are built for the whole class at once, one row slot
-        at a time (``meet_plan``): a slot's column holds that row of every
-        word, and each of its q^e_p variants is one ``sub_row`` map over
-        such columns; a key is a choice of variant per slot, read off word
-        by word.  Each class's columns and each (class, exclusive set)'s
-        slots are kept on the view, built on first use.
+        at a time: a slot's column holds that row of every word, and each of
+        its q^e_p variants is one ``sub_row`` map over such columns; a key
+        is a choice of variant per slot, read off word by word.  Each
+        class's columns and each (class, exclusive set)'s slots are kept on
+        the view, built on first use.
         """
         slots = self._slots.get((cid, exclusive))
         if slots is None:
@@ -343,9 +333,9 @@ class PackedCode:
         return chain.from_iterable(starmap(zip, product(*slots)))
 
     def _meet_slots(self, cid: int, exclusive: int) -> list:
-        """Per row slot of ``meet_plan(cid, exclusive)``, the column of its
+        """Per row slot of ``_meet_plan(cid, exclusive)``, the column of its
         variants' rows, one row per word of the class."""
-        plan = meet_plan(cid, exclusive)
+        plan = self._meet_plan(cid, exclusive)
         if not plan:
             return []
         columns = self._columns.get(cid)
@@ -360,3 +350,11 @@ class PackedCode:
                 xs += [tuple(map(sub, x, m)) for x in xs for m in nonzero]
             slots.append(xs)
         return slots
+
+    def _meet_plan(self, cid: int, exclusive: int) -> list:
+        """For ``class_keys`` on words with identifying vector ``cid``: per
+        row whose pivot is shared, its position and the positions of the
+        later rows whose pivots are exclusive."""
+        bits = [b for b in range(self.n - 1, -1, -1) if cid >> b & 1]  # rows' pivots, in row order
+        later = [r for r, b in enumerate(bits) if exclusive >> b & 1]
+        return [(r, [j for j in later if j > r]) for r, b in enumerate(bits) if not exclusive >> b & 1]

@@ -763,21 +763,6 @@ def test_loader_rows_match_a_plain_parse(q, words):
     assert [w.gen.entries for w in code.words] == [_reference_rows(lit, q, 3) for lit in codewords]
 
 
-def test_loader_parses_bare_rows_without_the_full_parse(monkeypatch, gf2, gf3):
-    # a codeword of bare row literals (n digits of the field each), seen or
-    # not, is split and looked up; only a codeword with another literal
-    # goes through literal_rows, which gives the error text
-    parses, full = [], codefile.literal_rows
-    monkeypatch.setattr(codefile, "literal_rows", lambda *a: parses.append(a[0]) or full(*a))
-    for spec in (gf2, gf3):
-        text = codefile.dumps_code(multilevel_fixture("w6k3", spec))
-        assert codefile.dumps_code(codefile.loads_code(text)) == text
-    assert parses == []
-    code = codefile.loads_code(_doc(q=2, n=4, codewords=["1000;0100", " 0010", "", "0001"]))
-    assert [w.rows for w in code.words] == [(8, 4), (2,), (), (1,)]
-    assert parses == [" 0010", ""]
-
-
 def test_save_load_order_preserved(tmp_path, gf2):
     code = multilevel_fixture("w6k3", gf2)
     path = tmp_path / "c.json"
