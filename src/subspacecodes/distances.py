@@ -12,7 +12,7 @@ rows the subspaces keep (``Subspace.rows``).
 
 from __future__ import annotations
 
-from itertools import chain, combinations, compress
+from itertools import chain, combinations, compress, takewhile
 from operator import not_
 
 from .errors import AmbientMismatch, TooFewCodewords
@@ -72,8 +72,10 @@ def distance_fast(u: Subspace, w: Subspace) -> int:
 # joins of one verify at weight 4 list 9,145 keys in 1.2 ms) and a ranked
 # pair about 1.4 us (``PackedCode.nearest`` on one pair of words from classes
 # at Hamming distance h <= 2), a ratio of about 10.  At 8 rather than 4 that
-# verify joins the class pairs it would otherwise scan and makes 204 fewer
+# verify joined the class pairs it would otherwise scan and made 204 fewer
 # rank calls; the GF(3) w7k3 verify does the same work at either weight.
+# Those were near pairs, which the sieve now settles; the weight still
+# decides the class pairs it leaves, at h = 2 two dimensions apart or h >= 3.
 JOIN_WEIGHT = 8
 
 
@@ -82,22 +84,38 @@ def min_distance(code) -> int:
 
     Exact, and built on the code's structure.  Words sharing an identifying
     vector form a class, and two words of a class are at distance 0, 2 or
-    at least 4.  The view's one coset analysis of each class
-    (``PackedCode.cosets``) finds the cosets of a linear space of
-    matrices, whose minimum is 2 min rank(G_i - G_0)
-    (``PackedCode.coset_minima``), and the classes with a repeated word,
-    whose minimum is 0.  In any other class two words at distance 2 share
-    a hyperplane, a (k-1)-subspace, whose pivots are all but one of the
-    class's: listing the hyperplanes of every word of the class
-    (``PackedCode.class_keys`` once per pivot) settles the class as 2 when
-    the list holds a duplicate.  A class with no shared hyperplane has
-    minimum at least 4; that is only a lower bound, so it never becomes the
-    best so far, and the class's pairs are scanned at the end, only if the
-    best then exceeds 4.
+    at least 4.  Two classes whose identifying vectors are at Hamming
+    distance h bound every distance between them below by h, with the same
+    parity.  A near pair is two classes at h = 1, or at h = 2 with one
+    dimension, and a near class is a class in a near pair.
 
-    Pairs of classes go in order of the Hamming distance h of their
-    identifying vectors, a lower bound on every distance between them,
-    until h reaches the best so far.  With S the pivots two classes share,
+    A pair of words at distance 1 or 2 lies in one class or in a near pair,
+    and then either one word is a hyperplane, a (k-1)-subspace, of the
+    other, or the two words share a hyperplane.  So one sieve settles them
+    all (``_sieve``): a set of the words of every near class, and of every
+    other class that is not a coset, and one of their hyperplanes
+    (``PackedCode.hyperplane_keys``).  A repeated word gives 0, a word that
+    is a hyperplane of another 1, and a hyperplane of two words 2; with no
+    such collision every sieved class has minimum at least 4, and every
+    near pair at least h + 2.
+
+    A class that is not near gets its coset analysis at once
+    (``PackedCode.coset``): a coset of a linear space of matrices has the
+    minimum 2 min rank(G_i - G_0) (``PackedCode.coset_minimum``), a class
+    with a repeated word 0, and any other class is sieved and deferred: its
+    minimum, at least 4, is only a lower bound, so it never becomes the best
+    so far, and its pairs are scanned at the end, only if the best then
+    exceeds 4.  A near class's minimum is taken only when an upper bound can
+    still change the answer: before a class-pair scan whose floor is at
+    least 4 and above the best so far, and at the end if the best exceeds
+    4; a near class that is not a coset is then deferred in turn.
+
+    Pairs of classes go in order of h, a lower bound on every distance
+    between them, until h reaches the best so far; at one h, the pair with
+    fewer word pairs first, then by identifying vector, the smaller class
+    scanned word by word against the larger.  A near pair has no pair at
+    d = h, or the sieve would have set the best to h at most.  For any
+    other pair, with S the pivots the two classes share,
     d(U, W) = h + 2(|S| - dim(U ∩ W)), so d = h exactly when U and W share
     a subspace with pivot set S, and d >= h + 2 otherwise.  When listing
     those subspaces (``class_keys``, |A| q^e_A keys for class A) costs no
@@ -112,9 +130,9 @@ def min_distance(code) -> int:
 
     Every scan stops at its floor, a lower bound on each pair it reaches
     (``PackedCode.nearest``'s ``floor``): h for a class pair scanned
-    without a join, h + 2 after a join with no shared key, and 4 in a
-    deferred class.  No later pair can be closer than the first one at
-    its floor, so no pair after it is ranked.
+    without a join, h + 2 for a near pair or after a join with no shared
+    key, and 4 in a deferred class.  No later pair can be closer than the
+    first one at its floor, so no pair after it is ranked.
     """
     if not hasattr(code, "packed"):  # Subspaces, not a code
         code = tuple(code)
@@ -128,56 +146,109 @@ def min_distance(code) -> int:
             raise AmbientMismatch("codewords live in different ambient spaces")
         view = PackedCode.of_words(spec, n, code)
 
-    ids, rows, q, minima = view.ids, view.rows, view.spec.order, view.coset_minima
-    best, deferred = None, []
-    for cid, members in view.classes.items():
-        if cid in minima:
-            d = minima[cid]  # None for a one-word class
-        elif cid in view.cosets:  # not a coset: a repeated word
-            d = 0  # the hyperplane join would say 2
-        elif _shares_hyperplane(view, cid):
-            d = 2
+    ids, rows, q, classes = view.ids, view.rows, view.spec.order, view.classes
+    size = {cid: len(members) for cid, members in classes.items()}
+    by_size = sorted(classes, key=lambda cid: (size[cid], cid))  # so each pair has its smaller class first
+    pairs = sorted(((a ^ b).bit_count(), size[a] * size[b], a, b) for a, b in combinations(by_size, 2))
+    near = {c for h, _, a, b in takewhile(lambda p: p[0] <= 2, pairs) if _near(h, a, b) for c in (a, b)}
+
+    best, deferred, sieved = None, [], []
+    for cid, members in classes.items():
+        if cid in near:
+            sieved.append(cid)
+            continue
+        coset = view.coset(cid)
+        if coset:
+            d = view.coset_minimum(cid)  # None for a one-word class
+        elif coset is None:  # a repeated word
+            d = 0
         else:
+            sieved.append(cid)
             deferred.append(members)
             continue
-        if d is not None and (best is None or d < best):
-            best = d
+        best = _least_of(best, d)
+    if sieved:
+        best = _least_of(best, _sieve(view, sieved))
+    pending = [cid for cid in sieved if cid in near]  # near classes whose minimum is not yet taken
 
-    pairs = sorted(((a ^ b).bit_count(), a, b) for a, b in combinations(view.classes, 2))
-    for h, a, b in pairs:
+    for h, _, a, b in pairs:
         if best is not None and h >= best:
             break
-        ours, others = view.classes[a], view.classes[b]
-        s, x, y = a & b, a & ~b, b & ~a
-        na, nb = len(ours) * q ** meet_exponent(s, x), len(others) * q ** meet_exponent(s, y)
+        ours, others = classes[a], classes[b]
         floor = h  # a lower bound on every pair of the two classes
-        if na + nb <= JOIN_WEIGHT * len(ours) * len(others):
-            sides = ((a, x), (b, y)) if na <= nb else ((b, y), (a, x))  # the fewer keys hashed
-            if _meets(view, *sides):
-                best = h
-                continue
+        if _near(h, a, b):  # no pair at d = h, or the sieve would have set the best to h at most
             floor = h + 2
-            if best is not None and best <= floor:
-                continue
+        else:
+            s, x, y = a & b, a & ~b, b & ~a
+            na, nb = len(ours) * q ** meet_exponent(s, x), len(others) * q ** meet_exponent(s, y)
+            if na + nb <= JOIN_WEIGHT * len(ours) * len(others):
+                sides = ((a, x), (b, y)) if na <= nb else ((b, y), (a, x))  # the fewer keys hashed
+                if _meets(view, *sides):
+                    best = h
+                    continue
+                floor = h + 2
+        if pending and floor >= 4 and (best is None or best > floor):
+            best = _near_minima(view, pending, deferred, best)
+        if best is not None and best <= floor:
+            continue
         for i in ours:
             _, best = view.nearest(ids[i], rows[i], others, best, floor)
             if best == floor:
                 break
 
+    if best is None or best > 4:
+        best = _near_minima(view, pending, deferred, best)
     for members in deferred:  # each class's minimum is at least 4
         if best is None or best > 4:
             best = view.scan_pairs(members, best, 4)
     return best
 
 
-def _shares_hyperplane(view, cid) -> bool:
-    """Whether two words of one class (``cid`` its packed identifying
-    vector) share a hyperplane.  Each hyperplane of a word has as pivots
-    all of the word's pivots but one, so ``class_keys`` with that one pivot
-    exclusive lists it, and lists it once: a key listed twice is a
-    hyperplane of two words."""
-    keys = list(chain.from_iterable(view.class_keys(cid, 1 << b) for b in range(view.n) if cid >> b & 1))
-    return len(set(keys)) < len(keys)
+def _near(h: int, a: int, b: int) -> bool:
+    """Whether classes with packed identifying vectors a and b, at Hamming
+    distance h, are a near pair: h = 1, or h = 2 with one dimension."""
+    return h == 1 or h == 2 and a.bit_count() == b.bit_count()
+
+
+def _least_of(best: int | None, d: int | None) -> int | None:
+    """The lesser of two upper bounds, either None for no bound."""
+    return d if best is None or (d is not None and d < best) else best
+
+
+def _sieve(view, cids) -> int | None:
+    """The least distance, 0, 1 or 2, that one hash set of the words of the
+    classes ``cids`` (packed identifying vectors) and one of their
+    hyperplanes show; None when they show none.  Every key is a tuple of
+    reduced rows, so equal keys are equal subspaces: a word listed twice is
+    a repeated word (0), a word that is a hyperplane of another lies in it
+    at codimension 1 (1), and, the words being distinct, a hyperplane
+    listed twice lies in two words of one dimension (2), since the
+    hyperplanes of one word are distinct.  Every pair of words of these
+    classes at distance 2 or less shows so, but a word inside another at
+    codimension 2.  The keys go straight into the sets, and the number of
+    hyperplanes listed is counted, not kept."""
+    rows, classes, q = view.rows, view.classes, view.spec.order
+    words = {rows[i] for cid in cids for i in classes[cid]}
+    if len(words) < sum(len(classes[cid]) for cid in cids):
+        return 0
+    planes = set(chain.from_iterable(map(view.hyperplane_keys, cids)))
+    if not words.isdisjoint(planes):
+        return 1
+    listed = sum(len(classes[cid]) * (q ** cid.bit_count() - 1) // (q - 1) for cid in cids)
+    return 2 if len(planes) < listed else None
+
+
+def _near_minima(view, pending, deferred, best):
+    """``best`` lowered by the minimum of each near class in ``pending``,
+    which is emptied: a coset class's ``coset_minimum``; any other class
+    goes to ``deferred``, to be scanned."""
+    for cid in pending:
+        if view.coset(cid):
+            best = _least_of(best, view.coset_minimum(cid))
+        else:
+            deferred.append(view.classes[cid])
+    pending.clear()
+    return best
 
 
 def _meets(view, hashed, probed) -> bool:

@@ -220,7 +220,7 @@ class RowForm:
         q = spec.order
         if q == 2:
             in_field = _BITS.issuperset
-            self.row_of, self.code, self.sub_row = pack, int, int.__xor__
+            self.row_of, self.code, self.sub_row = pack, int, xor
             self.from_entries = lambda entries: tuple(map(pack, entries))
             self.to_entries = lambda rows: [unpack(v, n) for v in rows]
             self.rank, self.rref, self.remainder = gf2_rank, gf2_rref, _gf2_remainder

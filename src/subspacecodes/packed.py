@@ -67,7 +67,15 @@ class PackedCode:
     """The words of a code as their packed identifying vectors ``ids`` and
     rows ``rows``, grouped into classes by identifying vector (each class in
     code order).  Rows are in the field's row form ``form``, and only its
-    primitives touch them."""
+    primitives touch them.
+
+    What the view learns about one class it keeps, each on first use: the
+    class's coset analysis (``coset``) and, for a coset, its minimum
+    (``coset_minimum``), so that a verify and the decoder table share them
+    and a verify takes only the classes it needs; the class's row columns;
+    and the join slots of each (class, exclusive set) (``class_keys``).  The
+    hyperplanes of a class's words (``hyperplane_keys``) are listed afresh
+    on each call."""
 
     def __init__(self, spec, n: int, ids, rows):
         self.spec = spec
@@ -76,6 +84,8 @@ class PackedCode:
         self.ids = ids
         self.rows = rows
         self.classes: dict[int, list[int]] = {}
+        self._cosets: dict[int, tuple | None | bool] = {}  # per class, for coset
+        self._minima: dict[int, int | None] = {}  # per coset class, for coset_minimum
         self._slots: dict[tuple[int, int], list] = {}  # per (class, exclusive set), for class_keys
         self._columns: dict[int, list] = {}  # per class, row slot by row slot
         for i, v in enumerate(self.ids):
@@ -130,61 +140,77 @@ class PackedCode:
             _, best = self.nearest(ids[i], rows[i], members[pos + 1 :], best, floor)
         return best
 
-    @cached_property
-    def cosets(self) -> dict:
-        """The one coset analysis of each class, by identifying vector: a basis
+    def coset(self, cid: int):
+        """The one coset analysis of class ``cid``, kept on the view: a basis
         D_1..D_r is taken from the differences G_i - G_0 (``_differences``) in
         class order, each outside the span of those before, until the span is
         as large as the class, as it is once it holds every difference.  The
         span grows in place: a new D_j appends x + c D_j for each nonzero c and
         each x so far, so the last D_j's coefficient is the most significant.
         The class is a coset exactly when each element of the span is one of
-        its differences, and maps to (the flat D_j, the last first, and its
-        words in coefficient order, the first D_j's coefficient the most
-        significant); a class with a repeated word maps to None, and no other
-        class is listed."""
-        out, sub, scaled = {}, self.form.sub_row, self.form.scaled
-        for cid, members in self.classes.items():
-            index = self._differences(members)
-            zero = next(iter(index))  # G_0 - G_0
-            basis, spanned, seen = [], [zero], {zero}  # the span in coefficient order, and as a set
-            for f in index:
-                if f not in seen:
-                    basis.append(f)
-                    # x + c f = x - c (-f), each c != 0 in turn
-                    grown = [sub(x, m) for (m,) in scaled([sub(zero, f)]) for x in spanned]
-                    spanned += grown
-                    if len(spanned) >= len(index):
-                        break
-                    seen.update(grown)
-            by_coords = list(map(index.get, spanned))
-            if len(index) < len(members):
-                out[cid] = None  # a repeated word
-            elif None not in by_coords:
-                out[cid] = basis[::-1], by_coords
+        its differences, and then this is (the flat D_j, the last first, and
+        its words in coefficient order, the first D_j's coefficient the most
+        significant); it is None for a class with a repeated word, and False
+        for any other class."""
+        if cid in self._cosets:
+            return self._cosets[cid]
+        sub, scaled = self.form.sub_row, self.form.scaled
+        members = self.classes[cid]
+        index = self._differences(members)
+        zero = next(iter(index))  # G_0 - G_0
+        basis, spanned, seen = [], [zero], {zero}  # the span in coefficient order, and as a set
+        for f in index:
+            if f not in seen:
+                basis.append(f)
+                # x + c f = x - c (-f), each c != 0 in turn
+                grown = [sub(x, m) for (m,) in scaled([sub(zero, f)]) for x in spanned]
+                spanned += grown
+                if len(spanned) >= len(index):
+                    break
+                seen.update(grown)
+        by_coords = list(map(index.get, spanned))
+        if len(index) < len(members):
+            out = None  # a repeated word
+        elif None in by_coords:
+            out = False
+        else:
+            out = basis[::-1], by_coords
+        self._cosets[cid] = out
         return out
 
     @cached_property
-    def coset_minima(self) -> dict:
-        """The coset classes (``cosets``), by identifying vector, each with
-        its minimum (None for one word): 2 min rank(G_i - G_0) over i > 0,
-        as every pairwise difference is one of the G_i - G_0.  A screen with
-        no elimination (``RowForm.rank_at_most_one``) finds a difference of
-        rank 1 if there is one; otherwise ranking them in class order stops
-        at the first of rank 2.  Only a class whose minimum rank is above 2
-        (a lifted Gabidulin code at d = 6, say) ranks every difference.
-        """
-        minima, rows = {}, self.rows
+    def cosets(self) -> dict:
+        """Each class's ``coset`` by identifying vector, for the decoder: the
+        coset classes and the classes with a repeated word (None); no other
+        class is listed."""
+        return {cid: c for cid in self.classes if (c := self.coset(cid)) is not False}
+
+    def coset_minimum(self, cid: int) -> int | None:
+        """The minimum of a coset class (``coset``), kept on the view (None
+        for one word): 2 min rank(G_i - G_0) over i > 0, as every pairwise
+        difference is one of the G_i - G_0.  A screen with no elimination
+        (``RowForm.rank_at_most_one``) finds a difference of rank 1 if there
+        is one; otherwise ranking them in class order stops at the first of
+        rank 2.  Only a class whose minimum rank is above 2 (a lifted
+        Gabidulin code at d = 6, say) ranks every difference."""
+        if cid in self._minima:
+            return self._minima[cid]
         rank, sub, rank_at_most_one = self.form.rank, self.form.sub_row, self.form.rank_at_most_one
-        for cid in filter(self.cosets.get, self.cosets):  # not the classes mapped to None
-            base, *others = [rows[i] for i in self.classes[cid]]
-            if not others:
-                minima[cid] = None
-            elif any(rank_at_most_one(map(sub, r, base)) for r in others):
-                minima[cid] = 2
-            else:
-                minima[cid] = 2 * _least((rank(list(map(sub, r, base))) for r in others), 2)
-        return minima
+        base, *others = [self.rows[i] for i in self.classes[cid]]
+        if not others:
+            d = None
+        elif any(rank_at_most_one(map(sub, r, base)) for r in others):
+            d = 2
+        else:
+            d = 2 * _least((rank(list(map(sub, r, base))) for r in others), 2)
+        self._minima[cid] = d
+        return d
+
+    @cached_property
+    def coset_minima(self) -> dict:
+        """The coset classes (``coset``), by identifying vector, each with its
+        ``coset_minimum``."""
+        return {cid: self.coset_minimum(cid) for cid in self.classes if self.coset(cid)}
 
     def _differences(self, members) -> dict:
         """A dict from each difference G_i - G_0 over a class's words i,
@@ -332,15 +358,45 @@ class PackedCode:
             return repeat((), len(self.classes[cid]))
         return chain.from_iterable(starmap(zip, product(*slots)))
 
+    def hyperplane_keys(self, cid: int):
+        """Every hyperplane, a (k-1)-subspace, of every word of class ``cid``,
+        as the tuple of its reduced rows, as an iterator: (q^k - 1)/(q - 1)
+        keys per word, all distinct.
+
+        A hyperplane X of U has all of U's pivots but one, p_j, so these are
+        the ``class_keys`` with each pivot exclusive in turn: x_i = u_i + c_i
+        u_j for i < j, any c_i in GF(q), and x_i = u_i for i > j.  They are
+        built as ``class_keys`` builds its keys, from the class's row
+        columns, but each column u_i - c u_j is built once per call, and
+        nothing is kept on the view but the columns."""
+        count, k = len(self.classes[cid]), cid.bit_count()
+        if k < 2:  # none in dimension 0; in dimension 1 the zero space alone
+            return repeat((), count * k)
+        columns = self._class_columns(cid)
+        sub, scaled = self.form.sub_row, self.form.scaled
+        keys = []
+        for j, column in enumerate(columns):
+            nonzero = scaled(column)  # c * row j of every word, per c != 0
+            slots = [[x, *(tuple(map(sub, x, m)) for m in nonzero)] for x in columns[:j]]
+            slots += ([x] for x in columns[j + 1 :])
+            keys.append(starmap(zip, product(*slots)))
+        return chain.from_iterable(chain.from_iterable(keys))
+
+    def _class_columns(self, cid: int) -> list:
+        """Class ``cid``'s row columns, kept on the view: column r holds row
+        r of every word, in class order."""
+        columns = self._columns.get(cid)
+        if columns is None:
+            columns = self._columns[cid] = list(zip(*[self.rows[i] for i in self.classes[cid]]))
+        return columns
+
     def _meet_slots(self, cid: int, exclusive: int) -> list:
         """Per row slot of ``_meet_plan(cid, exclusive)``, the column of its
         variants' rows, one row per word of the class."""
         plan = self._meet_plan(cid, exclusive)
         if not plan:
             return []
-        columns = self._columns.get(cid)
-        if columns is None:
-            columns = self._columns[cid] = list(zip(*[self.rows[i] for i in self.classes[cid]]))
+        columns = self._class_columns(cid)
         sub, scaled = self.form.sub_row, self.form.scaled
         slots = []
         for p, later in plan:

@@ -19,7 +19,7 @@ from subspacecodes.packed import PackedCode
 from subspacecodes.fields import make_field
 from subspacecodes.subspaces import IdVector, Subspace, echelon_ferrers_shape, fill_free_entries, from_span, to_literal
 from .conftest import brute_min_distance, random_subspace
-from .test_distances import _structured_class
+from .test_distances import _shortened_w8k4, _structured_class
 
 
 def test_transmit_identity(gf2):
@@ -373,24 +373,38 @@ def test_containment_bound_on_bundled_codes(gf2, gf3):
     assert min_distance_decode(one, from_span([], gf2, 3)) == (one.words[0], 1)
 
 
-def test_verify_then_decode_ranks_each_class_once(gf3, monkeypatch):
-    # min_distance and the decoder table share the classes' coset analysis,
-    # so the table makes no rank call of its own after a verify
-    calls = []
-    code = puncture(multilevel_fixture("w6k3", gf3), (0, 0, 1, 0, 0, 1))
-    brute = brute_min_distance(code.words)  # ranks on the same row form: not counted
-    form = row_form(gf3, code.n)  # the row form the code's view ranks with
-    rank = form.rank
+def test_verify_then_decode_ranks_each_class_once(gf2, gf3, monkeypatch):
+    # min_distance and the decoder table share the classes' coset minima:
+    # the verify takes those it needs, and the table ranks only for the
+    # others, each as often as a view of its own ranks for it.  In the
+    # 573-word GF(2) shortening the verify takes two minima that rank
+    calls, both_ranked = [], 0
+    for code in (puncture(multilevel_fixture("w6k3", gf3), (0, 0, 1, 0, 0, 1)), _shortened_w8k4(gf2)):
+        brute = brute_min_distance(code.words)  # ranks on the same row form: not counted
+        form = row_form(code.spec, code.n)  # the row form the code's view ranks with
+        rank = form.rank
 
-    def spy(rows):
-        calls.append(len(rows))
-        return rank(rows)
+        def spy(rows, rank=rank):
+            calls.append(len(rows))
+            return rank(rows)
 
-    monkeypatch.setattr(form, "rank", spy)
-    d = min_distance(code)
-    verified = len(calls)
-    bound, _ = code.packed.decoder
-    assert d == brute and verified and len(calls) == verified and bound <= d
+        monkeypatch.setattr(form, "rank", spy)
+        own = PackedCode(code.spec, code.n, code.ids, code.rows)
+        per_class = {}
+        for cid in filter(own.coset, own.classes):
+            before = len(calls)
+            own.coset_minimum(cid)
+            per_class[cid] = len(calls) - before
+        calls.clear()
+        d = min_distance(code)
+        verified = len(calls)
+        taken = set(code.packed._minima)  # the classes whose minima the verify took
+        bound, _ = code.packed.decoder
+        left = sum(n for cid, n in per_class.items() if cid not in taken)
+        assert d == brute and verified and bound <= d
+        assert taken < set(per_class) and left and len(calls) == verified + left
+        both_ranked += any(per_class[cid] for cid in taken)
+    assert both_ranked == 1
 
 
 @pytest.mark.parametrize("name,q,m,special", [

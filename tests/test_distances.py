@@ -623,6 +623,38 @@ def test_class_keys_on_multi_word_classes(p, m):
     assert checked > 30 and several > 10
 
 
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2)])
+def test_hyperplane_keys_against_brute_force(p, m):
+    # the keys of a whole class, as a multiset, are the (k-1)-subspaces
+    # inside each of its words, found by filtering the whole Grassmannian,
+    # (q^k - 1)/(q - 1) per word; dimensions 0 and 1 (no hyperplane, and the
+    # zero space) are among them, and GF(4) is not a prime field
+    spec = make_field(p, m)
+    q = spec.order
+    rng = random.Random(80 + q)
+    grassmannians = {}
+    checked = several = 0
+    forms = [v for n in (2, 3, 4, 5) for k in range(n + 1) for v in rng.choices(list(identifying_vectors(n, k)), k=2)]
+    for v in forms:
+        dots = echelon_ferrers_shape(v).dot_count
+        fills = ([rng.randrange(q) for _ in range(dots)] for _ in range(4))
+        words = list({w.key(): w for w in (_word_from_free(v, f, spec) for f in fills)}.values())
+        view = PackedCode.of_words(spec, v.n, words)
+        (cid,) = view.classes
+        want = [
+            key
+            for w in words
+            for dropped in v.support
+            for key in _brute_keys(w, tuple(c for c in v.support if c != dropped), grassmannians)
+        ]
+        got = list(view.hyperplane_keys(cid))
+        assert sorted(got) == sorted(want), words
+        assert len(got) == len(words) * (q ** len(v.support) - 1) // (q - 1)
+        checked += 1
+        several += len(words) > 1 and len(v.support) > 1
+    assert checked == 36 and several >= 5
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_class_pair_join_either_side_hashed(q):
     # on seeded random class pairs, the join gives the same answer whichever
@@ -732,9 +764,26 @@ def join_outcomes(monkeypatch):
     return outcomes
 
 
-def test_min_distance_joins_against_pair_scan(join_outcomes):
-    # mixed-dimension codes over GF(2) and GF(3) whose class pairs go
-    # through the join; both outcomes must occur
+@pytest.fixture
+def sieve_outcomes(monkeypatch):
+    """The result of every sieve that min_distance runs, in order: 0, 1 or
+    2, or None when it shows no close pair."""
+    outcomes = []
+    sieve = distances._sieve
+
+    def spy(*args):
+        outcomes.append(sieve(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(distances, "_sieve", spy)
+    return outcomes
+
+
+def test_min_distance_joins_against_pair_scan(sieve_outcomes):
+    # mixed-dimension codes over GF(2) and GF(3) built of near pairs (h = 1,
+    # or h = 2 with one dimension), which the sieve settles; a word of one
+    # class inside a word of the other (d = h = 1) and no pair at d <= 2
+    # must both occur
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([2, 3]), st.integers(4, 6), st.integers(0, 2**32))
     def check(q, n, seed):
@@ -743,29 +792,69 @@ def test_min_distance_joins_against_pair_scan(join_outcomes):
             assert min_distance(words) == brute_min_distance(words)
 
     check()
-    assert join_outcomes.count(True) >= 5 and join_outcomes.count(False) >= 5
+    assert sieve_outcomes.count(1) >= 5 and sieve_outcomes.count(None) >= 5
 
 
 def _words(spec, n, literals):
     return [Subspace.from_rows(spec, n, literal_rows(lit, spec, n)) for lit in literals]
 
 
-def test_join_hit_needs_the_exclusive_rows(gf2, join_outcomes):
+def test_join_hit_needs_the_exclusive_rows(gf2, sieve_outcomes):
     # x_0 = u_0 + u_1 lies in U1 and U2 and is a word of B, so d = h = 1;
-    # B's key 1101 arises from A only through the exclusive row u_1
+    # the sieve lists the hyperplane 1101 of A's words only as u_0 + c u_1,
+    # the variant of row 0 by the dropped row 1
     a = _words(gf2, 4, ["1000;0100", "1001;0100", "1010;0111"])
     b = _words(gf2, 4, ["1101", "1011", "1111"])
     assert min_distance(a + b) == 1 == brute_min_distance(a + b)
-    assert join_outcomes == [True]
+    assert sieve_outcomes == [1]
 
 
-def test_join_miss_scans_when_best_exceeds_h_plus_2(gf2, join_outcomes):
+def test_join_miss_scans_when_best_exceeds_h_plus_2(gf2, sieve_outcomes, monkeypatch):
     # classes of distance 4 inside, h = 1 between; no word of B lies in a
-    # word of A, but pairs at d = 3 do, so the miss must fall back to the scan
+    # word of A, but pairs at d = 3 do, so the sieve's miss must fall back
+    # to the scan at the floor h + 2 = 3, which its first pair meets
     a = _words(gf2, 6, ["100000;010000;001000", "100111;010011;001000"])
     b = _words(gf2, 6, ["010100;001000", "010010;001001"])
+    floors, nearest = [], PackedCode.nearest
+
+    def spy(self, qid, qrows, candidates, best=None, floor=0):
+        floors.append(floor)
+        return nearest(self, qid, qrows, candidates, best, floor)
+
+    monkeypatch.setattr(PackedCode, "nearest", spy)
     assert min_distance(a + b) == 3 == brute_min_distance(a + b)
-    assert join_outcomes == [False]
+    assert sieve_outcomes == [None] and floors == [3]
+
+
+def test_near_class_minima_are_taken_when_they_can_matter(gf2, gf3, sieve_outcomes, monkeypatch):
+    # the sieve leaves a near class only the lower bound 4, so its minimum
+    # is taken once an upper bound can still change the answer.  Before a
+    # scan at floor 4: two classes at h = 2 of one dimension, each of
+    # minimum 4, their words 4 or 6 apart; the classes' minima give 4, and
+    # the pair is not scanned
+    a = _words(gf2, 6, ["100000;010000;001000", "100110;010011;001000"])
+    b = _words(gf2, 6, ["100001;011000;000111", "100001;011010;000100"])
+    floors, nearest = [], PackedCode.nearest
+
+    def spy(self, qid, qrows, candidates, best=None, floor=0):
+        floors.append(floor)
+        return nearest(self, qid, qrows, candidates, best, floor)
+
+    monkeypatch.setattr(PackedCode, "nearest", spy)
+    assert min_distance(a + b) == 4 == brute_min_distance(a + b)
+    assert sieve_outcomes == [None] and floors == []
+    # at the end: a two-word class of minimum 4 at h = 1 from a word 5 from
+    # both of its words; the scan at floor 3 leaves the best at 5, above 4,
+    # so the class's minimum is taken: by its coset minimum over GF(2), and
+    # over GF(3), where two words are never a coset, by a scan at floor 4
+    for spec, literals in (
+        (gf2, ["100101;010010;001011", "100001;010110;001001", "010000;001010"]),
+        (gf3, ["100201;010101;001000", "100221;010000;001000", "010001;001102"]),
+    ):
+        floors.clear()
+        words = _words(spec, 6, literals)
+        assert min_distance(words) == 4 == brute_min_distance(words)
+        assert floors[0] == 3 and floors[1:] == [4] * (spec.order == 3)
 
 
 def test_gf3_w6k3_shortening_against_pair_scan(gf3):
@@ -780,13 +869,74 @@ def test_gf3_w6k3_shortening_against_pair_scan(gf3):
     "name,q,v,add_trivial,size",
     [("w8k4", 2, "01010011", False, 562), ("w6k3", 3, "002012", True, 58), ("w7k3", 3, "0001001", False, 261)],
 )
-def test_shortenings_the_join_settles_against_pair_scan(name, q, v, add_trivial, size, join_outcomes):
-    # class pairs that the join takes only since a key weighs less than a
-    # ranked pair
+def test_shortenings_the_join_settles_against_pair_scan(name, q, v, add_trivial, size, sieve_outcomes, join_outcomes):
+    # shortenings with near pairs, which the sieve settles, and in the
+    # 58-word code class pairs at h = 2 two dimensions apart, which only the
+    # join can settle: its d = 2 is a word inside another at codimension 2
     code = puncture(multilevel_fixture(name, make_field(q, 1)), tuple(map(int, v)), add_trivial=add_trivial)
     assert len(code) == size
-    assert min_distance(code) == brute_min_distance(code.words)
-    assert join_outcomes
+    d = min_distance(code)
+    assert d == brute_min_distance(code.words)
+    assert sieve_outcomes == [None] and join_outcomes == [True] * (d == 2)
+
+
+def _sieve_code(q, rng):
+    """Random words of mixed dimensions, and up to two words planted beside
+    them: a repeat, a hyperplane of a word (codimension 1), a subspace of a
+    word at codimension 2, or a word sharing a hyperplane with another."""
+    spec = make_field(q, 1)
+    n = rng.randrange(5, 8)
+    words = [random_subspace(spec, n, rng, k=rng.randrange(2, n)) for _ in range(rng.randrange(2, 7))]
+    words = list({w.key(): w for w in words}.values())
+    for _ in range(rng.randrange(3)):
+        u = rng.choice(words)
+        pivots = list(u.id_vector.support)
+        kind = rng.choice(["repeat", "codim 1", "codim 1", "codim 2", "codim 2", "shared", "shared", "shared"])
+        if kind == "repeat":
+            words.append(u)
+        elif kind == "codim 2" and len(pivots) >= 2:
+            for _ in range(2):
+                pivots.remove(rng.choice(pivots))
+            words.append(from_span(_subspace_on(u, pivots, rng), spec, n))
+        elif pivots:
+            pivots.remove(rng.choice(pivots))
+            rows = _subspace_on(u, pivots, rng)
+            if kind == "shared":
+                rows.append([rng.randrange(q) for _ in range(n)])
+            words.append(from_span(rows, spec, n))
+    rng.shuffle(words)
+    return spec, n, words
+
+
+def test_sieve_against_the_definition():
+    # the sieve over every class of mixed-dimension codes: the least of 0
+    # for a repeated word, 1 for a word that is a hyperplane of another and
+    # 2 for two words of one dimension at distance 2, by distance_naive over
+    # every pair, or None; a subspace at codimension 2 is left to the rest
+    # of min_distance, which must still agree with the definition
+    seen = {0: 0, 1: 0, 2: 0, None: 0, "codim 2": 0}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(0, 2**32))
+    def check(q, seed):
+        spec, n, words = _sieve_code(q, random.Random(seed))
+        if len(words) < 2:
+            return
+        close = [
+            d
+            for u, w in combinations(words, 2)
+            if (d := distance_naive(u, w)) < 2 or d == 2 and u.k == w.k
+        ]
+        want = min(close, default=None)
+        view = PackedCode.of_words(spec, n, words)
+        assert distances._sieve(view, list(view.classes)) == want
+        assert min_distance(words) == brute_min_distance(words)
+        seen[want] += 1
+        codim_2 = any(distance_naive(u, w) == 2 == abs(u.k - w.k) for u, w in combinations(words, 2))
+        seen["codim 2"] += codim_2 and want is None
+
+    check()
+    assert all(count >= 10 for count in seen.values()), seen
 
 
 def _shortened_w8k4(spec):
@@ -849,29 +999,25 @@ def _in_class_code(q, rng):
 
 
 @pytest.fixture
-def class_outcomes(monkeypatch):
-    """Every in-class hyperplane join's result, and the bound passed to
-    every scan of a deferred class, in order."""
-    joins, scans = [], []
-    shares, scan_pairs = distances._shares_hyperplane, PackedCode.scan_pairs
-
-    def join_spy(*args):
-        joins.append(shares(*args))
-        return joins[-1]
+def class_outcomes(monkeypatch, sieve_outcomes):
+    """Every sieve's result, and the bound passed to every scan of a
+    deferred class, in order."""
+    scans = []
+    scan_pairs = PackedCode.scan_pairs
 
     def scan_spy(self, members, best=None, floor=0):
         scans.append(best)
         return scan_pairs(self, members, best, floor)
 
-    monkeypatch.setattr(distances, "_shares_hyperplane", join_spy)
     monkeypatch.setattr(PackedCode, "scan_pairs", scan_spy)
-    return joins, scans, scan_pairs
+    return sieve_outcomes, scans, scan_pairs
 
 
 def test_min_distance_in_class_joins_against_pair_scans(class_outcomes):
     # non-coset classes over GF(2) and GF(3), with and without a planted
     # pair at distance 2, repeated words and mixed dimensions: min_distance
-    # against the definition and the flat scan of every pair
+    # against the definition and the flat scan of every pair; the sieve
+    # must both find a close pair and find none
     joins, scans, scan_pairs = class_outcomes
     seen = {"noncoset": 0, "repeated": 0, "mixed": 0}
 
@@ -890,7 +1036,7 @@ def test_min_distance_in_class_joins_against_pair_scans(class_outcomes):
 
     check()
     assert all(count >= 5 for count in seen.values()), seen
-    assert joins.count(True) >= 10 and joins.count(False) >= 10
+    assert joins.count(None) >= 10 and len(joins) - joins.count(None) >= 10
     # misses deferred and scanned (a scan under a best above 4 is pinned by
     # the next test)
     assert scans.count(None) >= 3, scans
@@ -899,7 +1045,7 @@ def test_min_distance_in_class_joins_against_pair_scans(class_outcomes):
 def test_min_distance_scans_a_deferred_class_to_its_minimum_six(class_outcomes):
     # words of a lifted Gabidulin code (n = 6, k = 3, pairwise distance 6)
     # that are not a coset, and their complement span(e_3, e_4, e_5), which
-    # is at distance 6 from each: the join misses, and the class's lower
+    # is at distance 6 from each: the sieve misses, and the class's lower
     # bound 4 must not end the class-pair loop, whose only pair is at h = 6;
     # that pair sets the best to 6, so the deferred class is then scanned
     joins, scans, _ = class_outcomes
@@ -912,32 +1058,40 @@ def test_min_distance_scans_a_deferred_class_to_its_minimum_six(class_outcomes):
         joins.clear()
         scans.clear()
         assert min_distance(words) == 6 == min_distance(SubspaceCode(spec, 6, words))
-        assert joins == [False, False] and scans == [6, 6]
+        assert joins == [None, None] and scans == [6, 6]
 
 
 def test_min_distance_in_class_join_hit_and_repeat(gf2, gf3, class_outcomes):
     # three words of one non-coset class: w and x share the hyperplane
-    # spanned by their common first row, u is at distance 4 from both
+    # spanned by their common first row, u is at distance 4 from both; the
+    # class is near no other, so its coset analysis runs first
     joins, _, _ = class_outcomes
     v = IdVector((1, 1, 0, 0, 0))
     u, w, x = (_word_from_free(v, free, gf2) for free in ((0, 0, 0, 0, 0, 0), (1, 1, 0, 1, 0, 1), (1, 1, 0, 1, 1, 1)))
     assert pack(v.bits) not in PackedCode.of_words(gf2, 5, [u, w, x]).coset_minima
     assert min_distance([u, w, x]) == 2 == brute_min_distance([u, w, x])
-    assert joins == [True]
-    # a repeated word is found before the join, which would report 2
+    assert joins == [2]
+    # a repeated word is found by the coset analysis, and nothing is sieved
     assert min_distance([u, w, u, x]) == 0 == brute_min_distance([u, w, u, x])
-    assert joins == [True]
+    assert joins == [2]
     # two GF(3) words of one class are never a coset
     a, b = (_word_from_free(v, free, gf3) for free in ((0, 0, 0, 0, 0, 0), (1, 2, 0, 0, 0, 0)))
-    assert min_distance([a, b]) == 2 and joins == [True, True]
+    assert min_distance([a, b]) == 2 and joins == [2, 2]
 
 
 def test_shortened_w8k4_verify_rank_calls(gf2, monkeypatch):
     # one load and verify of the 573-word shortening, as the CLI and the
-    # certify workload run it: 15 rank calls, so no class pair the joins
-    # settle can move back to the scan, no coset minimum can rank past its
-    # floor, no coset test can rank and no scan can go on past a pair at
-    # its floor, unnoticed.  The count was 16 when a class pair's scan
+    # certify workload run it: 3 rank calls, so no class pair the sieve
+    # settles can move back to the scan, no near class's coset minimum can
+    # be taken while the best is at most 4, no coset minimum can rank past
+    # its floor, no coset test can rank and no scan can go on past a pair at
+    # its floor, unnoticed.  The 5 classes near no other have their minima
+    # at once (2 of them cosets of two or more words, each a rank-2
+    # difference the screen cannot settle); the smallest class pair at
+    # h = 1, a 2-word and a 1-word class, gives d = 3 at its first ranked
+    # pair, its floor.  The count was 15 when every class had its coset
+    # minimum at once and the near pairs were joined in first-seen order
+    # (14 ranked differences and 1 ranked pair), 16 when a class pair's scan
     # ranked all its pairs after one at d = h, 33 when
     # each coset test ranked the class's differences, 577 when each coset
     # class ranked every difference and a key weighed a quarter of a ranked pair, 2,362
@@ -965,18 +1119,21 @@ def test_shortened_w8k4_verify_rank_calls(gf2, monkeypatch):
     monkeypatch.setattr(form, "rank", counting)
     monkeypatch.setattr(form, "multiples", counting_multiples)
     assert min_distance(codefile.loads_code(text)) == 3
-    assert len(calls) == 15
+    assert len(calls) == 3
     assert scaled == []
 
 
 def test_shortened_w8k4_verifies_in_few_rank_calls_in_any_order(gf2, monkeypatch):
     # the 573-word shortening in 300 word orders, order s shuffled by
-    # random.Random(s): d = 3 every time, in at most 60 rank calls (55 at
-    # most here).  Before each class pair's scan stopped at its floor, 29
-    # of these orders ranked all 8,192 pairs of a 32-word and a 256-word
-    # class after a join at h = 1 found no shared key (8,216 calls at
-    # most).  What is left is still order luck, the pairs a scan ranks
-    # before one meets its floor h + 2: over orders 0..1999 the most is 60
+    # random.Random(s): d = 3 every time, in exactly 3 rank calls, as in
+    # construction order.  Class pairs at one h go by their number of word
+    # pairs, then by identifying vector, not in the order their words are
+    # first seen, so the first pair scanned, a 2-word and a 1-word class at
+    # h = 1, is the same in every order, and it holds a pair at d = 3.
+    # Before each class pair's scan stopped at its floor, 29 of these orders
+    # ranked all 8,192 pairs of a 32-word and a 256-word class after a join
+    # at h = 1 found no shared key (8,216 calls at most); with the floors
+    # and first-seen order, 15 to 55
     code = _shortened_w8k4(gf2)
     form = row_form(gf2, code.n)
     calls = []
@@ -987,14 +1144,37 @@ def test_shortened_w8k4_verifies_in_few_rank_calls_in_any_order(gf2, monkeypatch
         return rank(rows)
 
     monkeypatch.setattr(form, "rank", counting)
-    most = 0
+    counts = set()
     for seed in range(300):
         words = list(code.words)
         random.Random(seed).shuffle(words)
         calls.clear()
         assert min_distance(SubspaceCode(gf2, code.n, words)) == 3
-        most = max(most, len(calls))
-    assert most <= 60, most
+        counts.add(len(calls))
+    assert counts == {3}, counts
+
+
+def test_shortened_w8k4_verify_takes_no_near_class_apart(gf2, monkeypatch):
+    # 17 of the 573-word code's 22 classes are near classes; the verify's
+    # answer, 3, is below the floor 4 that the sieve gives each of them, so
+    # none gets a coset analysis: only the 5 classes near no other are
+    # differenced
+    code = _shortened_w8k4(gf2)
+    view = code.packed
+    near = set()
+    for a, b in combinations(view.classes, 2):
+        h = (a ^ b).bit_count()
+        if h == 1 or h == 2 and a.bit_count() == b.bit_count():
+            near |= {a, b}
+    seen, differences = [], PackedCode._differences
+
+    def spy(self, members):
+        seen.append(self.ids[members[0]])
+        return differences(self, members)
+
+    monkeypatch.setattr(PackedCode, "_differences", spy)
+    assert min_distance(code) == 3
+    assert len(near) == 17 and sorted(seen) == sorted(set(view.classes) - near)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -1052,24 +1232,28 @@ def test_class_keys_builds_each_slot_once(monkeypatch):
 
 
 def test_one_word_class_joins_at_e_0(gf2, gf3, monkeypatch, join_outcomes):
-    # A = 10000;01000;00100 is alone in its class; its exclusive pivot 0 is
-    # left of the shared pivots 1 and 2, so e = 0 on both sides, and the two
-    # words of B (at distance 4 from each other) cost 1 + 2 keys against 2
-    # ranked pairs.  The join finds that B's first word lies in A, so
-    # d = h = 1, with no rank call once the classes' own minima are known.
+    # A = 100000;010000;001000;000100 is alone in its class, and B's two
+    # words (at distance 4 from each other) have A's pivots 2 and 3: h = 2
+    # with dimensions 4 and 2, no near pair, so the sieve cannot settle it.
+    # A's exclusive pivots 0 and 1 are left of the shared ones and B has
+    # none, so e = 0 on both sides, and the join costs 1 + 2 keys against 2
+    # ranked pairs.  It finds that B's first word lies in A at codimension
+    # 2, so d = h = 2, with no rank call once the classes' own minima are
+    # known.
     for spec in (gf2, gf3):
-        code = SubspaceCode(spec, 5, _words(spec, 5, ["10000;01000;00100", "01000;00100", "01010;00101"]))
+        literals = ["100000;010000;001000;000100", "001000;000100", "001010;000101"]
+        code = SubspaceCode(spec, 6, _words(spec, 6, literals))
         want = brute_min_distance(code.words)
         code.packed.coset_minima  # noqa: B018 -- ranks B's differences before counting
         calls = []
-        form = row_form(spec, 5)
+        form = row_form(spec, 6)
 
         def counting(rows, rank=form.rank):
             calls.append(len(rows))
             return rank(rows)
 
         monkeypatch.setattr(form, "rank", counting)
-        assert min_distance(code) == 1 == want
+        assert min_distance(code) == 2 == want
         assert calls == [], spec
     assert join_outcomes == [True, True]
 
