@@ -779,6 +779,19 @@ def sieve_outcomes(monkeypatch):
     return outcomes
 
 
+@pytest.fixture
+def floors(monkeypatch):
+    """The floor passed to every ``PackedCode.nearest`` call, in order."""
+    floors, nearest = [], PackedCode.nearest
+
+    def spy(self, qid, qrows, candidates, best=None, floor=0):
+        floors.append(floor)
+        return nearest(self, qid, qrows, candidates, best, floor)
+
+    monkeypatch.setattr(PackedCode, "nearest", spy)
+    return floors
+
+
 def test_min_distance_joins_against_pair_scan(sieve_outcomes):
     # mixed-dimension codes over GF(2) and GF(3) built of near pairs (h = 1,
     # or h = 2 with one dimension), which the sieve settles; a word of one
@@ -809,24 +822,17 @@ def test_join_hit_needs_the_exclusive_rows(gf2, sieve_outcomes):
     assert sieve_outcomes == [1]
 
 
-def test_join_miss_scans_when_best_exceeds_h_plus_2(gf2, sieve_outcomes, monkeypatch):
+def test_join_miss_scans_when_best_exceeds_h_plus_2(gf2, sieve_outcomes, floors):
     # classes of distance 4 inside, h = 1 between; no word of B lies in a
     # word of A, but pairs at d = 3 do, so the sieve's miss must fall back
     # to the scan at the floor h + 2 = 3, which its first pair meets
     a = _words(gf2, 6, ["100000;010000;001000", "100111;010011;001000"])
     b = _words(gf2, 6, ["010100;001000", "010010;001001"])
-    floors, nearest = [], PackedCode.nearest
-
-    def spy(self, qid, qrows, candidates, best=None, floor=0):
-        floors.append(floor)
-        return nearest(self, qid, qrows, candidates, best, floor)
-
-    monkeypatch.setattr(PackedCode, "nearest", spy)
     assert min_distance(a + b) == 3 == brute_min_distance(a + b)
     assert sieve_outcomes == [None] and floors == [3]
 
 
-def test_near_class_minima_are_taken_when_they_can_matter(gf2, gf3, sieve_outcomes, monkeypatch):
+def test_near_class_minima_are_taken_when_they_can_matter(gf2, gf3, sieve_outcomes, floors):
     # the sieve leaves a near class only the lower bound 4, so its minimum
     # is taken once an upper bound can still change the answer.  Before a
     # scan at floor 4: two classes at h = 2 of one dimension, each of
@@ -834,13 +840,6 @@ def test_near_class_minima_are_taken_when_they_can_matter(gf2, gf3, sieve_outcom
     # the pair is not scanned
     a = _words(gf2, 6, ["100000;010000;001000", "100110;010011;001000"])
     b = _words(gf2, 6, ["100001;011000;000111", "100001;011010;000100"])
-    floors, nearest = [], PackedCode.nearest
-
-    def spy(self, qid, qrows, candidates, best=None, floor=0):
-        floors.append(floor)
-        return nearest(self, qid, qrows, candidates, best, floor)
-
-    monkeypatch.setattr(PackedCode, "nearest", spy)
     assert min_distance(a + b) == 4 == brute_min_distance(a + b)
     assert sieve_outcomes == [None] and floors == []
     # at the end: a two-word class of minimum 4 at h = 1 from a word 5 from
