@@ -9,27 +9,34 @@ zero subspace is the empty string).  A code is its words' rows
 each codeword's rows, as written, go through the row form's canonical-form
 check (``RowForm.check``, the check a ``Subspace`` makes), which gives its
 packed pivots; with the uniqueness check, load followed by save is
-byte-identical.  A code has few distinct rows, so the loader parses each
-distinct row literal once, and equal rows of different codewords are one
-shared row, which keeps a loaded code small: a codeword whose row literals
-were all seen before is one split and one lookup per row, and any other
-goes through the full parse (``subspaces.literal_rows``), which reads the
-rows seen before from the same dict, parses only the new ones and gives the
-error text.  A row is parsed straight into its field's row form (a packed
-integer over GF(2), a tuple otherwise).  Every codeword still gets its own
-canonical-form and uniqueness checks, in file order; the latter compares
-the words' rows, and it is the load's one duplicate scan.  Saving writes
-each word from its rows (``rows_literal``), each distinct row once.
+byte-identical.
+
+The loader works in passes over all the codewords, not codeword by
+codeword.  A code has few distinct rows: one pass collects the distinct row
+literals of the codewords, from splits it does not keep, and parses each
+once (``subspaces.bare_rows``, ``RowForm.parse``: a packed integer over
+GF(2), a tuple otherwise), so equal rows of different codewords are one
+shared row, which keeps a loaded code small.  Then one comprehension builds
+every word from those rows, one map takes every word's pivots, and one set
+of the words is the duplicate test.  If a pass finds anything off (a
+codeword that is no string, a row literal that is not n digits of GF(q), a
+word that fails its check, a repeat), the loader goes back over the file in
+order, codeword by codeword (``subspaces.literal_rows`` parsing any row
+not seen before), and that loop names the first fault in file order.  A
+valid file that a pass cannot take, such as one with whitespace around a
+codeword, loads through that loop too.  Saving writes each word from its rows
+(``rows_literal``), each distinct row once.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 
 from .constructions import SubspaceCode
 from .errors import BadParams, InvariantViolation, ParseError
 from .matrices import row_form
-from .subspaces import field_for_order, literal_rows, rows_literal
+from .subspaces import bare_rows, field_for_order, literal_rows, rows_literal
 
 FORMAT_VERSION = 1
 
@@ -66,21 +73,55 @@ def loads_code(text: str) -> SubspaceCode:
     for key in ("format_version", "q", "n", "kind", "codewords"):
         if key not in doc:
             raise ParseError(f"missing field {key!r}")
-    if doc["format_version"] != FORMAT_VERSION:
-        raise ParseError(f"unsupported format_version {doc['format_version']!r}")
+    version, kind = doc["format_version"], doc["kind"]
+    if not _is_int(version) or version != FORMAT_VERSION:
+        raise ParseError(f"unsupported format_version {version!r}")
     q, n = doc["q"], doc["n"]
     if not _is_int(q) or q < 2:
         raise ParseError(f"q must be an integer >= 2, got {q!r}")
     if not _is_int(n) or n < 0:
         raise ParseError(f"n must be a non-negative integer, got {n!r}")
+    if not isinstance(kind, str):
+        raise ParseError(f"kind must be a string, got {kind!r}")
     spec = field_for_order(q)
-    if not isinstance(doc["codewords"], list):
+    lits = doc["codewords"]
+    if not isinstance(lits, list):
         raise ParseError("codewords must be a list of row literals")
-    check = row_form(spec, n).check
-    ids, words = [], []  # each word's pivots and rows
+    form = row_form(spec, n)
+    ids, words = _load_in_passes(lits, spec, n, form) or _load_in_order(lits, spec, n, form.check)
+    return SubspaceCode._of_rows(spec, n, ids, words, kind=kind)
+
+
+def _load_in_passes(lits, spec, n: int, form) -> tuple[list, list] | None:
+    """Each codeword's pivots and rows, each step one pass over all the
+    codewords; None when a pass finds anything off, for ``_load_in_order``
+    to name it.  Each literal is split twice, so no word's split list is
+    kept: once for the distinct row literals, each parsed once
+    (``bare_rows``), and once to look its rows up."""
+    if not {str}.issuperset(map(type, lits)):
+        return None
+    # '' is the zero subspace, no row
+    parsed = bare_rows(set(chain.from_iterable(map(str.split, filter(None, lits), repeat(";")))), spec, n)
+    if parsed is None:
+        return None
+    words = [tuple(map(parsed.__getitem__, lit.split(";"))) if lit else () for lit in lits]
+    try:
+        ids = list(map(form.check, words))
+    except BadParams:
+        return None
+    # one field and one n: the rows alone tell words apart
+    if len(set(words)) < len(words):
+        return None
+    return ids, words
+
+
+def _load_in_order(lits, spec, n: int, check) -> tuple[list, list]:
+    """Each codeword's pivots and rows, codeword by codeword in file order,
+    so that the first fault in the file is the one named."""
+    ids, words = [], []
     seen = set()
     parsed = {}  # row literal -> its row, parsed once and kept by every word that has it
-    for i, lit in enumerate(doc["codewords"]):
+    for i, lit in enumerate(lits):
         if not isinstance(lit, str):
             raise ParseError(f"codeword {i}: expected a string, got {type(lit).__name__}")
         rows = tuple(map(parsed.get, lit.split(";")))
@@ -95,15 +136,13 @@ def loads_code(text: str) -> SubspaceCode:
             raise InvariantViolation(
                 f"codeword {i}: rows are not a reduced echelon generator matrix"
             ) from None
-        # one field and one n: the rows alone tell words apart
         size = len(seen)
         seen.add(rows)
         if len(seen) == size:
             raise InvariantViolation(f"codeword {i}: duplicate subspace")
         ids.append(pivots)
         words.append(rows)
-    # the one duplicate scan is the one above, which names the codeword
-    return SubspaceCode._of_rows(spec, n, ids, words, kind=doc["kind"])
+    return ids, words
 
 
 def _is_int(x) -> bool:

@@ -215,6 +215,11 @@ def _least_of(best: int | None, d: int | None) -> int | None:
     return d if best is None or (d is not None and d < best) else best
 
 
+# The hash the sieve's screen takes of each key; a test swaps in one under
+# which every key collides, to reach the exact sieve.
+_screen_hash = hash
+
+
 def _sieve(view, cids) -> int | None:
     """The least distance, 0, 1 or 2, that one hash set of the words of the
     classes ``cids`` (packed identifying vectors) and one of their
@@ -225,16 +230,38 @@ def _sieve(view, cids) -> int | None:
     listed twice lies in two words of one dimension (2), since the
     hyperplanes of one word are distinct.  Every pair of words of these
     classes at distance 2 or less shows so, but a word inside another at
-    codimension 2.  The keys go straight into the sets, and the number of
-    hyperplanes listed is counted, not kept."""
+    codimension 2.
+
+    A screen runs first, on the keys' hashes alone (``_screen_hash``): one
+    set of ints for the words and one for the hyperplanes.  Equal keys have
+    equal hashes, so when no hash repeats, within either set or across
+    them, no key does, and None is exact; only a repeated hash, a collision
+    of keys or of their hashes, sends the classes to the exact sieve of the
+    keys themselves (``_sieve_keys``), whose answer is the sieve's.  No key
+    is kept by the screen: each hyperplane is hashed as it is listed, in
+    the tuple ``zip`` reuses, so the screen leaves no tuples for the cyclic
+    garbage collector to walk."""
     rows, classes, q = view.rows, view.classes, view.spec.order
+    count = sum(len(classes[cid]) for cid in cids)
+    listed = sum(len(classes[cid]) * (q ** cid.bit_count() - 1) // (q - 1) for cid in cids)
+    words = set(map(_screen_hash, [rows[i] for cid in cids for i in classes[cid]]))
+    planes = set(map(_screen_hash, chain.from_iterable(map(view.hyperplane_keys, cids))))
+    if len(words) == count and len(planes) == listed and words.isdisjoint(planes):
+        return None
+    return _sieve_keys(view, cids, count, listed)
+
+
+def _sieve_keys(view, cids, count: int, listed: int) -> int | None:
+    """``_sieve`` on the keys themselves, of which ``count`` are words and
+    ``listed`` hyperplanes.  The keys go straight into the sets, and the
+    number of hyperplanes listed is counted, not kept."""
+    rows, classes = view.rows, view.classes
     words = {rows[i] for cid in cids for i in classes[cid]}
-    if len(words) < sum(len(classes[cid]) for cid in cids):
+    if len(words) < count:
         return 0
     planes = set(chain.from_iterable(map(view.hyperplane_keys, cids)))
     if not words.isdisjoint(planes):
         return 1
-    listed = sum(len(classes[cid]) * (q ** cid.bit_count() - 1) // (q - 1) for cid in cids)
     return 2 if len(planes) < listed else None
 
 

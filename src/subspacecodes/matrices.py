@@ -189,7 +189,10 @@ class RowForm:
 
     - ``row_of(entries)`` is one row, ``from_entries(m)`` the rows of a
       matrix's entries (for tuples, the very tuple given) and
-      ``to_entries(rows)`` their entry tuples; none of them checks;
+      ``to_entries(rows)`` their entry tuples, and ``parse(digits)`` the
+      row of a bare row literal, one decimal digit per entry ("0110"; over
+      GF(2) read as one binary number, so "" is the row of n = 0); none of
+      them checks;
     - ``rank(rows)``; ``rref(rows)``, the nonzero rows of the reduced
       echelon form; ``combine(coeffs, rows)``, the sum of c_i row_i;
       ``remainder(x, rows)``, x reduced by the rows of a reduced echelon
@@ -221,6 +224,7 @@ class RowForm:
         if q == 2:
             in_field = _BITS.issuperset
             self.row_of, self.code, self.sub_row = pack, int, xor
+            self.parse = lambda digits: int(digits or "0", 2)
             self.from_entries = lambda entries: tuple(map(pack, entries))
             self.to_entries = lambda rows: [unpack(v, n) for v in rows]
             self.rank, self.rref, self.remainder = gf2_rank, gf2_rref, _gf2_remainder
@@ -237,6 +241,7 @@ class RowForm:
             sub, mul = spec.sub, spec.mul
             in_field = lambda out: not out or (min(out) >= 0 and max(out) < q)  # noqa: E731
             self.row_of, self.code = tuple, lambda row: reduce(lambda a, x: a * q + x, row, 0)
+            self.parse = lambda digits: tuple(map(int, digits))
             self.sub_row = lambda x, y: tuple(map(sub, x, y))
             self.from_entries = self.to_entries = lambda rows: rows
             self.rank = lambda rows: _rref_generic(spec, [list(r) for r in rows], len(rows[0]))[0] if rows else 0

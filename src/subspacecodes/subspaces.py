@@ -449,19 +449,37 @@ def literal_rows(s: str, spec: FieldSpec, n: int, parsed: dict | None = None) ->
         return ()
     if parsed is None:
         parsed = {}
-    digits, row_of = "0123456789"[: spec.order], row_form(spec, n).row_of
+    digits, parse = _ROW_DIGITS[: spec.order], row_form(spec, n).parse
     rows = []
     for i, part in enumerate(s.split(";")):
         row = parsed.get(part)
         if row is None:
-            if len(part) != n or part.strip(digits):
+            if not _bare(part, n, digits):
                 bad = next(((j, c) for j, c in enumerate(part) if c not in digits), None)
                 if bad is not None:
                     raise ParseError(f"row {i}, column {bad[0]}: invalid digit {bad[1]!r} for GF({spec.order})")
                 raise ParseError(f"row {i}: length {len(part)}, expected {n}")
-            row = parsed[part] = row_of(map(int, part))
+            row = parsed[part] = parse(part)
         rows.append(row)
     return tuple(rows)
+
+
+def bare_rows(parts, spec: FieldSpec, n: int) -> dict | None:
+    """Each of the row literals ``parts`` mapped to its row, parsed once
+    (``RowForm.parse``), when every one is bare: n digits of GF(q) and
+    nothing else, as ``literal_rows`` parses them.  None when one is not,
+    for ``literal_rows`` to name it."""
+    digits, parse = _ROW_DIGITS[: spec.order], row_form(spec, n).parse
+    if not all(_bare(part, n, digits) for part in parts):
+        return None
+    return {part: parse(part) for part in parts}
+
+
+_ROW_DIGITS = "0123456789"
+
+
+def _bare(part: str, n: int, digits: str) -> bool:
+    return len(part) == n and not part.strip(digits)
 
 
 def from_literal(s: str, spec: FieldSpec, n: int) -> Subspace:

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from subspacecodes import codefile
 from subspacecodes.cli import run
-from subspacecodes.constructions import SubspaceCode, multilevel_fixture, spread_like
+from subspacecodes.constructions import SubspaceCode, multilevel_fixture, puncture, spread_like
 from subspacecodes.distances import min_distance
 from subspacecodes.errors import BadParams, FieldTooLarge, InvariantViolation, ParseError
+from subspacecodes.matrices import row_form
 from subspacecodes.subspaces import Subspace, field_for_order, from_span, to_literal
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -318,8 +319,12 @@ def _doc(**fields) -> str:
         (_doc(n="4"), ParseError, "n must be a non-negative integer"),
         # a prime this large would take that many trial divisions to factor
         (_doc(q=10**12 + 39), FieldTooLarge, "field order 1000000000039 exceeds"),
+        # either would save back as 1, so load then save would not be byte-identical
+        (_doc(format_version=True), ParseError, "unsupported format_version True"),
+        (_doc(format_version=1.0), ParseError, "unsupported format_version 1.0"),
+        (_doc(kind={"a": 1}), ParseError, "kind must be a string, got {'a': 1}"),
     ],
-    ids=["not-an-object", "q-text", "n-negative", "n-float", "n-text", "q-huge"],
+    ids=["not-an-object", "q-text", "n-negative", "n-float", "n-text", "q-huge", "version-bool", "version-float", "kind-object"],
 )
 def test_verify_rejects_malformed_fields(tmp_path, capsys, text, error, message):
     with pytest.raises(error, match=message):
@@ -570,6 +575,30 @@ def test_loaded_code_shares_equal_rows(gf2):
     code = codefile.loads_code(codefile.dumps_code(multilevel_fixture("w6k3", gf2)))
     rows = [row for w in code.words for row in w.gen.entries]
     assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)
+
+
+def test_a_valid_file_loads_in_passes(monkeypatch, gf2):
+    # the 573-word shortening: its distinct bare row literals are parsed
+    # once each, the zero subspace's '' being none, and no codeword goes
+    # through the in-order loop, which is there to name a fault
+    w8k4 = multilevel_fixture("w8k4", gf2, puncture_aligned=True)
+    code = puncture(w8k4, (1, 0, 0, 0, 0, 0, 0, 1), add_trivial=True)
+    text = codefile.dumps_code(code)
+    literals = {part for lit in json.loads(text)["codewords"] if lit for part in lit.split(";")}
+    form, parsed = row_form(gf2, 7), []
+    parse = form.parse
+    monkeypatch.setattr(form, "parse", lambda digits: parsed.append(digits) or parse(digits))
+    monkeypatch.setattr(codefile, "_load_in_order", None)
+    loaded = codefile.loads_code(text)
+    assert sorted(parsed) == sorted(literals) and len(parsed) == 96
+    assert loaded.rows == code.rows and loaded.ids == code.ids and codefile.dumps_code(loaded) == text
+    # over GF(3) a row is a tuple, and each distinct one is one object
+    gf3 = field_for_order(3)
+    text = codefile.dumps_code(multilevel_fixture("w6k3", gf3))
+    monkeypatch.setattr(row_form(gf3, 6), "parse", lambda digits: parsed.append(digits) or tuple(map(int, digits)))
+    parsed.clear()
+    rows = [row for word in codefile.loads_code(text).rows for row in word]
+    assert len({id(row) for row in rows}) == len(set(rows)) == len(parsed) < len(rows)
 
 
 @pytest.mark.parametrize("q", [2, 3])

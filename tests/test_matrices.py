@@ -422,3 +422,21 @@ def test_rank_at_most_one_against_rank(q, m):
             assert form.rank_at_most_one(kept) == (rk <= 1) == form.rank_at_most_one(iter(kept)), (n, rows)
             seen.add(rk)
     assert {0, 1, 2} <= seen
+
+
+@pytest.mark.parametrize("q,m", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_parse_is_the_row_of_the_digits(q, m):
+    # a bare row literal's row, for n = 0 to 8: every literal of up to 1000
+    # (the empty one of n = 0 among them), and seeded ones beyond; over GF(2)
+    # the digits are read as one binary number
+    spec = make_field(q, m)
+    rng = random.Random(2000 + spec.order)
+    for n in range(9):
+        form = row_form(spec, n)
+        if spec.order**n <= 1000:
+            literals = ["".join(map(str, digits)) for digits in product(range(spec.order), repeat=n)]
+        else:
+            literals = ["".join(str(rng.randrange(spec.order)) for _ in range(n)) for _ in range(200)]
+            literals += ["0" * n, str(spec.order - 1) * n]
+        for digits in literals:
+            assert form.parse(digits) == form.row_of(map(int, digits)), (n, digits)
