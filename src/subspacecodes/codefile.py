@@ -17,8 +17,8 @@ literals of the codewords, from splits it does not keep, and parses each
 once (``subspaces.bare_rows``, ``RowForm.parse``: a packed integer over
 GF(2), a tuple otherwise), so equal rows of different codewords are one
 shared row, which keeps a loaded code small.  Then one comprehension builds
-every word from those rows, one map takes every word's pivots, and one set
-of the words is the duplicate test.  If a pass finds anything off (a
+every word from those rows, one set of the words is the duplicate test, and
+one map takes every word's pivots.  If a pass finds anything off (a
 codeword that is no string, a row literal that is not n digits of GF(q), a
 word that fails its check, a repeat), the loader goes back over the file in
 order, codeword by codeword (``subspaces.literal_rows`` parsing any row
@@ -87,12 +87,12 @@ def loads_code(text: str) -> SubspaceCode:
     lits = doc["codewords"]
     if not isinstance(lits, list):
         raise ParseError("codewords must be a list of row literals")
-    form = row_form(spec, n)
-    ids, words = _load_in_passes(lits, spec, n, form) or _load_in_order(lits, spec, n, form.check)
+    check = row_form(spec, n).check
+    ids, words = _load_in_passes(lits, spec, n, check) or _load_in_order(lits, spec, n, check)
     return SubspaceCode._of_rows(spec, n, ids, words, kind=kind)
 
 
-def _load_in_passes(lits, spec, n: int, form) -> tuple[list, list] | None:
+def _load_in_passes(lits, spec, n: int, check) -> tuple[list, list] | None:
     """Each codeword's pivots and rows, each step one pass over all the
     codewords; None when a pass finds anything off, for ``_load_in_order``
     to name it.  Each literal is split twice, so no word's split list is
@@ -105,12 +105,13 @@ def _load_in_passes(lits, spec, n: int, form) -> tuple[list, list] | None:
     if parsed is None:
         return None
     words = [tuple(map(parsed.__getitem__, lit.split(";"))) if lit else () for lit in lits]
-    try:
-        ids = list(map(form.check, words))
-    except BadParams:
-        return None
-    # one field and one n: the rows alone tell words apart
+    # one field and one n: the rows alone tell words apart; the set is
+    # gone before the pivots' list is made, which keeps a large load's peak down
     if len(set(words)) < len(words):
+        return None
+    try:
+        ids = list(map(check, words))
+    except BadParams:
         return None
     return ids, words
 

@@ -465,10 +465,10 @@ def literal_rows(s: str, spec: FieldSpec, n: int, parsed: dict | None = None) ->
 
 
 def bare_rows(parts, spec: FieldSpec, n: int) -> dict | None:
-    """Each of the row literals ``parts`` mapped to its row, parsed once
-    (``RowForm.parse``), when every one is bare: n digits of GF(q) and
-    nothing else, as ``literal_rows`` parses them.  None when one is not,
-    for ``literal_rows`` to name it."""
+    """Each row literal of the collection ``parts`` mapped to its row,
+    parsed once (``RowForm.parse``), when every one is bare: n digits of
+    GF(q) and nothing else, the only row literals ``literal_rows`` parses.
+    None when one is not, for ``literal_rows`` to name it."""
     digits, parse = _ROW_DIGITS[: spec.order], row_form(spec, n).parse
     if not all(_bare(part, n, digits) for part in parts):
         return None
