@@ -12,26 +12,28 @@ packed pivots; with the uniqueness check, load followed by save is
 byte-identical.
 
 The loader works in passes over all the codewords, not codeword by
-codeword.  A code has few distinct rows: one pass collects the distinct row
-literals of the codewords, from splits it does not keep, and parses each
-once (``subspaces.bare_rows``, ``RowForm.parse``: a packed integer over
-GF(2), a tuple otherwise), so equal rows of different codewords are one
-shared row, which keeps a loaded code small.  Then one comprehension builds
-every word from those rows, one set of the words is the duplicate test, and
-one map takes every word's pivots.  If a pass finds anything off (a
-codeword that is no string, a row literal that is not n digits of GF(q), a
-word that fails its check, a repeat), the loader goes back over the file in
-order, codeword by codeword (``subspaces.literal_rows`` parsing any row
-not seen before), and that loop names the first fault in file order.  A
-valid file that a pass cannot take, such as one with whitespace around a
-codeword, loads through that loop too.  Saving writes each word from its rows
-(``rows_literal``), each distinct row once.
+codeword.  It strips each codeword of surrounding whitespace, as
+``subspaces.literal_rows`` strips a literal.  A code has few distinct rows:
+one pass collects the distinct row literals of the codewords, from splits
+it does not keep, and parses each once (``subspaces.bare_rows``,
+``RowForm.parse``: a packed integer over GF(2), a tuple otherwise), so
+equal rows of different codewords are one shared row, which keeps a loaded
+code small.  Then one comprehension builds every word from those rows, one
+set of the words is the duplicate test, and one map takes every word's
+pivots.  Every valid file loads through the passes.  If a pass finds a
+fault (a codeword that is no string, a row literal that is not n digits of
+GF(q), a word that fails its check, a repeat), a loop goes over the
+codewords in file order, each with its own parse, canonical-form and
+uniqueness checks, and raises the error of the first fault it meets.
+Saving writes each word from its rows (``rows_literal``), each distinct row
+once.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain, repeat
+from typing import NoReturn
 
 from .constructions import SubspaceCode
 from .errors import BadParams, InvariantViolation, ParseError
@@ -88,18 +90,22 @@ def loads_code(text: str) -> SubspaceCode:
     if not isinstance(lits, list):
         raise ParseError("codewords must be a list of row literals")
     check = row_form(spec, n).check
-    ids, words = _load_in_passes(lits, spec, n, check) or _load_in_order(lits, spec, n, check)
+    loaded = _load_in_passes(lits, spec, n, check)
+    if loaded is None:
+        _name_the_first_fault(lits, spec, n, check)
+    ids, words = loaded
     return SubspaceCode._of_rows(spec, n, ids, words, kind=kind)
 
 
 def _load_in_passes(lits, spec, n: int, check) -> tuple[list, list] | None:
     """Each codeword's pivots and rows, each step one pass over all the
-    codewords; None when a pass finds anything off, for ``_load_in_order``
-    to name it.  Each literal is split twice, so no word's split list is
-    kept: once for the distinct row literals, each parsed once
-    (``bare_rows``), and once to look its rows up."""
+    codewords; None when a pass finds a fault.  The codewords are stripped
+    in place, as ``literal_rows`` strips one, and each is split twice, so
+    no word's split list is kept: once for the distinct row literals, each
+    parsed once (``bare_rows``), and once to look its rows up."""
     if not {str}.issuperset(map(type, lits)):
         return None
+    lits[:] = map(str.strip, lits)
     # '' is the zero subspace, no row
     parsed = bare_rows(set(chain.from_iterable(map(str.split, filter(None, lits), repeat(";")))), spec, n)
     if parsed is None:
@@ -116,12 +122,14 @@ def _load_in_passes(lits, spec, n: int, check) -> tuple[list, list] | None:
     return ids, words
 
 
-def _load_in_order(lits, spec, n: int, check) -> tuple[list, list]:
-    """Each codeword's pivots and rows, codeword by codeword in file order,
-    so that the first fault in the file is the one named."""
-    ids, words = [], []
+def _name_the_first_fault(lits, spec, n: int, check) -> NoReturn:
+    """Raise the error of the first codeword, in file order, that is no
+    string, has a row literal that is not n digits of GF(q), is not a
+    reduced echelon generator matrix or repeats a codeword before it: the
+    faults ``_load_in_passes`` finds, named as a codeword-by-codeword load
+    meets them."""
     seen = set()
-    parsed = {}  # row literal -> its row, parsed once and kept by every word that has it
+    parsed = {}  # row literal -> its row, parsed once
     for i, lit in enumerate(lits):
         if not isinstance(lit, str):
             raise ParseError(f"codeword {i}: expected a string, got {type(lit).__name__}")
@@ -132,7 +140,7 @@ def _load_in_order(lits, spec, n: int, check) -> tuple[list, list]:
             except ParseError as e:
                 raise ParseError(f"codeword {i}: {e}") from e
         try:
-            pivots = check(rows)
+            check(rows)
         except BadParams:
             raise InvariantViolation(
                 f"codeword {i}: rows are not a reduced echelon generator matrix"
@@ -141,9 +149,7 @@ def _load_in_order(lits, spec, n: int, check) -> tuple[list, list]:
         seen.add(rows)
         if len(seen) == size:
             raise InvariantViolation(f"codeword {i}: duplicate subspace")
-        ids.append(pivots)
-        words.append(rows)
-    return ids, words
+    raise AssertionError("the passes found a fault that no codeword has")  # unreachable
 
 
 def _is_int(x) -> bool:

@@ -12,6 +12,7 @@ rows the subspaces keep (``Subspace.rows``).
 
 from __future__ import annotations
 
+import gc
 from itertools import chain, combinations, compress, takewhile
 from operator import not_
 
@@ -215,11 +216,6 @@ def _least_of(best: int | None, d: int | None) -> int | None:
     return d if best is None or (d is not None and d < best) else best
 
 
-# The hash the sieve's screen takes of each key; a test swaps in one under
-# which every key collides, to reach the exact sieve.
-_screen_hash = hash
-
-
 def _sieve(view, cids) -> int | None:
     """The least distance, 0, 1 or 2, that one hash set of the words of the
     classes ``cids`` (packed identifying vectors) and one of their
@@ -230,39 +226,28 @@ def _sieve(view, cids) -> int | None:
     listed twice lies in two words of one dimension (2), since the
     hyperplanes of one word are distinct.  Every pair of words of these
     classes at distance 2 or less shows so, but a word inside another at
-    codimension 2.
-
-    A screen runs first, on the keys' hashes alone (``_screen_hash``): one
-    set of ints for the words and one for the hyperplanes.  Equal keys have
-    equal hashes, so when no hash repeats, within either set or across
-    them, no key does, and None is exact; only a repeated hash, a collision
-    of keys or of their hashes, sends the classes to the exact sieve of the
-    keys themselves (``_sieve_keys``), whose answer is the sieve's.  No key
-    is kept by the screen: each hyperplane is hashed as it is listed, in
-    the tuple ``zip`` reuses, so the screen leaves no tuples for the cyclic
-    garbage collector to walk."""
+    codimension 2.  The keys go straight into the sets, and the number of
+    hyperplanes listed is counted, not kept.  The cyclic garbage collector
+    is paused while the hyperplanes' set is built and until it is freed:
+    its key tuples, thousands of new ones, hold only rows and are freed
+    before the call returns, so a collection they started would walk them
+    for nothing.  Freed while it is paused, they leave the collector's count
+    where they found it; freed after, they would start one collection over
+    all of them."""
     rows, classes, q = view.rows, view.classes, view.spec.order
-    count = sum(len(classes[cid]) for cid in cids)
-    listed = sum(len(classes[cid]) * (q ** cid.bit_count() - 1) // (q - 1) for cid in cids)
-    words = set(map(_screen_hash, [rows[i] for cid in cids for i in classes[cid]]))
-    planes = set(map(_screen_hash, chain.from_iterable(map(view.hyperplane_keys, cids))))
-    if len(words) == count and len(planes) == listed and words.isdisjoint(planes):
-        return None
-    return _sieve_keys(view, cids, count, listed)
-
-
-def _sieve_keys(view, cids, count: int, listed: int) -> int | None:
-    """``_sieve`` on the keys themselves, of which ``count`` are words and
-    ``listed`` hyperplanes.  The keys go straight into the sets, and the
-    number of hyperplanes listed is counted, not kept."""
-    rows, classes = view.rows, view.classes
     words = {rows[i] for cid in cids for i in classes[cid]}
-    if len(words) < count:
+    if len(words) < sum(len(classes[cid]) for cid in cids):
         return 0
-    planes = set(chain.from_iterable(map(view.hyperplane_keys, cids)))
-    if not words.isdisjoint(planes):
-        return 1
-    return 2 if len(planes) < listed else None
+    listed = sum(len(classes[cid]) * (q ** cid.bit_count() - 1) // (q - 1) for cid in cids)
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        planes = set(chain.from_iterable(map(view.hyperplane_keys, cids)))
+        return 1 if not words.isdisjoint(planes) else 2 if len(planes) < listed else None
+    finally:
+        planes = None  # the keys are freed while the collector is paused
+        if was:
+            gc.enable()
 
 
 def _near_minima(view, pending, deferred, best):

@@ -579,8 +579,9 @@ def test_loaded_code_shares_equal_rows(gf2):
 
 def test_a_valid_file_loads_in_passes(monkeypatch, gf2):
     # the 573-word shortening: its distinct bare row literals are parsed
-    # once each, the zero subspace's '' being none, and no codeword goes
-    # through the in-order loop, which is there to name a fault
+    # once each, the zero subspace's '' being none, and the in-order loop,
+    # which only names a fault, is never reached, whitespace around a
+    # codeword or not
     w8k4 = multilevel_fixture("w8k4", gf2, puncture_aligned=True)
     code = puncture(w8k4, (1, 0, 0, 0, 0, 0, 0, 1), add_trivial=True)
     text = codefile.dumps_code(code)
@@ -588,10 +589,13 @@ def test_a_valid_file_loads_in_passes(monkeypatch, gf2):
     form, parsed = row_form(gf2, 7), []
     parse = form.parse
     monkeypatch.setattr(form, "parse", lambda digits: parsed.append(digits) or parse(digits))
-    monkeypatch.setattr(codefile, "_load_in_order", None)
+    monkeypatch.setattr(codefile, "_name_the_first_fault", None)
     loaded = codefile.loads_code(text)
     assert sorted(parsed) == sorted(literals) and len(parsed) == 96
     assert loaded.rows == code.rows and loaded.ids == code.ids and codefile.dumps_code(loaded) == text
+    doc = json.loads(text)
+    doc["codewords"] = [f" {lit}\t" for lit in doc["codewords"]]
+    assert codefile.dumps_code(codefile.loads_code(json.dumps(doc))) == text
     # over GF(3) a row is a tuple, and each distinct one is one object
     gf3 = field_for_order(3)
     text = codefile.dumps_code(multilevel_fixture("w6k3", gf3))
@@ -716,8 +720,8 @@ def test_loader_in_the_zero_ambient_space(codewords, want):
 
 
 def test_one_load_scans_for_duplicates_once(monkeypatch, gf2):
-    # the loader's in-order check, which names the codeword, is the load's
-    # one duplicate scan: no word's rows are read back after it is built
+    # the loader's set of the words is the load's one duplicate scan: no
+    # word's rows are read back after it is built
     # (the code's constructor read each word's rows to scan them again);
     # reads of Subspace.rows are counted, writes pass through
     text = codefile.dumps_code(multilevel_fixture("w6k3", gf2))

@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import combinations, product
 
@@ -907,12 +908,12 @@ def _sieve_code(q, rng):
     return spec, n, words
 
 
-def _check_sieve_against_the_definition():
-    """The sieve over every class of mixed-dimension codes: the least of 0
-    for a repeated word, 1 for a word that is a hyperplane of another and
-    2 for two words of one dimension at distance 2, by distance_naive over
-    every pair, or None; a subspace at codimension 2 is left to the rest
-    of min_distance, which must still agree with the definition."""
+def test_sieve_against_the_definition():
+    # the sieve over every class of mixed-dimension codes: the least of 0
+    # for a repeated word, 1 for a word that is a hyperplane of another and
+    # 2 for two words of one dimension at distance 2, by distance_naive over
+    # every pair, or None; a subspace at codimension 2 is left to the rest
+    # of min_distance, which must still agree with the definition
     seen = {0: 0, 1: 0, 2: 0, None: 0, "codim 2": 0}
 
     @settings(max_examples=300, deadline=None)
@@ -936,23 +937,6 @@ def _check_sieve_against_the_definition():
 
     check()
     assert all(count >= 10 for count in seen.values()), seen
-
-
-def test_sieve_against_the_definition():
-    _check_sieve_against_the_definition()
-
-
-def test_exact_sieve_against_the_definition(monkeypatch):
-    # every key's screen hash collides, so every sieve that lists a key
-    # goes on to the exact sieve of the keys themselves, whose answers must
-    # be the definition's too; with the real hash the screen settles every
-    # code with no pair at distance 2 or less, so this path would go
-    # untested
-    exact, sieve_keys = [], distances._sieve_keys
-    monkeypatch.setattr(distances, "_screen_hash", lambda key: 0)
-    monkeypatch.setattr(distances, "_sieve_keys", lambda *a: exact.append(sieve_keys(*a)) or exact[-1])
-    _check_sieve_against_the_definition()
-    assert {0, 1, 2, None} <= set(exact)
 
 
 def _shortened_w8k4(spec):
@@ -1189,13 +1173,30 @@ def test_shortened_w8k4_verify_takes_no_near_class_apart(gf2, monkeypatch):
         return differences(self, members)
 
     monkeypatch.setattr(PackedCode, "_differences", spy)
-    exact = []
-    monkeypatch.setattr(distances, "_sieve_keys", lambda *a: exact.append(a))
     assert min_distance(code) == 3
     assert len(near) == 17 and sorted(seen) == sorted(set(view.classes) - near)
-    # the sieve's hash screen settles its 564 words and 6,204 hyperplanes:
-    # no hash repeats, so no key tuple is kept
-    assert exact == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_sieve_keys_start_no_collection(gf2, enabled):
+    # the sieve of the 573-word code's 17 near classes lists 6,204
+    # hyperplane keys, and none of them starts a run of the cyclic garbage
+    # collector: it is paused while they live, then left as it was found
+    view = _shortened_w8k4(gf2).packed
+    near = [cid for cid in view.classes if any((cid ^ b).bit_count() == 1 for b in view.classes)]
+    runs = []
+    collect = lambda phase, info: runs.append(phase)  # noqa: E731
+    was = gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(collect)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert distances._sieve(view, near) is None
+        assert gc.isenabled() == enabled
+    finally:
+        gc.callbacks.remove(collect)
+        (gc.enable if was else gc.disable)()
+    assert runs == []
 
 
 @pytest.mark.parametrize("q", [2, 3])
