@@ -67,12 +67,13 @@ def _save_or_print(code, out: str | None) -> None:
 def _cmd_construct(args) -> int:
     if args.what == "puncture":  # the input code file fixes q
         base = codefile.load_code(args.code)
-        special = _default_special(base.n)
         if args.special:
             rows = literal_rows(args.special, base.spec, base.n)
             if len(rows) != 1:
                 raise BadParams(f"--special needs one vector, got {len(rows)}")
             (special,) = row_form(base.spec, base.n).to_entries(rows)
+        else:
+            special = _default_special(base.n)
         code = puncture(base, special, add_trivial=args.add_trivial)
         _save_or_print(code, args.out)
         return 0
@@ -100,6 +101,9 @@ def _cmd_construct(args) -> int:
 
 
 def _default_special(n: int) -> tuple[int, ...]:
+    """e_1 + e_n, the special vector puncture takes when --special is not given."""
+    if n < 2:  # e_1 and e_n are one vector, or none
+        raise BadParams(f"--special is needed when n < 2, got n = {n}")
     return (1,) + (0,) * (n - 2) + (1,)
 
 

@@ -13,18 +13,22 @@ byte-identical.
 
 The loader works in passes over all the codewords, not codeword by
 codeword.  It strips each codeword of surrounding whitespace, as
-``subspaces.literal_rows`` strips a literal.  A code has few distinct rows:
-one pass collects the distinct row literals of the codewords, from splits
-it does not keep, and parses each once (``subspaces.bare_rows``,
-``RowForm.parse``: a packed integer over GF(2), a tuple otherwise), so
+``subspaces.literal_rows`` strips a literal, and one set of the stripped
+codewords is the duplicate test: a bare row literal is one row, and a row
+has one literal, so codewords tell words apart as their rows do.  A code
+has few distinct rows, and one row table (``subspaces.RowTable``, a dict)
+maps each row literal to its row, parsed once, on its first lookup
+(``RowForm.parse``: a packed integer over GF(2), a tuple otherwise), so
 equal rows of different codewords are one shared row, which keeps a loaded
-code small.  Then one comprehension builds every word from those rows, one
-set of the words is the duplicate test, and one map takes every word's
-pivots.  Every valid file loads through the passes.  If a pass finds a
-fault (a codeword that is no string, a row literal that is not n digits of
-GF(q), a word that fails its check, a repeat), a loop goes over the
-codewords in file order, each with its own parse, canonical-form and
-uniqueness checks, and raises the error of the first fault it meets.
+code small.  One pipeline of C-level maps splits each codeword in turn and
+looks its rows up in the table, with no Python loop over the codewords;
+the zero subspace's '' has no row, and its words are set to () afterwards.
+Then one map takes every word's pivots.  Every valid file loads through
+the passes.  If a pass finds a fault (a codeword that is no string, a
+repeat, a row literal that is not n digits of GF(q), a word that fails its
+check), a loop goes over the codewords in file order, each with its own
+parse (``literal_rows``, on the same table), canonical-form and uniqueness
+checks, and raises the error of the first fault it meets.
 Saving writes each word from its rows (``rows_literal``), each distinct row
 once.
 """
@@ -32,13 +36,14 @@ once.
 from __future__ import annotations
 
 import json
-from itertools import chain, repeat
+from itertools import compress, count, repeat
+from operator import not_
 from typing import NoReturn
 
 from .constructions import SubspaceCode
 from .errors import BadParams, InvariantViolation, ParseError
 from .matrices import row_form
-from .subspaces import bare_rows, field_for_order, literal_rows, rows_literal
+from .subspaces import RowTable, field_for_order, literal_rows, rows_literal
 
 FORMAT_VERSION = 1
 
@@ -70,6 +75,8 @@ def loads_code(text: str) -> SubspaceCode:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except RecursionError:  # arrays or objects nested past the interpreter's limit
+        raise ParseError("JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError(f"expected a JSON object, got {type(doc).__name__}")
     for key in ("format_version", "q", "n", "kind", "codewords"):
@@ -89,32 +96,37 @@ def loads_code(text: str) -> SubspaceCode:
     lits = doc["codewords"]
     if not isinstance(lits, list):
         raise ParseError("codewords must be a list of row literals")
-    check = row_form(spec, n).check
-    loaded = _load_in_passes(lits, spec, n, check)
+    check, table = row_form(spec, n).check, RowTable(spec, n)
+    loaded = _load_in_passes(lits, table, check)
     if loaded is None:
-        _name_the_first_fault(lits, spec, n, check)
+        _name_the_first_fault(lits, spec, n, check, table)
     ids, words = loaded
     return SubspaceCode._of_rows(spec, n, ids, words, kind=kind)
 
 
-def _load_in_passes(lits, spec, n: int, check) -> tuple[list, list] | None:
+def _load_in_passes(lits, table: RowTable, check) -> tuple[list, list] | None:
     """Each codeword's pivots and rows, each step one pass over all the
     codewords; None when a pass finds a fault.  The codewords are stripped
-    in place, as ``literal_rows`` strips one, and each is split twice, so
-    no word's split list is kept: once for the distinct row literals, each
-    parsed once (``bare_rows``), and once to look its rows up."""
+    in place, as ``literal_rows`` strips one, and split one at a time, with
+    their rows looked up in ``table``: splitting them all at once would
+    hold every row literal of a large file together."""
     if not {str}.issuperset(map(type, lits)):
         return None
     lits[:] = map(str.strip, lits)
-    # '' is the zero subspace, no row
-    parsed = bare_rows(set(chain.from_iterable(map(str.split, filter(None, lits), repeat(";")))), spec, n)
-    if parsed is None:
+    # a bare row literal is one row and a row has one, so the stripped
+    # codewords tell words apart as their rows do; the set is gone before
+    # the words are made, which keeps a large load's peak down
+    if len(set(lits)) < len(lits):
         return None
-    words = [tuple(map(parsed.__getitem__, lit.split(";"))) if lit else () for lit in lits]
-    # one field and one n: the rows alone tell words apart; the set is
-    # gone before the pivots' list is made, which keeps a large load's peak down
-    if len(set(words)) < len(words):
+    # '' is the zero subspace, no row: a '' row of a longer codeword is None,
+    # which fails the check, and a '' codeword's word is set to () below
+    table[""] = None
+    try:
+        words = list(map(tuple, map(map, repeat(table.__getitem__), map(str.split, lits, repeat(";")))))
+    except KeyError:  # a row literal that is not bare
         return None
+    for i in compress(count(), map(not_, lits)):
+        words[i] = ()
     try:
         ids = list(map(check, words))
     except BadParams:
@@ -122,21 +134,21 @@ def _load_in_passes(lits, spec, n: int, check) -> tuple[list, list] | None:
     return ids, words
 
 
-def _name_the_first_fault(lits, spec, n: int, check) -> NoReturn:
+def _name_the_first_fault(lits, spec, n: int, check, table: RowTable) -> NoReturn:
     """Raise the error of the first codeword, in file order, that is no
     string, has a row literal that is not n digits of GF(q), is not a
     reduced echelon generator matrix or repeats a codeword before it: the
     faults ``_load_in_passes`` finds, named as a codeword-by-codeword load
-    meets them."""
+    meets them.  Rows come from ``table``, the passes' row table; a row it
+    does not hold, or holds as None, goes through ``literal_rows``."""
     seen = set()
-    parsed = {}  # row literal -> its row, parsed once
     for i, lit in enumerate(lits):
         if not isinstance(lit, str):
             raise ParseError(f"codeword {i}: expected a string, got {type(lit).__name__}")
-        rows = tuple(map(parsed.get, lit.split(";")))
+        rows = tuple(map(table.get, lit.split(";")))
         if None in rows:  # a row seen for the first time, or not a bare row literal
             try:
-                rows = literal_rows(lit, spec, n, parsed)
+                rows = literal_rows(lit, spec, n, table)
             except ParseError as e:
                 raise ParseError(f"codeword {i}: {e}") from e
         try:
@@ -157,5 +169,9 @@ def _is_int(x) -> bool:
 
 
 def load_code(path: str) -> SubspaceCode:
-    with open(path, "r") as fh:
-        return loads_code(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"not UTF-8: byte {e.start}: {e.reason}") from None
+    return loads_code(text)

@@ -464,15 +464,24 @@ def literal_rows(s: str, spec: FieldSpec, n: int, parsed: dict | None = None) ->
     return tuple(rows)
 
 
-def bare_rows(parts, spec: FieldSpec, n: int) -> dict | None:
-    """Each row literal of the collection ``parts`` mapped to its row,
-    parsed once (``RowForm.parse``), when every one is bare: n digits of
-    GF(q) and nothing else, the only row literals ``literal_rows`` parses.
-    None when one is not, for ``literal_rows`` to name it."""
-    digits, parse = _ROW_DIGITS[: spec.order], row_form(spec, n).parse
-    if not all(_bare(part, n, digits) for part in parts):
-        return None
-    return {part: parse(part) for part in parts}
+class RowTable(dict):
+    """Bare row literals of GF(q)^n mapped to their rows, each parsed once,
+    on its first lookup (``RowForm.parse``), and kept, so that equal rows
+    of many literals are one shared object.  Looking up a literal that is
+    not bare (n digits of GF(q) and nothing else, the only row literals
+    ``literal_rows`` parses) raises KeyError and stores nothing."""
+
+    __slots__ = ("_n", "_digits", "_parse")
+
+    def __init__(self, spec: FieldSpec, n: int) -> None:
+        super().__init__()
+        self._n, self._digits, self._parse = n, _ROW_DIGITS[: spec.order], row_form(spec, n).parse
+
+    def __missing__(self, part: str):
+        if not _bare(part, self._n, self._digits):
+            raise KeyError(part)
+        row = self[part] = self._parse(part)
+        return row
 
 
 _ROW_DIGITS = "0123456789"

@@ -145,6 +145,15 @@ def test_puncture_rejects_bad_special(w6k3_file, capsys, special, message):
     assert rc == 1 and out == "" and _one_error_line(err) and message in err
 
 
+@pytest.mark.parametrize("n,words", [(0, [""]), (1, ["", "1"])])
+def test_puncture_without_special_needs_n_of_two(tmp_path, capsys, n, words):
+    # the default special vector is e_1 + e_n, which n < 2 does not have
+    path = tmp_path / "c.json"
+    path.write_text(_doc(n=n, codewords=words))
+    rc, out, err = run_capture(capsys, ["construct", "puncture", "--code", str(path)])
+    assert (rc, out, err) == (1, "", f"error: --special is needed when n < 2, got n = {n}\n")
+
+
 @pytest.fixture(scope="module")
 def w6k3_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("codes") / "w6k3.json"
@@ -254,6 +263,21 @@ def test_verify_rejects_mistyped_codewords(tmp_path, capsys, codewords, message)
     rc, out, err = run_capture(capsys, ["verify", str(path)])
     assert rc == 1 and out == ""
     assert _one_error_line(err) and message in err
+
+
+# a file that is not UTF-8, and JSON nested past the interpreter's recursion limit
+_RAW_FAULTS = [
+    (b"\xff\xfe\x00", "error: not UTF-8: byte 0: invalid start byte\n"),
+    (b"[" * 100000, "error: JSON nested too deeply\n"),
+]
+
+
+@pytest.mark.parametrize("raw,error", _RAW_FAULTS, ids=["not-utf8", "nested"])
+@pytest.mark.parametrize("command", [["verify"], ["simulate", "--t", "1", "--rho", "0", "--code"], ["construct", "puncture", "--code"]])
+def test_code_file_faults_below_json_are_errors(tmp_path, capsys, raw, error, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    assert run_capture(capsys, [*command, str(path)]) == (1, "", error)
 
 
 @pytest.mark.parametrize("q", ["1", "6", "0"])
@@ -408,13 +432,20 @@ def _code_doc(draw):
     return doc
 
 
+# raw file contents: bytes that are mostly not UTF-8, and JSON nested up to
+# and past the recursion limit
+_RAW_BYTES = st.sampled_from([raw for raw, _ in _RAW_FAULTS]) | st.binary(max_size=8) | st.builds(
+    bytes.__mul__, st.sampled_from([b"[", b'{"codewords": ', b"[{}, "]), st.sampled_from([1, 999, 100000])
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(_code_doc() | st.recursive(_JSON_SCALARS, lambda xs: st.lists(xs, max_size=3), max_leaves=5))
+@given(_code_doc() | st.recursive(_JSON_SCALARS, lambda xs: st.lists(xs, max_size=3), max_leaves=5) | _RAW_BYTES)
 def test_verify_cli_fuzz(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "code.json")
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
+        with open(path, "wb") as fh:
+            fh.write(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         _check_outcome(*_run_quietly(["verify", path]))
 
 
@@ -766,16 +797,27 @@ def _reference_rows(lit, q, n):
     return tuple(rows)
 
 
+_PAD = st.sampled_from(["", "", " ", "\t", " \n "])
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from([2, 3]),
-    st.lists(st.lists(st.sampled_from(["100", "010", "001", "110", "011", "012", "0x1", "10", ""]), max_size=3), max_size=5),
+    st.lists(
+        st.tuples(
+            _PAD,
+            # the empty codeword, the zero subspace, drawn at any position
+            st.just([]) | st.lists(st.sampled_from(["100", "010", "001", "110", "011", "012", "0x1", "10", ""]), max_size=3),
+            _PAD,
+        ),
+        max_size=5,
+    ),
 )
 def test_loader_rows_match_a_plain_parse(q, words):
-    # codewords built from a few row literals, good and bad, many repeated:
-    # the loader's rows, or its first error, are those of a parse of each
-    # codeword on its own
-    codewords = [";".join(rows) for rows in words]
+    # codewords built from a few row literals, good and bad, many repeated,
+    # some with whitespace around them: the loader's rows, or its first
+    # error, are those of a parse of each codeword on its own
+    codewords = [before + ";".join(rows) + after for before, rows, after in words]
     want, bad = None, len(codewords)
     for i, lit in enumerate(codewords):
         rows = _reference_rows(lit, q, 3)
