@@ -86,7 +86,7 @@ def _cmd_construct(args) -> int:
         else:
             if args.words:
                 cw = ConstantWeightCode.from_strings(args.words.split(","))
-            elif args.n and args.k:
+            elif args.n is not None and args.k is not None:
                 cw = greedy_constant_weight(args.n, args.k, 2 * args.delta)
             else:
                 raise BadParams("need --fixture, --words, or --n/--k")
@@ -132,7 +132,9 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_distance(args) -> int:
     spec = field_for_order(args.q)
-    n = args.n or max(len(r) for r in (args.a.split(";") + args.b.split(";")))
+    n = args.n
+    if n is None:
+        n = max(len(r) for r in (args.a.split(";") + args.b.split(";")))
     a = from_literal(args.a, spec, n)
     b = from_literal(args.b, spec, n)
     _emit(f"{distance_fast(a, b)}\n", args.out)

@@ -13,12 +13,12 @@ rows the subspaces keep (``Subspace.rows``).
 from __future__ import annotations
 
 import gc
-from itertools import chain, combinations, compress, takewhile
+from itertools import combinations, compress, takewhile
 from operator import not_
 
 from .errors import AmbientMismatch, TooFewCodewords
 from .matrices import rank, row_form, vconcat
-from .packed import PackedCode, meet_exponent
+from .packed import PackedCode, hyperplane_keys, meet_exponent
 from .subspaces import Subspace
 
 
@@ -93,12 +93,12 @@ def min_distance(code) -> int:
     A pair of words at distance 1 or 2 lies in one class or in a near pair,
     and then either one word is a hyperplane, a (k-1)-subspace, of the
     other, or the two words share a hyperplane.  So one sieve settles them
-    all (``_sieve``): a set of the words of every near class, and of every
-    other class that is not a coset, and one of their hyperplanes
-    (``PackedCode.hyperplane_keys``).  A repeated word gives 0, a word that
-    is a hyperplane of another 1, and a hyperplane of two words 2; with no
-    such collision every sieved class has minimum at least 4, and every
-    near pair at least h + 2.
+    all (``_sieve``): per dimension, a set of the words of every near class,
+    and of every other class that is not a coset, and one of their
+    hyperplanes (``hyperplane_keys``), each dimension's words listed in one
+    batch.  A repeated word gives 0, a word that is a hyperplane of another
+    1, and a hyperplane of two words 2; with no such collision every sieved
+    class has minimum at least 4, and every near pair at least h + 2.
 
     A class that is not near gets its coset analysis at once
     (``PackedCode.coset``): a coset of a linear space of matrices has the
@@ -217,33 +217,45 @@ def _least_of(best: int | None, d: int | None) -> int | None:
 
 
 def _sieve(view, cids) -> int | None:
-    """The least distance, 0, 1 or 2, that one hash set of the words of the
-    classes ``cids`` (packed identifying vectors) and one of their
-    hyperplanes show; None when they show none.  Every key is a tuple of
-    reduced rows, so equal keys are equal subspaces: a word listed twice is
-    a repeated word (0), a word that is a hyperplane of another lies in it
-    at codimension 1 (1), and, the words being distinct, a hyperplane
-    listed twice lies in two words of one dimension (2), since the
-    hyperplanes of one word are distinct.  Every pair of words of these
-    classes at distance 2 or less shows so, but a word inside another at
-    codimension 2.  The keys go straight into the sets, and the number of
-    hyperplanes listed is counted, not kept.  The cyclic garbage collector
-    is paused while the hyperplanes' set is built and until it is freed:
-    its key tuples, thousands of new ones, hold only rows and are freed
-    before the call returns, so a collection they started would walk them
-    for nothing.  Freed while it is paused, they leave the collector's count
-    where they found it; freed after, they would start one collection over
-    all of them."""
-    rows, classes, q = view.rows, view.classes, view.spec.order
-    words = {rows[i] for cid in cids for i in classes[cid]}
-    if len(words) < sum(len(classes[cid]) for cid in cids):
+    """The least distance, 0, 1 or 2, that hash sets of the words of the
+    classes ``cids`` (packed identifying vectors) and of their hyperplanes
+    show, one set of each per dimension; None when they show none.  Every
+    key is a tuple of reduced rows, so equal keys are equal subspaces, and
+    keys of different dimensions differ in length: a word listed twice is a
+    repeated word (0), a hyperplane of a dimension-k word among the
+    dimension-(k-1) words is a word inside another at codimension 1 (1),
+    and, the words being distinct, a hyperplane listed twice lies in two
+    words of one dimension (2), since the hyperplanes of one word are
+    distinct.  Every pair of words of these classes at distance 2 or less
+    shows so, but a word inside another at codimension 2.  The words of one
+    dimension are listed in one batch whatever their classes
+    (``hyperplane_keys``), the keys go straight into that dimension's set,
+    and the number listed is counted, not kept.  The cyclic garbage
+    collector is paused while the hyperplanes' sets are built and until the
+    last is freed: their key tuples, thousands of new ones, hold only rows
+    and are freed before the call returns, so a collection they started
+    would walk them for nothing.  Freed while it is paused, they leave the
+    collector's count where they found it; freed after, they would start
+    one collection over all of them."""
+    rows, classes, q, form = view.rows, view.classes, view.spec.order, view.form
+    by_dim: dict[int, list] = {}
+    for cid in cids:
+        by_dim.setdefault(cid.bit_count(), []).extend(map(rows.__getitem__, classes[cid]))
+    words = {k: set(ws) for k, ws in by_dim.items()}
+    if any(len(words[k]) < len(ws) for k, ws in by_dim.items()):
         return 0
-    listed = sum(len(classes[cid]) * (q ** cid.bit_count() - 1) // (q - 1) for cid in cids)
+    shared = None
     was = gc.isenabled()
     gc.disable()
     try:
-        planes = set(chain.from_iterable(map(view.hyperplane_keys, cids)))
-        return 1 if not words.isdisjoint(planes) else 2 if len(planes) < listed else None
+        for k, ws in by_dim.items():
+            planes = set(hyperplane_keys(form, ws))
+            if not planes.isdisjoint(words.get(k - 1, ())):
+                return 1
+            if len(planes) < len(ws) * (q**k - 1) // (q - 1):
+                shared = 2
+            planes = None  # freed before the next dimension's set is built
+        return shared
     finally:
         planes = None  # the keys are freed while the collector is paused
         if was:

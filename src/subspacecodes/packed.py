@@ -39,6 +39,34 @@ def meet_exponent(shared: int, exclusive: int) -> int:
     return e
 
 
+def hyperplane_keys(form, words):
+    """Every hyperplane, a (k-1)-subspace, of every word in ``words``, row
+    tuples of one length k in the row form ``form``, as the tuple of its
+    reduced rows, as an iterator: (q^k - 1)/(q - 1) keys per word, all
+    distinct.
+
+    A hyperplane X of U has all of U's pivots but one, the pivot of row j,
+    and its reduced rows are x_i = u_i + c_i u_j for i < j, any c_i in
+    GF(q), and x_i = u_i for i > j.  That depends on the positions of the
+    rows alone, never on their pivot columns, so words of one dimension are
+    listed together whatever their identifying vectors, as ``class_keys``
+    lists a class: one row slot at a time, a slot's column holding that row
+    of every word, each column u_i - c u_j built once per call; a key is a
+    choice of variant per slot, read off word by word."""
+    k = len(words[0])
+    if k < 2:  # none in dimension 0; in dimension 1 the zero space alone
+        return repeat((), len(words) * k)
+    columns = list(zip(*words))
+    sub, scaled = form.sub_row, form.scaled
+    keys = []
+    for j, column in enumerate(columns):
+        nonzero = scaled(column)  # c * row j of every word, per c != 0
+        slots = [[x, *(tuple(map(sub, x, m)) for m in nonzero)] for x in columns[:j]]
+        slots += ([x] for x in columns[j + 1 :])
+        keys.append(starmap(zip, product(*slots)))
+    return chain.from_iterable(chain.from_iterable(keys))
+
+
 def _least(values, floor: int) -> int:
     """The least of ``values``, read only up to the first that equals
     ``floor``, a lower bound on them all."""
@@ -73,9 +101,7 @@ class PackedCode:
     class's coset analysis (``coset``) and, for a coset, its minimum
     (``coset_minimum``), so that a verify and the decoder table share them
     and a verify takes only the classes it needs; the class's row columns;
-    and the join slots of each (class, exclusive set) (``class_keys``).  The
-    hyperplanes of a class's words (``hyperplane_keys``) are listed afresh
-    on each call."""
+    and the join slots of each (class, exclusive set) (``class_keys``)."""
 
     def __init__(self, spec, n: int, ids, rows):
         self.spec = spec
@@ -87,7 +113,7 @@ class PackedCode:
         self._cosets: dict[int, tuple | None | bool] = {}  # per class, for coset
         self._minima: dict[int, int | None] = {}  # per coset class, for coset_minimum
         self._slots: dict[tuple[int, int], list] = {}  # per (class, exclusive set), for class_keys
-        self._columns: dict[int, list] = {}  # per class, row slot by row slot
+        self._columns: dict[int, list] = {}  # per class, row slot by row slot, for class_keys
         for i, v in enumerate(self.ids):
             self.classes.setdefault(v, []).append(i)
 
@@ -357,30 +383,6 @@ class PackedCode:
         if not slots:  # X is the zero space, one key per word
             return repeat((), len(self.classes[cid]))
         return chain.from_iterable(starmap(zip, product(*slots)))
-
-    def hyperplane_keys(self, cid: int):
-        """Every hyperplane, a (k-1)-subspace, of every word of class ``cid``,
-        as the tuple of its reduced rows, as an iterator: (q^k - 1)/(q - 1)
-        keys per word, all distinct.
-
-        A hyperplane X of U has all of U's pivots but one, p_j, so these are
-        the ``class_keys`` with each pivot exclusive in turn: x_i = u_i + c_i
-        u_j for i < j, any c_i in GF(q), and x_i = u_i for i > j.  They are
-        built as ``class_keys`` builds its keys, from the class's row
-        columns, but each column u_i - c u_j is built once per call, and
-        nothing is kept on the view but the columns."""
-        count, k = len(self.classes[cid]), cid.bit_count()
-        if k < 2:  # none in dimension 0; in dimension 1 the zero space alone
-            return repeat((), count * k)
-        columns = self._class_columns(cid)
-        sub, scaled = self.form.sub_row, self.form.scaled
-        keys = []
-        for j, column in enumerate(columns):
-            nonzero = scaled(column)  # c * row j of every word, per c != 0
-            slots = [[x, *(tuple(map(sub, x, m)) for m in nonzero)] for x in columns[:j]]
-            slots += ([x] for x in columns[j + 1 :])
-            keys.append(starmap(zip, product(*slots)))
-        return chain.from_iterable(chain.from_iterable(keys))
 
     def _class_columns(self, cid: int) -> list:
         """Class ``cid``'s row columns, kept on the view: column r holds row

@@ -76,6 +76,12 @@ def test_construct_greedy_skeleton(tmp_path, capsys):
     assert rc == 0
     code = codefile.load_code(str(out))
     assert len(code.words) == 71  # the greedy skeleton matches the bundled one here
+    # an explicit --k 0 is a weight, not a missing one: one all-zero skeleton
+    # word, whose lift is the zero subspace
+    rc, _, err = run_capture(capsys, ["construct", "multilevel", "--n", "6", "--k", "0", "--out", str(out)])
+    assert (rc, err) == (0, "")
+    code = codefile.load_code(str(out))
+    assert (code.n, len(code.words), code.words[0].k) == (6, 1, 0)
 
 
 def test_experiment_commands(capsys):
@@ -187,6 +193,9 @@ def test_distance_command(capsys):
     assert "ambient dimension must be >= 0, got -1" in err
     rc, text, _ = run_capture(capsys, ["distance", "--n", "0", "", ""])
     assert rc == 0 and text == "0\n"
+    # an explicit --n 0 is an ambient dimension, not a missing one
+    rc, out, err = run_capture(capsys, ["distance", "1", "1", "--n", "0"])
+    assert (rc, out, err) == (1, "", "error: row 0: length 1, expected 0\n")
 
 
 def test_index_roundtrip_cli(capsys):

@@ -19,7 +19,7 @@ from subspacecodes.distances import (
 )
 from subspacecodes.fields import extension_view, make_field
 from subspacecodes.matrices import MatGF, _rref_generic, gf2_rank, pack, rank, row_form, vconcat
-from subspacecodes.packed import PackedCode, meet_exponent
+from subspacecodes.packed import PackedCode, hyperplane_keys, meet_exponent
 from subspacecodes.subspaces import (
     IdVector,
     Subspace,
@@ -626,34 +626,37 @@ def test_class_keys_on_multi_word_classes(p, m):
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2)])
 def test_hyperplane_keys_against_brute_force(p, m):
-    # the keys of a whole class, as a multiset, are the (k-1)-subspaces
-    # inside each of its words, found by filtering the whole Grassmannian,
-    # (q^k - 1)/(q - 1) per word; dimensions 0 and 1 (no hyperplane, and the
-    # zero space) are among them, and GF(4) is not a prime field
+    # the keys of a batch of words of one dimension, drawn from up to three
+    # identifying vectors at once, as a multiset, are the (k-1)-subspaces
+    # inside each word, found by filtering the whole Grassmannian,
+    # (q^k - 1)/(q - 1) per word; dimensions 0 and 1 (no hyperplane, and
+    # the zero space) are among them, and GF(4) is not a prime field
     spec = make_field(p, m)
     q = spec.order
     rng = random.Random(80 + q)
     grassmannians = {}
-    checked = several = 0
-    forms = [v for n in (2, 3, 4, 5) for k in range(n + 1) for v in rng.choices(list(identifying_vectors(n, k)), k=2)]
-    for v in forms:
-        dots = echelon_ferrers_shape(v).dot_count
-        fills = ([rng.randrange(q) for _ in range(dots)] for _ in range(4))
-        words = list({w.key(): w for w in (_word_from_free(v, f, spec) for f in fills)}.values())
-        view = PackedCode.of_words(spec, v.n, words)
-        (cid,) = view.classes
-        want = [
-            key
-            for w in words
-            for dropped in v.support
-            for key in _brute_keys(w, tuple(c for c in v.support if c != dropped), grassmannians)
-        ]
-        got = list(view.hyperplane_keys(cid))
-        assert sorted(got) == sorted(want), words
-        assert len(got) == len(words) * (q ** len(v.support) - 1) // (q - 1)
-        checked += 1
-        several += len(words) > 1 and len(v.support) > 1
-    assert checked == 36 and several >= 5
+    checked = mixed = 0
+    for n in (2, 3, 4, 5):
+        for k in range(n + 1):
+            forms = list(identifying_vectors(n, k))
+            words = []
+            for v in rng.sample(forms, min(3, len(forms))):
+                dots = echelon_ferrers_shape(v).dot_count
+                fills = ([rng.randrange(q) for _ in range(dots)] for _ in range(3))
+                words += {w.key(): w for w in (_word_from_free(v, f, spec) for f in fills)}.values()
+            rng.shuffle(words)
+            want = [
+                key
+                for w in words
+                for dropped in w.id_vector.support
+                for key in _brute_keys(w, tuple(c for c in w.id_vector.support if c != dropped), grassmannians)
+            ]
+            got = list(hyperplane_keys(row_form(spec, n), [w.rows for w in words]))
+            assert sorted(got) == sorted(want), words
+            assert len(got) == len(words) * (q**k - 1) // (q - 1)
+            checked += 1
+            mixed += k > 1 and len({w.id_vector.support for w in words}) > 1
+    assert checked == 18 and mixed == 6
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -1175,6 +1178,25 @@ def test_shortened_w8k4_verify_takes_no_near_class_apart(gf2, monkeypatch):
     monkeypatch.setattr(PackedCode, "_differences", spy)
     assert min_distance(code) == 3
     assert len(near) == 17 and sorted(seen) == sorted(set(view.classes) - near)
+
+
+def test_sieve_lists_each_dimension_once(gf2, monkeypatch):
+    # the 573-word verify lists the hyperplanes of its sieved words in one
+    # batch per dimension, whatever their classes: 282 words of dimension 4
+    # and 282 of dimension 3, 6,204 keys in all, and it keeps no row
+    # columns on the view
+    calls, lister = [], distances.hyperplane_keys
+
+    def spy(form, words):
+        keys = list(lister(form, words))
+        calls.append((len(words[0]), len(words), len(keys)))
+        return iter(keys)
+
+    monkeypatch.setattr(distances, "hyperplane_keys", spy)
+    code = _shortened_w8k4(gf2)
+    assert min_distance(code) == 3
+    assert sorted(calls) == [(3, 282, 1974), (4, 282, 4230)]
+    assert code.packed._columns == {}
 
 
 @pytest.mark.parametrize("enabled", [True, False])
