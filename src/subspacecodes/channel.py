@@ -6,8 +6,9 @@ t-dimensional error space intersecting H(V) trivially.  A minimum-distance
 decoder recovers V whenever 2(t + rho) is below the code's minimum distance.
 With errors only, the received space contains the sent word; with erasures
 only, it lies inside it.  The decoder finds such a word by one linear solve
-per coset class of the code, and leaves anything else to the
-nearest-codeword scan.
+per coset class of the code, and accepts it when twice its distance is
+below the code's minimum distance (``SubspaceCode.dmin``, computed once
+and kept); anything else goes to the nearest-codeword scan.
 
 The channel works on the rows the subspaces keep, in their field's row
 form (``Subspace.rows``; XOR on packed rows over GF(2)): the erasure
@@ -107,8 +108,9 @@ def min_distance_decode(
 
     First the containment stage (``PackedCode.contained``): per coset class,
     one linear solve finds a word U with U ⊆ u or u ⊆ U, at distance
-    d = |dim u - dim U|.  When 2d is below a lower bound on the code's
-    minimum distance, U is the unique closest word and decoding stops.
+    d = |dim u - dim U|.  When 2d is below the code's minimum distance
+    (``code.dmin``, computed on the first decode unless a verify already
+    has), U is the unique closest word and decoding stops.
     Otherwise one scan over the code's packed view (``PackedCode.nearest``)
     decides: codewords whose identifying vector is already at Hamming
     distance >= the best subspace distance so far are skipped, which is
@@ -120,7 +122,7 @@ def min_distance_decode(
         raise AmbientMismatch("received subspace lives in a different ambient space")
     view = code.packed
     qid, qrows = view.pack_word(u)
-    found = view.contained(qid, qrows)
+    found = view.contained(qid, qrows, code.dmin if len(code) > 1 else None)
     i, d = found if found is not None else view.nearest(qid, qrows, range(len(code)))
     return code.words[i], d
 

@@ -109,13 +109,15 @@ def _default_special(n: int) -> tuple[int, ...]:
 
 def _cmd_bounds(args) -> int:
     _prime_power(args.q)
+    if args.k is not None and args.k < 1:  # with no --delta it lists no row, which nothing would refuse
+        raise BadParams(f"need 1 <= k <= n, got n={args.n} k={args.k}")
     rows = []
-    ks = [args.k] if args.k else list(range(1, args.n // 2 + 1))
+    ks = [args.k] if args.k is not None else list(range(1, args.n // 2 + 1))
     for k in ks:
-        deltas = [args.delta] if args.delta else list(range(1, k + 1))
+        deltas = [args.delta] if args.delta is not None else list(range(1, k + 1))
         for delta in deltas:
             rows.append(cdc_bounds(args.n, k, delta, args.q).as_dict())
-    if args.pspace_d:
+    if args.pspace_d is not None:
         lb = pspace_lower_bound(args.n, args.pspace_d, args.q)
         row = {
             "q": args.q,

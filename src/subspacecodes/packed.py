@@ -22,7 +22,7 @@ is one elimination (``PackedCode.contained``).
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, combinations, product, repeat, starmap
+from itertools import chain, product, repeat, starmap
 from typing import NamedTuple
 
 from .matrices import row_form
@@ -39,6 +39,39 @@ def meet_exponent(shared: int, exclusive: int) -> int:
     return e
 
 
+def variant_slots(form, columns, plan) -> list:
+    """The variant columns of row slots, for the words whose row columns
+    are ``columns`` (column r holds row r of every word, in the row form
+    ``form``).  ``plan`` lists per slot a row position p and the positions
+    of the later rows j that vary it, and the slot's column holds, per
+    word, u_p + sum of c_j u_j over every choice of the c_j in GF(q); each
+    variant is one ``sub_row`` map over whole columns, and each varying
+    row is scaled once per call."""
+    sub, scaled = form.sub_row, form.scaled
+    nonzero = {}  # per varying row j: c * row j of every word, per c != 0
+    slots = []
+    for p, later in plan:
+        xs = [columns[p]]
+        for j in later:
+            if j not in nonzero:
+                nonzero[j] = scaled(columns[j])
+            xs += [tuple(map(sub, x, m)) for x in xs for m in nonzero[j]]
+        slots.append(xs)
+    return slots
+
+
+def key_runs(slots, count: int):
+    """The keys of ``slots`` (``variant_slots``) in runs, one run per choice
+    of variant in each slot: an iterator of the chosen rows' tuples, one
+    per word, read off word by word.  With no slot, one run of (), the zero
+    space, for each of the ``count`` words.  A caller chains the runs
+    itself, so that a key passes through one chain however many batches of
+    slots it gathers."""
+    if not slots:
+        return (repeat((), count),)
+    return starmap(zip, product(*slots))
+
+
 def hyperplane_keys(form, words):
     """Every hyperplane, a (k-1)-subspace, of every word in ``words``, row
     tuples of one length k in the row form ``form``, as the tuple of its
@@ -50,21 +83,13 @@ def hyperplane_keys(form, words):
     GF(q), and x_i = u_i for i > j.  That depends on the positions of the
     rows alone, never on their pivot columns, so words of one dimension are
     listed together whatever their identifying vectors, as ``class_keys``
-    lists a class: one row slot at a time, a slot's column holding that row
-    of every word, each column u_i - c u_j built once per call; a key is a
-    choice of variant per slot, read off word by word."""
-    k = len(words[0])
-    if k < 2:  # none in dimension 0; in dimension 1 the zero space alone
-        return repeat((), len(words) * k)
+    lists a class: per j, the slots of ``variant_slots`` with row j the one
+    varying row."""
     columns = list(zip(*words))
-    sub, scaled = form.sub_row, form.scaled
-    keys = []
-    for j, column in enumerate(columns):
-        nonzero = scaled(column)  # c * row j of every word, per c != 0
-        slots = [[x, *(tuple(map(sub, x, m)) for m in nonzero)] for x in columns[:j]]
-        slots += ([x] for x in columns[j + 1 :])
-        keys.append(starmap(zip, product(*slots)))
-    return chain.from_iterable(chain.from_iterable(keys))
+    k = len(columns)
+    plans = ([(i, [j] if i < j else []) for i in range(k) if i != j] for j in range(k))
+    runs = (key_runs(variant_slots(form, columns, plan), len(words)) for plan in plans)
+    return chain.from_iterable(chain.from_iterable(runs))
 
 
 def _least(values, floor: int) -> int:
@@ -98,10 +123,13 @@ class PackedCode:
     primitives touch them.
 
     What the view learns about one class it keeps, each on first use: the
-    class's coset analysis (``coset``) and, for a coset, its minimum
-    (``coset_minimum``), so that a verify and the decoder table share them
-    and a verify takes only the classes it needs; the class's row columns;
-    and the join slots of each (class, exclusive set) (``class_keys``)."""
+    class's coset analysis (``coset``), which a verify and the containment
+    decoder's table (``decoder``) share, and, for a coset, its minimum
+    (``coset_minimum``), which a verify takes only for the classes it
+    needs; and the join slots of each (class, exclusive set)
+    (``class_keys``).  The decoder reads no minimum of its own: its bound
+    is the code's minimum distance, which its caller passes to
+    ``contained``."""
 
     def __init__(self, spec, n: int, ids, rows):
         self.spec = spec
@@ -113,7 +141,6 @@ class PackedCode:
         self._cosets: dict[int, tuple | None | bool] = {}  # per class, for coset
         self._minima: dict[int, int | None] = {}  # per coset class, for coset_minimum
         self._slots: dict[tuple[int, int], list] = {}  # per (class, exclusive set), for class_keys
-        self._columns: dict[int, list] = {}  # per class, row slot by row slot, for class_keys
         for i, v in enumerate(self.ids):
             self.classes.setdefault(v, []).append(i)
 
@@ -204,13 +231,6 @@ class PackedCode:
         self._cosets[cid] = out
         return out
 
-    @cached_property
-    def cosets(self) -> dict:
-        """Each class's ``coset`` by identifying vector, for the decoder: the
-        coset classes and the classes with a repeated word (None); no other
-        class is listed."""
-        return {cid: c for cid in self.classes if (c := self.coset(cid)) is not False}
-
     def coset_minimum(self, cid: int) -> int | None:
         """The minimum of a coset class (``coset``), kept on the view (None
         for one word): 2 min rank(G_i - G_0) over i > 0, as every pairwise
@@ -232,12 +252,6 @@ class PackedCode:
         self._minima[cid] = d
         return d
 
-    @cached_property
-    def coset_minima(self) -> dict:
-        """The coset classes (``coset``), by identifying vector, each with its
-        ``coset_minimum``."""
-        return {cid: self.coset_minimum(cid) for cid in self.classes if self.coset(cid)}
-
     def _differences(self, members) -> dict:
         """A dict from each difference G_i - G_0 over a class's words i,
         flattened, to its word, in class order.  Flattening is linear, so
@@ -248,20 +262,12 @@ class PackedCode:
         return dict(zip([sub(f, base) for f in flats], members))
 
     @cached_property
-    def decoder(self):
-        """The containment decoder's table, built on first use from ``cosets``.
-
-        Returns (bound, cosets).  ``bound`` is a lower bound L on the
-        minimum distance (None for at most one word): the least of each
-        coset class's minimum, 2 for each other class of two or more words,
-        and the least Hamming distance between two classes' identifying
-        vectors.  ``cosets`` holds a ``CosetClass`` per coset class.
-        """
-        lows, cosets = [], []
+    def decoder(self) -> list:
+        """The containment decoder's table, built on first use: a
+        ``CosetClass`` per coset class (``coset``), in class order."""
+        cosets = []
         for cid, members in self.classes.items():
-            coset, low = self.cosets.get(cid), self.coset_minima.get(cid, 2)
-            if low is not None:
-                lows.append(low)
+            coset = self.coset(cid)
             if not coset:
                 continue
             flats, by_coords = coset
@@ -272,8 +278,7 @@ class PackedCode:
             basis = [(d, self._by_pivot(pivots, d), e) for d, e in zip(diffs, eye)]
             zero = self.form.row_of((0,) * r)
             cosets.append(CosetClass(cid, len(base), base, self._by_pivot(pivots, base), basis, by_coords, zero))
-        hamming = ((a ^ b).bit_count() for a, b in combinations(self.classes, 2))
-        return min(chain(lows, hamming), default=None), cosets
+        return cosets
 
     def pivots(self, vid: int) -> list[int]:
         """The columns of a packed identifying vector, ascending."""
@@ -316,7 +321,7 @@ class PackedCode:
         spanned[at[0]] = (self.form.multiples(v), self.form.multiples(w))
         return True
 
-    def contained(self, qid: int, qrows):
+    def contained(self, qid: int, qrows, bound: int | None):
         """(index, distance) of the nearest word to the query Y, when a
         containment proves it; None otherwise.
 
@@ -325,14 +330,16 @@ class PackedCode:
         decides whether a word U of the class has U ⊆ Y, or Y ⊆ U:
         R(G_0) + sum x_j R(D_j) = 0 with R the reduction modulo Y's rows,
         or y = sum of y[p] u_p over U's pivots p for every row y of Y.  A
-        solution gives the word at distance d = |dim Y - dim U|; when
-        2d < L (``decoder``) every other word is farther than d from Y.
+        solution gives the word at distance d = |dim Y - dim U|.  ``bound``
+        is the code's minimum distance d(C) (None for one word), and the
+        word is returned only when 2d < d(C): then every other word W has
+        d(W, Y) >= d(U, W) - d >= d(C) - d > d.  The classes are tried in
+        the order of ``decoder``, the table built on first use.
         """
-        bound, cosets = self.decoder
         kq = len(qrows)
         y_by_pivot = self._by_pivot(self.pivots(qid), qrows)
         reduce_rows, flatten, sub, n = self._reduce_rows, self.form.flatten, self.form.sub_row, self.n
-        for cid, k, base, base_pivots, basis, index, zero in cosets:
+        for cid, k, base, base_pivots, basis, index, zero in self.decoder:
             d = abs(kq - k)
             if bound is not None and 2 * d >= bound:
                 continue
@@ -371,43 +378,15 @@ class PackedCode:
         ``meet_exponent(S, I)``, all distinct.  The key is the tuple of X's
         rows, so two words share such a subspace exactly when they share a
         key.  The rows are built for the whole class at once, one row slot
-        at a time: a slot's column holds that row of every word, and each of
-        its q^e_p variants is one ``sub_row`` map over such columns; a key
-        is a choice of variant per slot, read off word by word.  Each
-        class's columns and each (class, exclusive set)'s slots are kept on
-        the view, built on first use.
+        at a time (``variant_slots`` on ``_meet_plan``), and each (class,
+        exclusive set)'s slots are kept on the view, built on first use.
         """
+        members = self.classes[cid]
         slots = self._slots.get((cid, exclusive))
         if slots is None:
-            slots = self._slots[cid, exclusive] = self._meet_slots(cid, exclusive)
-        if not slots:  # X is the zero space, one key per word
-            return repeat((), len(self.classes[cid]))
-        return chain.from_iterable(starmap(zip, product(*slots)))
-
-    def _class_columns(self, cid: int) -> list:
-        """Class ``cid``'s row columns, kept on the view: column r holds row
-        r of every word, in class order."""
-        columns = self._columns.get(cid)
-        if columns is None:
-            columns = self._columns[cid] = list(zip(*[self.rows[i] for i in self.classes[cid]]))
-        return columns
-
-    def _meet_slots(self, cid: int, exclusive: int) -> list:
-        """Per row slot of ``_meet_plan(cid, exclusive)``, the column of its
-        variants' rows, one row per word of the class."""
-        plan = self._meet_plan(cid, exclusive)
-        if not plan:
-            return []
-        columns = self._class_columns(cid)
-        sub, scaled = self.form.sub_row, self.form.scaled
-        slots = []
-        for p, later in plan:
-            xs = [columns[p]]
-            for j in later:
-                nonzero = scaled(columns[j])  # c * row j of every word, per c != 0
-                xs += [tuple(map(sub, x, m)) for x in xs for m in nonzero]
-            slots.append(xs)
-        return slots
+            columns = list(zip(*map(self.rows.__getitem__, members)))
+            slots = self._slots[cid, exclusive] = variant_slots(self.form, columns, self._meet_plan(cid, exclusive))
+        return chain.from_iterable(key_runs(slots, len(members)))
 
     def _meet_plan(self, cid: int, exclusive: int) -> list:
         """For ``class_keys`` on words with identifying vector ``cid``: per

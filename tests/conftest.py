@@ -34,6 +34,15 @@ def brute_min_distance(words):
     )
 
 
+def coset_tables(view):
+    """What a packed view keeps of its classes' coset analyses, as two dicts
+    by identifying vector: each class's ``coset`` unless it is False (the
+    coset classes, and the classes with a repeated word as None), and each
+    coset class's ``coset_minimum``."""
+    cosets = {cid: c for cid in view.classes if (c := view.coset(cid)) is not False}
+    return cosets, {cid: view.coset_minimum(cid) for cid, c in cosets.items() if c}
+
+
 def random_subspace(spec, n: int, rng: random.Random, k: int | None = None) -> Subspace:
     """Random subspace by spanning random vectors (dimension <= k)."""
     if k is None:

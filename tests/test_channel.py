@@ -18,7 +18,7 @@ from subspacecodes.matrices import MatGF, mat_mul, rank, row_form
 from subspacecodes.packed import PackedCode
 from subspacecodes.fields import make_field
 from subspacecodes.subspaces import IdVector, Subspace, echelon_ferrers_shape, fill_free_entries, from_span, to_literal
-from .conftest import brute_min_distance, random_subspace
+from .conftest import brute_min_distance, coset_tables, random_subspace
 from .test_distances import _shortened_w8k4, _structured_class
 
 
@@ -309,13 +309,13 @@ def _decoding_case(rng: random.Random):
 def _check_decoding_case(code, received) -> dict:
     """Every decoder stage against the definition; returns what was seen."""
     view = code.packed
-    bound, _ = view.decoder
+    bound = code.dmin if len(code) > 1 else None  # the bound min_distance_decode passes
     seen = {"hits": 0, "scans": 0, "ties": 0, "noncoset": 0, "zero_dim": 0 in code.dims}
     if len(code) > 1:
-        assert bound <= brute_min_distance(code.words)
+        assert bound == brute_min_distance(code.words)
     else:
         assert bound is None
-    seen["noncoset"] = sum(len(m) > 1 and cid not in view.coset_minima for cid, m in view.classes.items())
+    seen["noncoset"] = sum(len(m) > 1 and cid not in coset_tables(view)[1] for cid, m in view.classes.items())
     for u in received:
         i, d = unfiltered_argmin(code, u)
         assert min_distance_decode(code, u) == (code.words[i], d)
@@ -323,7 +323,7 @@ def _check_decoding_case(code, received) -> dict:
         assert view.nearest(qid, qrows, range(len(code))) == (i, d)
         dists = [distance_naive(w, u) for w in code.words]
         seen["ties"] += dists.count(d) > 1
-        hit = view.contained(qid, qrows)
+        hit = view.contained(qid, qrows, bound)
         if hit is None:
             seen["scans"] += 1
             continue
@@ -361,23 +361,60 @@ def test_containment_solve_returns_the_sent_word(name, q):
         for _ in range(100):
             j = rng.randrange(len(code))
             u = transmit(code.words[j], rho, t, rng)
-            assert view.contained(*view.pack_word(u)) == (j, 1)
+            assert view.contained(*view.pack_word(u), code.dmin) == (j, 1)
+
+
+@pytest.mark.parametrize("add_trivial,size", [(True, 573), (False, 571)])
+def test_containment_settles_single_faults_on_the_shortenings(gf2, add_trivial, size, monkeypatch):
+    # the 573-word shortening and the 571 without its two trivial words have
+    # d = 3, so one error or one erasure leaves the sent word alone at
+    # distance 1, and 2 * 1 < d: the containment stage settles every such
+    # trial on a word of a coset class, and the nearest scan does not run.
+    # A bound read off the classes was 1 on both, as two of their
+    # identifying vectors differ in one place, and sent every trial to the
+    # scan.  The 200 words of the three classes that are no coset (of 128,
+    # 64 and 8 words) are left to the scan
+    aligned = multilevel_fixture("w8k4", gf2, puncture_aligned=True)
+    code = puncture(aligned, (1, 0, 0, 0, 0, 0, 0, 1), add_trivial=add_trivial)
+    assert (len(code), code.dmin) == (size, 3)
+    view, scans = code.packed, []
+    in_coset = [bool(view.coset(cid)) for cid in view.ids]
+    assert in_coset.count(False) == 200
+    nearest = PackedCode.nearest
+    monkeypatch.setattr(PackedCode, "nearest", lambda *args: scans.append(1) or nearest(*args))
+    rng = random.Random(size)
+    settled = 0
+    for t, rho in [(1, 0), (0, 1)]:
+        feasible = [j for j, w in enumerate(code.words) if rho <= w.k <= code.n - t]
+        for j in rng.sample(feasible, 40):
+            u = transmit(code.words[j], rho, t, rng)
+            scans.clear()
+            assert min_distance_decode(code, u) == (code.words[j], 1)
+            assert unfiltered_argmin(code, u) == (j, 1)
+            assert scans == ([] if in_coset[j] else [1])
+            settled += in_coset[j]
+    assert settled >= 40
 
 
 def test_containment_bound_on_bundled_codes(gf2, gf3):
+    # the bound is the code's minimum distance, and a one-word code has
+    # none: its one word is the answer at any distance
     for name, spec in [("w5k2", gf2), ("w6k3", gf2), ("w5k2", gf3)]:
         code = multilevel_fixture(name, spec)
-        assert code.packed.decoder[0] == code.dmin == 4
+        assert code.dmin == min_distance(code.words) == 4
     one = SubspaceCode(gf2, 3, [from_span([(1, 0, 0)], gf2, 3)])
-    assert one.packed.decoder[0] is None
+    assert one.packed.contained(*one.packed.pack_word(from_span([], gf2, 3)), None) == (0, 1)
     assert min_distance_decode(one, from_span([], gf2, 3)) == (one.words[0], 1)
 
 
 def test_verify_then_decode_ranks_each_class_once(gf2, gf3, monkeypatch):
-    # min_distance and the decoder table share the classes' coset minima:
-    # the verify takes those it needs, and the table ranks only for the
-    # others, each as often as a view of its own ranks for it.  In the
-    # 573-word GF(2) shortening the verify takes two minima that rank
+    # the decoder's bound is the verified minimum distance, and its table
+    # reads the classes' coset analyses alone: after a verify through
+    # code.dmin, the first decode makes no rank call, so the coset minima
+    # the verify left (``left`` rank calls on a view of its own) are never
+    # taken.  The verify takes those it needs, each as often as a view of
+    # its own ranks for it; in the 573-word GF(2) shortening it takes two
+    # that rank
     calls, both_ranked = [], 0
     for code in (puncture(multilevel_fixture("w6k3", gf3), (0, 0, 1, 0, 0, 1)), _shortened_w8k4(gf2)):
         brute = brute_min_distance(code.words)  # ranks on the same row form: not counted
@@ -395,14 +432,18 @@ def test_verify_then_decode_ranks_each_class_once(gf2, gf3, monkeypatch):
             before = len(calls)
             own.coset_minimum(cid)
             per_class[cid] = len(calls) - before
+        # one erasure of the first word of a coset class of two or more words
+        j = next(own.classes[cid][0] for cid in per_class if len(own.classes[cid]) > 1)
+        received = transmit(code.words[j], 1, 0, random.Random(j))
         calls.clear()
-        d = min_distance(code)
+        d = code.dmin
         verified = len(calls)
         taken = set(code.packed._minima)  # the classes whose minima the verify took
-        bound, _ = code.packed.decoder
         left = sum(n for cid, n in per_class.items() if cid not in taken)
-        assert d == brute and verified and bound <= d
-        assert taken < set(per_class) and left and len(calls) == verified + left
+        assert d == brute > 2 and verified
+        assert min_distance_decode(code, received) == (code.words[j], 1)
+        assert taken < set(per_class) and left and len(calls) == verified
+        assert set(code.packed._minima) == taken
         both_ranked += any(per_class[cid] for cid in taken)
     assert both_ranked == 1
 
@@ -424,10 +465,10 @@ def test_verify_then_decode_takes_each_class_differences_once(name, q, m, specia
         return differences(self, members)
 
     monkeypatch.setattr(PackedCode, "_differences", spy)
-    assert min_distance(code) == brute_min_distance(code.words)
+    assert code.dmin == brute_min_distance(code.words)
     view.decoder  # noqa: B018 -- builds the table
     assert sorted(seen) == sorted(map(tuple, view.classes.values()))
-    assert view.contained(*view.pack_word(code.words[0])) == (0, 0)
+    assert view.contained(*view.pack_word(code.words[0]), code.dmin) == (0, 0)
 
 
 def test_simulate_names_the_smallest_infeasible_dimension(gf2):

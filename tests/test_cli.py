@@ -296,6 +296,23 @@ def test_bounds_rejects_non_prime_power_q(capsys, q):
     assert _one_error_line(err) and f"{q} is not a prime power" in err
 
 
+@pytest.mark.parametrize(
+    "given,named",
+    [
+        (["--k", "0", "--delta", "2"], "k=0"),
+        (["--k", "0"], "k=0"),
+        (["--k", "3", "--delta", "0"], "delta=0"),
+        (["--pspace-d", "0"], "d=0"),
+    ],
+)
+def test_bounds_refuses_an_explicit_zero(capsys, given, named):
+    # an explicit 0 is a value given, not an option left out: it is refused
+    # by name, never swapped for a default or dropped
+    rc, out, err = run_capture(capsys, ["bounds", "--q", "2", "--n", "6", *given])
+    assert rc == 1 and out == ""
+    assert _one_error_line(err) and named in err
+
+
 def test_bounds_factors_a_large_prime_quickly():
     # factoring q by trial division up to q itself did not end
     argv = ["bounds", "--q", "1000000000039", "--n", "4", "--k", "2", "--delta", "2"]

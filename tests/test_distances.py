@@ -31,7 +31,7 @@ from subspacecodes.subspaces import (
     literal_rows,
     zero_subspace,
 )
-from .conftest import brute_min_distance, random_subspace
+from .conftest import brute_min_distance, coset_tables, random_subspace
 
 
 def intersection_dim_oracle(u, w):
@@ -357,7 +357,7 @@ def test_min_distance_structured_random_codes_against_pair_scan(q):
             continue
         code = SubspaceCode(spec, n, words)
         assert min_distance(code) == brute_min_distance(words), trial
-        minima = code.packed.coset_minima
+        _, minima = coset_tables(code.packed)
         for cid, members in code.packed.classes.items():
             if len(members) > 1 and cid in minima:
                 cosets_found += 1
@@ -372,11 +372,11 @@ def test_coset_test_rejects_non_cosets(gf2, gf3):
         linear = _structured_class(v, "linear", spec, rng)
         view = PackedCode.of_words(spec, 6, linear)
         (cid,) = view.classes
-        assert cid in view.coset_minima
+        assert cid in coset_tables(view)[1]
         odd = _structured_class(v, "noncoset", spec, rng)
         view = PackedCode.of_words(spec, 6, odd)
         (cid,) = view.classes
-        assert cid not in view.coset_minima
+        assert cid not in coset_tables(view)[1]
 
 
 def _affine(spec, offset, gens) -> list:
@@ -434,25 +434,26 @@ def test_coset_verdict_agrees_with_the_definition(q, m):
         view = PackedCode.of_words(spec, v.n, words)
         (cid,) = view.classes
         want = _is_coset_by_definition(spec, words)
-        assert (cid in view.coset_minima) == want, (kind, fills)
+        cosets, minima = coset_tables(view)
+        assert (cid in minima) == want, (kind, fills)
         assert want == (kind == "coset") or kind == "random", kind
         if want:
-            basis, by_coords = view.cosets[cid]
+            basis, by_coords = cosets[cid]
             assert sorted(by_coords) == list(range(len(words))) and q ** len(basis) == len(words)
         elif kind == "repeated":
-            assert view.cosets[cid] is None
+            assert cosets[cid] is None
         else:
-            assert cid not in view.cosets
+            assert cid not in cosets
 
 
 def _check_coset_minima(code, monkeypatch) -> dict:
-    """``coset_minima`` of a code whose classes are all cosets, against
-    2 min rank(G_i - G_0) with every difference ranked by the generic
-    elimination, and against the pair scan on classes of up to 64 words.
-    Its rank calls are pinned too: none for the coset test, none when a
-    difference has rank 1, and otherwise one per difference in class order
-    up to the first of rank 2, or every one when none has rank 2.  Returns
-    the minima."""
+    """The coset minima (``coset_tables``) of a code whose classes are all
+    cosets, against 2 min rank(G_i - G_0) with every difference ranked by
+    the generic elimination, and against the pair scan on classes of up to
+    64 words.  Its rank calls are pinned too: none for the coset test, none
+    when a difference has rank 1, and otherwise one per difference in class
+    order up to the first of rank 2, or every one when none has rank 2.
+    Returns the minima."""
     spec, n = code.spec, code.n
     view, words = PackedCode(spec, n, code.ids, code.rows), code.words
     want, calls_wanted = {}, 0
@@ -472,7 +473,7 @@ def _check_coset_minima(code, monkeypatch) -> dict:
     calls = []
     with monkeypatch.context() as patch:
         patch.setattr(view.form, "rank", lambda rows, rank=view.form.rank: calls.append(rows) or rank(rows))
-        assert view.coset_minima == want
+        assert coset_tables(view)[1] == want
     assert len(calls) == calls_wanted
     return want
 
@@ -1033,7 +1034,7 @@ def test_min_distance_in_class_joins_against_pair_scans(class_outcomes):
         want = brute_min_distance(words)
         view = PackedCode.of_words(spec, n, words)
         assert min_distance(words) == want == scan_pairs(view, range(len(words)))
-        seen["noncoset"] += sum(len(m) > 1 and cid not in view.coset_minima for cid, m in view.classes.items())
+        seen["noncoset"] += sum(len(m) > 1 and cid not in coset_tables(view)[1] for cid, m in view.classes.items())
         seen["repeated"] += want == 0
         seen["mixed"] += len({w.k for w in words}) > 1
 
@@ -1071,7 +1072,7 @@ def test_min_distance_in_class_join_hit_and_repeat(gf2, gf3, class_outcomes):
     joins, _, _ = class_outcomes
     v = IdVector((1, 1, 0, 0, 0))
     u, w, x = (_word_from_free(v, free, gf2) for free in ((0, 0, 0, 0, 0, 0), (1, 1, 0, 1, 0, 1), (1, 1, 0, 1, 1, 1)))
-    assert pack(v.bits) not in PackedCode.of_words(gf2, 5, [u, w, x]).coset_minima
+    assert pack(v.bits) not in coset_tables(PackedCode.of_words(gf2, 5, [u, w, x]))[1]
     assert min_distance([u, w, x]) == 2 == brute_min_distance([u, w, x])
     assert joins == [2]
     # a repeated word is found by the coset analysis, and nothing is sieved
@@ -1183,8 +1184,8 @@ def test_shortened_w8k4_verify_takes_no_near_class_apart(gf2, monkeypatch):
 def test_sieve_lists_each_dimension_once(gf2, monkeypatch):
     # the 573-word verify lists the hyperplanes of its sieved words in one
     # batch per dimension, whatever their classes: 282 words of dimension 4
-    # and 282 of dimension 3, 6,204 keys in all, and it keeps no row
-    # columns on the view
+    # and 282 of dimension 3, 6,204 keys in all, and it keeps no join
+    # slots on the view
     calls, lister = [], distances.hyperplane_keys
 
     def spy(form, words):
@@ -1196,7 +1197,7 @@ def test_sieve_lists_each_dimension_once(gf2, monkeypatch):
     code = _shortened_w8k4(gf2)
     assert min_distance(code) == 3
     assert sorted(calls) == [(3, 282, 1974), (4, 282, 4230)]
-    assert code.packed._columns == {}
+    assert code.packed._slots == {}
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -1288,7 +1289,7 @@ def test_one_word_class_joins_at_e_0(gf2, gf3, monkeypatch, join_outcomes):
         literals = ["100000;010000;001000;000100", "001000;000100", "001010;000101"]
         code = SubspaceCode(spec, 6, _words(spec, 6, literals))
         want = brute_min_distance(code.words)
-        code.packed.coset_minima  # noqa: B018 -- ranks B's differences before counting
+        coset_tables(code.packed)  # ranks B's differences before counting
         calls = []
         form = row_form(spec, 6)
 
@@ -1320,7 +1321,7 @@ def test_one_word_classes_make_no_rank_call(gf2, gf3, monkeypatch):
             for cols in combinations(range(6), 3)
         ]
         view = PackedCode.of_words(spec, 6, words)
-        assert view.coset_minima == dict.fromkeys(view.classes) and len(view.classes) == 20
+        assert coset_tables(view)[1] == dict.fromkeys(view.classes) and len(view.classes) == 20
     assert calls == []
 
 
