@@ -108,6 +108,8 @@ def _default_special(n: int) -> tuple[int, ...]:
 
 
 def _cmd_bounds(args) -> int:
+    if args.n < 1:  # with no --k the dimensions 1..n/2 are none, which nothing would refuse
+        raise BadParams(f"need n >= 1, got n={args.n}")
     _prime_power(args.q)
     if args.k is not None and args.k < 1:  # with no --delta it lists no row, which nothing would refuse
         raise BadParams(f"need 1 <= k <= n, got n={args.n} k={args.k}")

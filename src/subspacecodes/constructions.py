@@ -419,9 +419,9 @@ def puncture(
             # c ∩ Q is spanned by the other rows, each less the multiple of
             # one row with a nonzero last entry that clears its own
             at = next(i for i, x in enumerate(last) if x)
-            multiples, scale = form.multiples(c[at]), spec.inv(last[at])
+            scale = spec.inv(last[at])
             meet = [
-                form.sub_row(row, multiples[spec.mul(x, scale)])
+                form.sub_row(row, form.combine([spec.mul(x, scale)], c[at : at + 1]))
                 for i, (row, x) in enumerate(zip(c, last))
                 if i != at
             ]

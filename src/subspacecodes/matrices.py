@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache, partial, reduce
 from itertools import chain, compress
-from operator import getitem, is_, xor
+from operator import concat, getitem, is_, xor
 
 from .errors import BadParams, LengthMismatch, ShapeMismatch
 from .fields import FieldSpec
@@ -202,19 +202,21 @@ class RowForm:
       every nonzero row is a multiple of one row, with no elimination and
       reading the rows once (over GF(2), whether they hold one distinct
       nonzero row at most);
-    - ``sub_row(x, y)`` is x - y, ``multiples(row)`` c * row by c in GF(q),
-      ``entry(row, p)`` the entry in column p, ``lead(row)`` a key for the
-      first nonzero column and its entry (None for zero), ``code(row)`` the
-      integer whose base-q digits are the entries; ``flatten(rows)`` joins k
-      rows into one row and ``unflatten(row, k)`` splits it again;
+    - ``sub_row(x, y)`` is x - y, ``entry(row, p)`` the entry in column p,
+      ``lead(row)`` a key for the first nonzero column and its entry (None
+      for zero), ``code(row)`` the integer whose base-q digits are the
+      entries; ``flatten(rows)`` joins k rows into one row and
+      ``unflatten(row, k)`` splits it again, and ``join(x, y)`` is the row
+      x followed by the row y of width n, x of any width;
     - ``scaled(rows)`` is, per nonzero c in GF(q) in order, the rows
       c * row for each of ``rows`` (over GF(2), ``rows`` alone).
 
     ``vector(v)``, the row of v checked to be a vector of GF(q)^n, and
     ``span(rows, starts)``, each start plus every combination of the rows,
-    are one body for both formats.  ``rank``, ``rref``, ``sub_row``, ``multiples``,
-    ``scaled``, ``rank_at_most_one``, ``lead``, ``code`` and ``span`` also
-    take rows of another width, such as flattened ones.
+    are one body for both formats.  ``rank``, ``rref``, ``remainder``,
+    ``sub_row``, ``scaled``, ``rank_at_most_one``, ``lead``, ``code`` and
+    ``span`` also take rows of another width, such as flattened or joined
+    ones.
     """
 
     def __init__(self, spec: FieldSpec, n: int) -> None:
@@ -231,11 +233,11 @@ class RowForm:
             self.rank_at_most_one = lambda rows: len({0, *rows}) <= 2
             self.combine = lambda coeffs, rows: reduce(xor, compress(rows, coeffs), 0)
             self.check = partial(_gf2_check, n)
-            self.multiples = lambda row: (0, row)
             self.scaled = lambda rows: (rows,)
             self.entry = lambda row, p: row >> (n - 1 - p) & 1
             self.lead = lambda row: (row.bit_length(), 1) if row else None
             self.flatten = lambda rows: pack(rows, n)
+            self.join = lambda x, y: x << n | y
             self.unflatten = lambda row, k: [row >> (n * (k - 1 - r)) & ((1 << n) - 1) for r in range(k)]
         else:
             sub, mul = spec.sub, spec.mul
@@ -249,10 +251,10 @@ class RowForm:
             self.remainder = partial(_tuple_remainder, spec)
             self.combine = partial(_tuple_combine, spec, n)
             self.check = partial(_tuple_check, n, q)
-            self.multiples = multiples = lambda row: [tuple(mul(c, x) for x in row) for c in range(q)]
+            multiples = lambda row: [tuple(mul(c, x) for x in row) for c in range(q)]  # noqa: E731
             self.scaled = lambda rows: list(zip(*map(multiples, rows)))[1:]
             self.rank_at_most_one = partial(_tuple_rank_at_most_one, spec)
-            self.entry, self.lead = getitem, _first_nonzero
+            self.entry, self.lead, self.join = getitem, _first_nonzero, concat
             self.flatten = lambda rows: tuple(chain.from_iterable(rows))
             self.unflatten = lambda row, k: [row[r * n : (r + 1) * n] for r in range(k)]
         row_of = self.row_of

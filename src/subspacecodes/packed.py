@@ -16,7 +16,8 @@ d(U, W) = 2 rank(G_U - G_W); otherwise d = 2 rank([G_U; G_W]) - k_U - k_W.
 
 A class whose words form a coset G_0 + span(D_1..D_r) is linear in r
 unknowns, so whether one of its words contains a query, or lies inside it,
-is one elimination (``PackedCode.contained``).
+is one linear system, solved by the row form's ``rref`` and ``remainder``
+(``PackedCode.contained``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cached_property
 from itertools import chain, product, repeat, starmap
 from typing import NamedTuple
 
-from .matrices import row_form
+from .matrices import RowForm, row_form
 
 
 def meet_exponent(shared: int, exclusive: int) -> int:
@@ -105,15 +106,14 @@ def _least(values, floor: int) -> int:
 
 
 class CosetClass(NamedTuple):
-    """A class G_0 + span(D_1..D_r) as the containment decoder reads it."""
+    """A class G_0 + span(D_1..D_r) as the containment decoder reads it: its
+    words' coordinates x are rows of GF(q)^r, in the row form ``coords``."""
 
     cid: int
-    k: int
     base: list | tuple  # the rows of G_0
-    base_pivots: list  # (pivot, multiples of G_0's row there)
-    basis: list  # per D_j: its rows, its (pivot, multiples) pairs, unit row e_j
+    basis: list  # per D_j: its rows and the unit row e_j of GF(q)^r
+    coords: RowForm  # the row form of GF(q)^r
     index: list  # word index by the code of its coordinates x
-    zero: object  # the zero row of length r
 
 
 class PackedCode:
@@ -124,7 +124,8 @@ class PackedCode:
 
     What the view learns about one class it keeps, each on first use: the
     class's coset analysis (``coset``), which a verify and the containment
-    decoder's table (``decoder``) share, and, for a coset, its minimum
+    decoder's table (``decoder``: per coset class, its G_0, its D_j and its
+    words by coordinates) share, and, for a coset, its minimum
     (``coset_minimum``), which a verify takes only for the classes it
     needs; and the join slots of each (class, exclusive set)
     (``class_keys``).  The decoder reads no minimum of its own: its bound
@@ -264,106 +265,72 @@ class PackedCode:
     @cached_property
     def decoder(self) -> list:
         """The containment decoder's table, built on first use: a
-        ``CosetClass`` per coset class (``coset``), in class order."""
+        ``CosetClass`` per coset class (``coset``), in class order, each
+        D_j unflattened into rows and paired with its unit row e_j, so that a
+        solution of ``contained``'s system carries its coordinates."""
         cosets = []
         for cid, members in self.classes.items():
             coset = self.coset(cid)
             if not coset:
                 continue
             flats, by_coords = coset
-            r, pivots, base = len(flats), self.pivots(cid), self.rows[members[0]]
-            # each D_j tracks its unit row e_j, so a solution tracks its coordinates
-            eye = [self.form.row_of(tuple(int(i == j) for i in range(r))) for j in range(r)]
-            diffs = [self.form.unflatten(f, len(base)) for f in flats]
-            basis = [(d, self._by_pivot(pivots, d), e) for d, e in zip(diffs, eye)]
-            zero = self.form.row_of((0,) * r)
-            cosets.append(CosetClass(cid, len(base), base, self._by_pivot(pivots, base), basis, by_coords, zero))
+            r, base = len(flats), self.rows[members[0]]
+            coords = row_form(self.spec, r)
+            eye = [coords.row_of([int(i == j) for i in range(r)]) for j in range(r)]
+            basis = [(self.form.unflatten(f, len(base)), e) for f, e in zip(flats, eye)]
+            cosets.append(CosetClass(cid, base, basis, coords, by_coords))
         return cosets
 
     def pivots(self, vid: int) -> list[int]:
         """The columns of a packed identifying vector, ascending."""
         return [p for p in range(self.n) if vid >> (self.n - 1 - p) & 1]
 
-    def _by_pivot(self, pivots, rows) -> list:
-        return [(p, self.form.multiples(row)) for p, row in zip(pivots, rows)]
-
-    def _reduce_rows(self, v, by_pivot):
-        """v less v[p] times row p over the (p, multiples of row p) pairs;
-        each row is zero at the other rows' p."""
-        entry, sub = self.form.entry, self.form.sub_row
-        for p, multiples in by_pivot:
-            c = entry(v, p)
-            if c:
-                v = sub(v, multiples[c])
-        return v
-
-    def _reduce(self, spanned, v, w):
-        """Subtract from v multiples of the stored rows until v's lead is no
-        stored row's, and from w the same multiples of their tracked rows.
-        ``spanned`` maps a lead column to (multiples of a row with lead
-        entry 1, multiples of its tracked row).  Returns (v, w, v's lead)."""
-        lead, sub = self.form.lead, self.form.sub_row
-        while True:
-            at = lead(v)
-            if at is None or at[0] not in spanned:
-                return v, w, at
-            vs, ws = spanned[at[0]]
-            v, w = sub(v, vs[at[1]]), sub(w, ws[at[1]])
-
-    def _insert(self, spanned, v, w) -> bool:
-        """Add v, tracking w, to ``spanned`` unless v is in its span."""
-        v, w, at = self._reduce(spanned, v, w)
-        if at is None:
-            return False
-        if at[1] != 1:
-            s = self.spec.inv(at[1])
-            v, w = self.form.multiples(v)[s], self.form.multiples(w)[s]
-        spanned[at[0]] = (self.form.multiples(v), self.form.multiples(w))
-        return True
-
     def contained(self, qid: int, qrows, bound: int | None):
         """(index, distance) of the nearest word to the query Y, when a
         containment proves it; None otherwise.
 
         For each coset class G_0 + span(D_1..D_r) whose identifying vector
-        holds the query's or lies inside it, one elimination in r unknowns
-        decides whether a word U of the class has U ⊆ Y, or Y ⊆ U:
-        R(G_0) + sum x_j R(D_j) = 0 with R the reduction modulo Y's rows,
-        or y = sum of y[p] u_p over U's pivots p for every row y of Y.  A
-        solution gives the word at distance d = |dim Y - dim U|.  ``bound``
-        is the code's minimum distance d(C) (None for one word), and the
-        word is returned only when 2d < d(C): then every other word W has
-        d(W, Y) >= d(U, W) - d >= d(C) - d > d.  The classes are tried in
-        the order of ``decoder``, the table built on first use.
+        holds the query's or lies inside it, a word U = G_0 + sum x_j D_j of
+        the class has U ⊆ Y, or Y ⊆ U, exactly when v + sum x_j a_j = 0, a
+        system in the r unknowns x_j.  For U ⊆ Y, v = R(G_0) and a_j =
+        R(D_j), with R the remainder by Y's rows.  For Y ⊆ U, every row y
+        of Y must be sum y[p] u_p over U's pivots p: v is that sum over G_0
+        less y, and a_j the sum over D_j (``combine``), for each y in turn.
+        The remainder of v ‖ 0 by the reduced rows a_j ‖ e_j is zero at its
+        head exactly when a solution exists, and its tail is then x, whose
+        code indexes the class's words.  That word is at distance d =
+        |dim Y - dim U|.  ``bound`` is the code's minimum distance d(C)
+        (None for one word), and the word is returned only when 2d < d(C):
+        then every other word W has d(W, Y) >= d(U, W) - d >= d(C) - d > d.
+        The classes are tried in the order of ``decoder``, the table built
+        on first use.
         """
-        kq = len(qrows)
-        y_by_pivot = self._by_pivot(self.pivots(qid), qrows)
-        reduce_rows, flatten, sub, n = self._reduce_rows, self.form.flatten, self.form.sub_row, self.n
-        for cid, k, base, base_pivots, basis, index, zero in self.decoder:
-            d = abs(kq - k)
+        kq, n, qpivots = len(qrows), self.n, self.pivots(qid)
+        entry, flatten, sub = self.form.entry, self.form.flatten, self.form.sub_row
+        remainder, combine = self.form.remainder, self.form.combine
+        for cid, base, basis, coords, index in self.decoder:
+            d = abs(kq - len(base))
             if bound is not None and 2 * d >= bound:
                 continue
             if not cid & ~qid:  # U ⊆ Y
-                v = flatten([reduce_rows(r, y_by_pivot) for r in base])
-                # the D_j are zero in U's pivot columns, so only Y's rows
-                # at the other pivots can reduce them
-                outside = [(p, m) for p, m in y_by_pivot if not cid >> (n - 1 - p) & 1]
-                system = [(flatten([reduce_rows(r, outside) for r in rows]), e) for rows, _, e in basis]
+                v = flatten([remainder(g, qrows) for g in base])
+                # the D_j are zero at U's pivots, so only Y's other rows reduce them
+                outside = [y for p, y in zip(qpivots, qrows) if not cid >> (n - 1 - p) & 1]
+                system = [coords.join(flatten([remainder(g, outside) for g in rows]), e) for rows, e in basis]
             elif not qid & ~cid:  # Y ⊆ U
-                v = flatten([reduce_rows(y, base_pivots) for y in qrows])
-                system = [
-                    (flatten([sub(reduce_rows(y, pivots), y) for y in qrows]), e)
-                    for _, pivots, e in basis
-                ]
+                pivots = self.pivots(cid)
+                coeffs = [[entry(y, p) for p in pivots] for y in qrows]
+                v = flatten([sub(combine(c, base), y) for c, y in zip(coeffs, qrows)])
+                system = [coords.join(flatten([combine(c, rows) for c in coeffs]), e) for rows, e in basis]
             else:
                 continue
-            spanned = {}
-            for a, e in system:
-                self._insert(spanned, a, e)
-            # reducing v to zero tracks the x with v + sum x_j a_j = 0
-            v, x, at = self._reduce(spanned, v, zero)
-            if at is None:
-                return index[self.form.code(x)], d
+            zero = coords.row_of((0,) * len(basis))
+            # the reduced rows a_j ‖ e_j take v ‖ 0 to (v + sum x_j a_j) ‖ x
+            # for some x, with a zero head exactly when x solves the system;
+            # the q^r codes below len(index) are those of a zero head
+            x = coords.code(coords.remainder(coords.join(v, zero), coords.rref(system)))
+            if x < len(index):
+                return index[x], d
         return None
 
     def class_keys(self, cid: int, exclusive: int):

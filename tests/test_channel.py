@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -271,12 +272,14 @@ def test_trial_outcomes(gf2):
 
 
 def _decoding_case(rng: random.Random):
-    """A small code over GF(2) or GF(3) of mixed dimensions whose classes are
-    single words, linear spaces, cosets or neither, and received spaces:
-    channel outputs of its words within and past the decoding radius, and
-    random spaces.  One code in four has one word, and it may be the zero
-    space."""
-    spec = make_field(rng.choice([2, 3]), 1)
+    """A small code over GF(2), GF(3), GF(4) or GF(9) of mixed dimensions
+    whose classes are single words, linear spaces, cosets or neither, and
+    received spaces: channel outputs of its words within and past the
+    decoding radius, one word as sent, and random spaces.  One code in four
+    has one word, and it may be the zero space.  A class with more than 81
+    choices of its free entries is a single word, which keeps the classes
+    over GF(4) and GF(9) small."""
+    spec = make_field(*rng.choice([(2, 1), (3, 1), (2, 2), (3, 2)]))
     q, n = spec.order, rng.randrange(0, 6)
     words = {}
     if rng.randrange(4) == 0:
@@ -287,7 +290,7 @@ def _decoding_case(rng: random.Random):
             v = IdVector.from_support(n, rng.sample(range(n), rng.randrange(n + 1)))
             dots = echelon_ferrers_shape(v).dot_count
             kind = rng.choice(["one", "linear", "coset", "noncoset"])
-            if dots == 0 or kind == "one" or (kind == "noncoset" and q**dots <= 3):
+            if dots == 0 or kind == "one" or q**dots > 81 or (kind == "noncoset" and q**dots <= 3):
                 fill = [fill_free_entries(v, [rng.randrange(q) for _ in range(dots)], spec)]
             else:
                 fill = _structured_class(v, kind, spec, rng)
@@ -303,14 +306,15 @@ def _decoding_case(rng: random.Random):
         t = rng.randrange(n - sent.k + rho + 1)
         received.append(transmit(sent, min(rho, 1), min(t, 1), rng))
         received.append(transmit(sent, rho, t, rng))
+    received.append(rng.choice(code.words))  # received as sent
     return code, received
 
 
 def _check_decoding_case(code, received) -> dict:
     """Every decoder stage against the definition; returns what was seen."""
-    view = code.packed
+    view, q = code.packed, code.spec.order
     bound = code.dmin if len(code) > 1 else None  # the bound min_distance_decode passes
-    seen = {"hits": 0, "scans": 0, "ties": 0, "noncoset": 0, "zero_dim": 0 in code.dims}
+    seen = Counter(zero_dim=0 in code.dims)
     if len(code) > 1:
         assert bound == brute_min_distance(code.words)
     else:
@@ -323,11 +327,17 @@ def _check_decoding_case(code, received) -> dict:
         assert view.nearest(qid, qrows, range(len(code))) == (i, d)
         dists = [distance_naive(w, u) for w in code.words]
         seen["ties"] += dists.count(d) > 1
+        seen["zero_received"] += u.k == 0
+        seen["full_received"] += u.k == u.n > 0
         hit = view.contained(qid, qrows, bound)
         if hit is None:
             seen["scans"] += 1
             continue
         seen["hits"] += 1
+        seen[f"hits_q{q}"] += 1
+        members = view.classes[view.ids[i]]
+        seen["one_word_hits"] += len(members) == 1  # r = 0
+        seen["one_unknown_hits"] += len(members) == q and bool(view.coset(view.ids[i]))  # r = 1
         assert hit == (i, d) and dists.count(d) == 1
         assert len(code) == 1 or 2 * d < brute_min_distance(code.words)
         assert code.words[i].k == u.k + d or code.words[i].k == u.k - d
@@ -341,20 +351,30 @@ def test_containment_stage_against_flat_scan_and_definition(seed):
 
 
 def test_containment_cases_cover_hits_scans_ties_and_non_cosets():
-    totals = {"hits": 0, "scans": 0, "ties": 0, "noncoset": 0, "zero_dim": 0}
+    # besides hits and scans, the solve's edges: a class of one word (no
+    # unknown, so only v = 0 is tested), a coset of q words (one unknown),
+    # the zero space and the whole space received, and hits over every
+    # field drawn
+    totals = Counter()
     one_word = 0
     for seed in range(120):
         code, received = _decoding_case(random.Random(seed))
         one_word += len(code) == 1
-        for key, value in _check_decoding_case(code, received).items():
-            totals[key] += value
-    assert all(totals.values()) and one_word, totals
+        totals.update(_check_decoding_case(code, received))
+    wanted = ["hits", "scans", "ties", "noncoset", "zero_dim", "one_word_hits", "one_unknown_hits"]
+    wanted += ["zero_received", "full_received", "hits_q2", "hits_q3", "hits_q4", "hits_q9"]
+    assert all(totals[key] for key in wanted) and one_word, totals
 
 
-@pytest.mark.parametrize("name,q", [("w8k4", 2), ("w6k3", 3)])
-def test_containment_solve_returns_the_sent_word(name, q):
-    # inside the radius a single error or erasure always leaves a containment
-    code = multilevel_fixture(name, make_field(q, 1))
+@pytest.mark.parametrize(
+    "name,p,m", [("w8k4", 2, 1), ("w6k3", 3, 1), ("w5k2", 3, 2)], ids=["w8k4-2", "w6k3-3", "w5k2-9"]
+)
+def test_containment_solve_returns_the_sent_word(name, p, m):
+    # inside the radius a single error or erasure always leaves a containment;
+    # over GF(9), with -1 != 1 and arithmetic digit by digit, an erasure
+    # solves Y ⊆ U in the unknowns of a class of many words
+    code = multilevel_fixture(name, make_field(p, m))
+    q = code.spec.order
     view = code.packed
     rng = random.Random(q)
     for t, rho in [(1, 0), (0, 1)]:

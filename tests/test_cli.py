@@ -313,6 +313,21 @@ def test_bounds_refuses_an_explicit_zero(capsys, given, named):
     assert _one_error_line(err) and named in err
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_bounds_refuses_an_ambient_dimension_below_one(capsys, n):
+    # with no --k the dimensions run over 1..n/2, none for these n, and the
+    # table was an empty list with exit 0
+    rc, out, err = run_capture(capsys, ["bounds", "--q", "2", "--n", n])
+    assert rc == 1 and out == ""
+    assert _one_error_line(err) and f"n={n}" in err
+
+
+def test_bounds_at_n_1_is_an_empty_table(capsys):
+    # no k has 1 <= k <= 1/2, so the empty table is exact
+    rc, out, err = run_capture(capsys, ["bounds", "--q", "2", "--n", "1"])
+    assert rc == 0 and err == "" and json.loads(out) == []
+
+
 def test_bounds_factors_a_large_prime_quickly():
     # factoring q by trial division up to q itself did not end
     argv = ["bounds", "--q", "1000000000039", "--n", "4", "--k", "2", "--delta", "2"]

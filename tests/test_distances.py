@@ -1,5 +1,6 @@
 import gc
 import random
+from functools import reduce
 from itertools import combinations, product
 
 import pytest
@@ -301,16 +302,20 @@ def _word_from_free(v, free, spec):
     return Subspace(spec, v.n, MatGF(spec, rows, cols=v.n))
 
 
-def _span_vectors(gens, q, length):
+def _span_vectors(gens, spec):
+    """Every combination of the vectors ``gens`` (at least one), by field
+    arithmetic."""
     out = set()
-    for coeffs in product(range(q), repeat=len(gens)):
-        out.add(tuple(sum(c * g[j] for c, g in zip(coeffs, gens)) % q for j in range(length)))
+    for coeffs in product(range(spec.order), repeat=len(gens)):
+        terms = [[spec.mul(c, x) for x in g] for c, g in zip(coeffs, gens)]
+        out.add(tuple(reduce(spec.add, column) for column in zip(*terms)))
     return out
 
 
 def _structured_class(v, kind, spec, rng):
     """Words with identifying vector v whose free entries form a linear
-    space, an affine coset of one, or a set that is neither."""
+    space, an affine coset of one, or a set that is neither, by the field's
+    arithmetic."""
     q = spec.order
     dots = echelon_ferrers_shape(v).dot_count
     if kind == "noncoset":
@@ -320,10 +325,10 @@ def _structured_class(v, kind, spec, rng):
             fills.add(tuple(rng.randrange(q) for _ in range(dots)))
     else:
         gens = [[rng.randrange(q) for _ in range(dots)] for _ in range(rng.randrange(1, 3))]
-        fills = _span_vectors(gens, q, dots)
+        fills = _span_vectors(gens, spec)
         if kind == "coset":
             offset = [rng.randrange(q) for _ in range(dots)]
-            fills = {tuple((a + b) % q for a, b in zip(f, offset)) for f in fills}
+            fills = {tuple(map(spec.add, f, offset)) for f in fills}
     words = [_word_from_free(v, f, spec) for f in sorted(fills)]
     rng.shuffle(words)
     return words
@@ -1102,29 +1107,30 @@ def test_shortened_w8k4_verify_rank_calls(gf2, monkeypatch):
     # when a key weighed as much as a ranked pair, 12,534 without the
     # in-class join, and 91,542 with no class pair joined.  Over GF(2) the
     # join keys take each class's row columns as they are
-    # (``RowForm.scaled``), so no row is scaled on its own by ``multiples``
-    # (4,482 calls when each later exclusive slot scaled its rows one by
-    # one), and the coset analysis takes its basis by span lookups, which
-    # scale no row over GF(2) either.
+    # (``RowForm.scaled``), so no row is scaled on its own, as ``combine``
+    # of one row would (4,482 calls of the former ``multiples`` when each
+    # later exclusive slot scaled its rows one by one), and the coset
+    # analysis takes its basis by span lookups, which scale no row over
+    # GF(2) either.
     code = _shortened_w8k4(gf2)
     text = codefile.dumps_code(code)
-    calls, scaled = [], []
+    calls, combined = [], []
     form = row_form(gf2, code.n)  # the row form the code's view ranks with
-    rank, multiples = form.rank, form.multiples
+    rank, combine = form.rank, form.combine
 
     def counting(rows):
         calls.append(len(rows))
         return rank(rows)
 
-    def counting_multiples(row):
-        scaled.append(row)
-        return multiples(row)
+    def counting_combine(coeffs, rows):
+        combined.append(rows)
+        return combine(coeffs, rows)
 
     monkeypatch.setattr(form, "rank", counting)
-    monkeypatch.setattr(form, "multiples", counting_multiples)
+    monkeypatch.setattr(form, "combine", counting_combine)
     assert min_distance(codefile.loads_code(text)) == 3
     assert len(calls) == 3
-    assert scaled == []
+    assert combined == []
 
 
 def test_shortened_w8k4_verifies_in_few_rank_calls_in_any_order(gf2, monkeypatch):

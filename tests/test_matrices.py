@@ -315,11 +315,11 @@ def test_row_form_against_field_arithmetic(case, data):
         first = next(((j, v) for j, v in enumerate(r) if v), None)
         assert (form.lead(x) is None) == (first is None)
         assert form.code(x) == sum(v * q ** (n - 1 - j) for j, v in enumerate(r))
-    # sub_row and multiples
+    # sub_row and scaled
     a, b = (data.draw(st.tuples(*[entries] * n)) for _ in range(2))
     assert form.to_entries([form.sub_row(form.row_of(a), form.row_of(b))]) == [tuple(map(spec.sub, a, b))]
-    assert list(form.to_entries(list(form.multiples(form.row_of(a))))) == [
-        tuple(spec.mul(c, x) for x in a) for c in range(q)
+    assert [list(form.to_entries(list(rows))) for rows in form.scaled([form.row_of(a), form.row_of(b)])] == [
+        [tuple(spec.mul(c, x) for x in a), tuple(spec.mul(c, x) for x in b)] for c in range(1, q)
     ]
     # rank and rref against the generic elimination
     work = [list(r) for r in rows]
@@ -440,3 +440,17 @@ def test_parse_is_the_row_of_the_digits(q, m):
             literals += ["0" * n, str(spec.order - 1) * n]
         for digits in literals:
             assert form.parse(digits) == form.row_of(map(int, digits)), (n, digits)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_join_is_the_row_of_the_concatenated_entries(q):
+    # a row of any width m followed by a row of the form's width n, for every
+    # pair of rows with m, n <= 2 (the empty row among them)
+    spec = make_field(q, 1)
+    for m, n in product(range(3), repeat=2):
+        form, head, whole = row_form(spec, n), row_form(spec, m), row_form(spec, m + n)
+        for a, b in product(product(range(q), repeat=m), product(range(q), repeat=n)):
+            joined = form.join(head.row_of(a), form.row_of(b))
+            assert whole.to_entries([joined]) == [a + b] and joined == whole.row_of(a + b), (m, n, a, b)
+            code = head.code(head.row_of(a)) * q**n + form.code(form.row_of(b))
+            assert form.code(joined) == whole.code(whole.row_of(a + b)) == code
