@@ -259,6 +259,8 @@ def _levels(cw, delta, spec, ferrers_codes, verify_supplied):
     """Each skeleton word's identifying vector with its level's rank code,
     in skeleton order: the supplied code if there is one, else the built-in
     one."""
+    if delta < 1:
+        raise BadParams(f"need delta >= 1, got delta={delta}")
     if cw.top_word not in cw.words:
         raise MissingTopWord("constant-weight code must contain 1..10..0")
     dmin = cw.dmin
@@ -313,7 +315,7 @@ def _plant(v: IdVector, level: FerrersRankCode, spec: FieldSpec, shared: dict) -
         return form.flatten(fill_free_entries(v, entries, spec).rows)
 
     base = planted([0] * len(dots))
-    basis = [form.sub_row(planted([entry(b, i) for i in dots]), base) for b in level._reduced_basis()]
+    basis = [form.sub_row(planted([entry(b, i) for i in dots]), base) for b in level._reduced_basis]
     return [tuple(shared.setdefault(r, r) for r in form.unflatten(f, v.weight)) for f in form.span(basis, [base])]
 
 

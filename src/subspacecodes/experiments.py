@@ -13,8 +13,9 @@ import random
 from itertools import product
 
 from .constructions import ConstantWeightCode, multilevel
+from .errors import BadParams
 from .fields import FieldSpec
-from .matrices import MatGF, rank
+from .matrices import MatGF
 from .rankcodes import FerrersRankCode, ZeroPattern, ferrers_bound, ferrers_d2_code
 
 
@@ -31,6 +32,8 @@ def bound_attainability(
     Returns a report dict; found=False only means the search failed, not
     that no such code exists.
     """
+    if tries < 0:
+        raise BadParams(f"need tries >= 0, got tries={tries}")
     pattern = ZeroPattern(tuple(zeros), ncols)
     target_dim = ferrers_bound(pattern, d)
     report = {

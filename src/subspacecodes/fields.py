@@ -8,6 +8,8 @@ generator, so products cost two table lookups.
 ExtensionView pairs a base field GF(q) with GF(q^m) and fixes the polynomial
 basis {1, a, a^2, ..., a^{m-1}} where `a` is the residue class of x.  It
 provides coordinate expansion, its inverse, and Frobenius powers x -> x^(q^i).
+Over a composite base the expansion is linear over GF(p), and its matrix is
+inverted once, with the row form's elimination (``matrices.row_form``).
 """
 
 from __future__ import annotations
@@ -274,32 +276,15 @@ def make_field(p: int, m: int) -> FieldSpec:
     return FieldSpec(p, m, smallest_irreducible(p, m))
 
 
-def _solve_prime_system(rows: list[list[int]], rhs: list[int], p: int) -> list[int]:
-    """Solve a square linear system over GF(p) by Gaussian elimination."""
-    n = len(rows)
-    aug = [rows[i][:] + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] % p), None)
-        if piv is None:
-            raise BadParams("singular system: basis is not independent")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        aug[col] = [(x * inv) % p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [(x - c * y) % p for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 class ExtensionView:
     """GF(q^m) viewed as an m-dimensional vector space over GF(q).
 
     The basis is always {1, a, ..., a^{m-1}} with `a` the residue class of x
     in the extension field.  For a prime base field the coordinates are just
     the base-p digits; for a composite base an embedding of GF(q) into
-    GF(q^m) is located once and coordinates are obtained by solving a linear
-    system over GF(p), precomputed at construction time.
+    GF(q^m) is located once, the map from coordinates to p-digits is
+    inverted once over GF(p) in the row form, and a coordinate vector is
+    one combination of that inverse's rows by the p-digits of x.
     """
 
     def __init__(self, base: FieldSpec, ext: FieldSpec):
@@ -313,7 +298,7 @@ class ExtensionView:
         self._prime_base = base.m_total == 1
         if not self._prime_base:
             self._embed_root = self._find_embedding_root()
-            self._setup_coordinate_solver()
+            self._invert_digit_map()
         self._check_basis_independent()
 
     def _find_embedding_root(self) -> int:
@@ -336,17 +321,24 @@ class ExtensionView:
             acc = self.ext.add(self.ext.mul(acc, self._embed_root), d)
         return acc
 
-    def _setup_coordinate_solver(self) -> None:
-        # columns: p-digit vectors of embed(p^t) * alpha^j
-        p = self.ext.p
-        a = self.base.m_total
-        cols = []
-        for j in range(self.m):
-            for t in range(a):
-                v = self.ext.mul(self.embed(p**t), self.basis[j])
-                cols.append(list(self.ext.digits(v)))
-        n = self.ext.m_total
-        self._solve_rows = [[cols[c][r] for c in range(n)] for r in range(n)]
+    def _invert_digit_map(self) -> None:
+        """M^-1 for the digit map M over GF(p), whose row c is the p-digits
+        of embed(p^t) * a^j for c = j*k + (k-1-t), k = base.m_total: so
+        block j of a coordinate vector holds the base element's p-digits
+        as ``code`` reads them.  The rref of [M | I] is [I | M^-1], and row
+        i of M^-1 is the coordinates of the i-th digit p^i."""
+        from .matrices import row_form  # matrices imports this module
+
+        ext, k, prime = self.ext, self.base.m_total, make_field(self.ext.p, 1)
+        n = ext.m_total
+        self._digits = digits = row_form(prime, n)
+        self._block = row_form(prime, k)
+        products = [ext.mul(self.embed(ext.p**t), b) for b in self.basis for t in reversed(range(k))]
+        rows = [
+            digits.join(digits.row_of(ext.digits(v)), digits.row_of([int(i == c) for i in range(n)]))
+            for c, v in enumerate(products)
+        ]
+        self._inverse = [digits.unflatten(row, 2)[1] for row in row_form(prime, 2 * n).rref(rows)]
 
     def _check_basis_independent(self) -> None:
         probe = set()
@@ -365,12 +357,8 @@ class ExtensionView:
         """Coordinates c with x = sum c_j * basis_j, c_j in the base field."""
         if self._prime_base:
             return self.ext.digits(x)
-        p = self.ext.p
-        a = self.base.m_total
-        sol = _solve_prime_system(self._solve_rows, list(self.ext.digits(x)), p)
-        return tuple(
-            self.base.from_digits(sol[j * a : (j + 1) * a]) for j in range(self.m)
-        )
+        coords = self._digits.combine(self.ext.digits(x), self._inverse)
+        return tuple(map(self._block.code, self._block.unflatten(coords, self.m)))
 
     def collapse(self, coords) -> int:
         coords = tuple(coords)

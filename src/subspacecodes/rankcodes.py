@@ -10,11 +10,11 @@ field inside a distance-2 Gabidulin code).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 from .errors import BadParams, ShapeMismatch, TooLarge
 from .fields import ExtensionView, FieldSpec, extension_view
-from .matrices import MatGF, null_space, rank, row_form
+from .matrices import MatGF, null_space, row_form
 from .subspaces import FerrersShape
 
 ENUMERATION_CAP = 1 << 20
@@ -41,7 +41,10 @@ class RankCodeword:
 
     @property
     def rank_norm(self) -> int:
-        return rank(self.matrix_form)
+        """Rank of ``matrix_form``, taken on its transpose: the coordinates'
+        expansions as rows of GF(q)^m."""
+        form = row_form(self.view.base, self.view.m)
+        return form.rank([form.row_of(self.view.expand(c)) for c in self.coords])
 
     def __sub__(self, other: RankCodeword) -> RankCodeword:
         if other.view is not self.view or len(other.coords) != len(self.coords):
@@ -197,7 +200,13 @@ def ferrers_bound(pattern: ZeroPattern | FerrersShape, d: int) -> int:
 
 
 class FerrersRankCode:
-    """Linear rank-metric code whose codewords respect a zero pattern."""
+    """Linear rank-metric code whose codewords respect a zero pattern.
+
+    The basis matrices are flattened to rows of nrows * ncols entries in the
+    field's row form and reduced once, here; ``flat_codewords`` is the span
+    of those rows, and ``min_rank_distance`` ranks each codeword on its
+    rows, unflattened.
+    """
 
     def __init__(self, spec: FieldSpec, pattern: ZeroPattern, d: int, basis):
         self.spec = spec
@@ -207,14 +216,11 @@ class FerrersRankCode:
         for b in self.basis:
             if not pattern.admits(b):
                 raise BadParams("basis matrix violates the zero pattern")
-        self._dim = len(self._reduced_basis())
-
-    def _reduced_basis(self) -> list:
-        """The basis matrices, each flattened to one row of nrows * ncols
-        entries in the field's row form, row-reduced."""
-        nr, nc = self.pattern.nrows, self.pattern.ncols
-        rows = row_form(self.spec, nc)
-        return row_form(self.spec, nr * nc).rref([rows.flatten(rows.from_entries(b.entries)) for b in self.basis])
+        rows = row_form(spec, pattern.ncols)
+        self._reduced_basis = row_form(spec, pattern.nrows * pattern.ncols).rref(
+            [rows.flatten(rows.from_entries(b.entries)) for b in self.basis]
+        )
+        self._dim = len(self._reduced_basis)
 
     @property
     def dim(self) -> int:
@@ -233,7 +239,7 @@ class FerrersRankCode:
         if self.size > cap:
             raise TooLarge(f"code has {self.size} codewords, cap is {cap}")
         flat = row_form(self.spec, self.pattern.nrows * self.pattern.ncols)
-        yield from flat.span(self._reduced_basis(), [flat.row_of((0,) * flat.n)])
+        yield from flat.span(self._reduced_basis, [flat.row_of((0,) * flat.n)])
 
     def codewords(self, cap: int = ENUMERATION_CAP):
         """Every matrix in the span, each exactly once, in the order of
@@ -244,14 +250,12 @@ class FerrersRankCode:
             yield MatGF(self.spec, rows.to_entries(rows.unflatten(f, nr)), cols=nc)
 
     def min_rank_distance(self, cap: int = ENUMERATION_CAP) -> int | None:
-        """Minimum rank over nonzero codewords; None for the zero code."""
-        best = None
-        for cw in self.codewords(cap):
-            if any(any(row) for row in cw.entries):
-                r = rank(cw)
-                if best is None or r < best:
-                    best = r
-        return best
+        """Minimum rank over nonzero codewords; None for the zero code.
+        Each flat codeword is ranked as its rows; only the zero one has
+        rank 0."""
+        nr, rows = self.pattern.nrows, row_form(self.spec, self.pattern.ncols)
+        ranks = (rows.rank(rows.unflatten(f, nr)) for f in self.flat_codewords(cap))
+        return min(filter(None, ranks), default=None)
 
 
 def span_code(basis, spec: FieldSpec, d: int = 2) -> FerrersRankCode:
@@ -344,14 +348,6 @@ def _denormalize_matrix(m: MatGF, ops) -> MatGF:
     return m
 
 
-def _alpha_matrix(view: ExtensionView) -> MatGF:
-    """Matrix of multiplication by the basis generator over the base field."""
-    nn = view.m
-    ext = view.ext
-    cols = [view.expand(ext.mul(view.alpha, b)) for b in view.basis]
-    return MatGF(view.base, tuple(zip(*cols)), cols=nn)
-
-
 def ferrers_d2_code(
     shape: FerrersShape | ZeroPattern, spec: FieldSpec
 ) -> FerrersRankCode:
@@ -360,8 +356,10 @@ def ferrers_d2_code(
     The codewords are located inside a distance-2 Gabidulin code over
     GF(q^ncols): after normalizing the pattern, coordinate j of the general
     codeword is a_{j-1} + a_j * alpha, and each prescribed leading zero is
-    one base-field-linear constraint on the a_i coordinates.  The solution
-    space maps back to matrices in the original orientation.
+    one base-field-linear constraint on the a_i coordinates, one null
+    space over the base field for all of them.  Each solution's rows are
+    combinations in the row form; the matrices map back to the original
+    orientation.
     """
     pattern = ZeroPattern.from_shape(shape) if isinstance(shape, FerrersShape) else shape
     norm, ops = _normalize_pattern(pattern)
@@ -371,48 +369,31 @@ def ferrers_d2_code(
         basis: tuple = ()
         return FerrersRankCode(spec, pattern, 2, basis)
 
-    view = extension_view(spec, nn)
-    amat = _alpha_matrix(view)
-    nvars = (mm - 1) * nn
+    view, form = extension_view(spec, nn), row_form(spec, nn)
+    # column j of A, the matrix of multiplication by alpha over the base
+    # field, expands alpha * basis_j
+    acols = [view.expand(view.ext.mul(view.alpha, b)) for b in view.basis]
+    arows = list(zip(*acols))
+    zero = (0,) * nn
+    # row r of a codeword expands a_{r-1} + alpha * a_r, that is
+    # a_{r-1} + A a_r, with a_{-1} = a_{mm-1} = 0.  Over blocks 0..mm for
+    # a_{-1}..a_{mm-1}, the zero in column t of row r is e_t in block r
+    # plus row t of A in block r + 1; the variables are blocks 1..mm-1.
     constraints = []
-    for r in range(mm):
-        zr = norm.zeros[r]
+    for r, zr in enumerate(norm.zeros):
         for t in range(zr):
-            f = [0] * nvars
-            if r >= 1:
-                f[(r - 1) * nn + t] = 1
-            if r + 1 <= mm - 1:
-                arow = amat.entries[t]
-                base = r * nn
-                for j in range(nn):
-                    f[base + j] = spec.add(f[base + j], arow[j])
-            constraints.append(tuple(f))
+            blocks = [zero] * (mm + 1)
+            blocks[r], blocks[r + 1] = tuple(int(i == t) for i in range(nn)), arows[t]
+            constraints.append(tuple(chain.from_iterable(blocks[1:mm])))
+    sols = null_space(MatGF(spec, tuple(constraints), cols=(mm - 1) * nn))
 
-    if constraints:
-        sols = null_space(MatGF(spec, tuple(constraints), cols=nvars))
-        sol_rows = sols.entries
-    else:
-        sol_rows = MatGF.identity(spec, nvars).entries
-
+    columns = form.from_entries(acols)
     basis_mats = []
-    for x in sol_rows:
-        blocks = [x[(i - 1) * nn : i * nn] for i in range(1, mm)]
-        rows = []
-        for r in range(mm):
-            coords = [0] * nn
-            if r >= 1:
-                coords = list(blocks[r - 1])
-            if r + 1 <= mm - 1:
-                nxt = blocks[r]
-                for t in range(nn):
-                    acc = coords[t]
-                    arow = amat.entries[t]
-                    for j in range(nn):
-                        if arow[j] and nxt[j]:
-                            acc = spec.add(acc, spec.mul(arow[j], nxt[j]))
-                    coords[t] = acc
-            rows.append(tuple(coords))
-        m = MatGF(spec, tuple(rows), cols=nn)
+    for x in sols.entries:
+        a = [zero, *(x[i * nn : (i + 1) * nn] for i in range(mm - 1)), zero]
+        blocks = form.from_entries(a)
+        rows = [form.combine((1, *a[r + 1]), (blocks[r], *columns)) for r in range(mm)]
+        m = MatGF(spec, form.to_entries(rows), cols=nn)
         assert norm.admits(m)
         basis_mats.append(_denormalize_matrix(m, ops))
 

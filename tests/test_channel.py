@@ -503,3 +503,26 @@ def test_simulate_names_the_smallest_infeasible_dimension(gf2):
     with pytest.raises(InfeasibleParams, match="for a 2-dim codeword"):
         simulate(code, ChannelConfig(rho=0, t=3, trials=1))
     assert simulate(code, ChannelConfig(rho=0, t=2, trials=3)).trials == 3
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("name", ["w5k2", "w6k3"])
+def test_kept_outcomes_against_the_channel_model(name, q):
+    # one outcome per trial; success is decoding to the sent word; the
+    # margin is 2(t + rho) on a constant-dimension code; and the received
+    # space is within t + rho of the sent one, at the same parity: rho
+    # erasures and t errors, less twice the error dimensions that land
+    # inside the sent word (so 0 occurs when t = rho)
+    code = multilevel_fixture(name, make_field(q, 1))
+    for t, rho in [(1, 0), (0, 1), (1, 1)]:
+        cfg = ChannelConfig(rho=rho, t=t, seed=100 * q + 10 * t + rho, trials=40)
+        stats = simulate(code, cfg, keep_outcomes=True)
+        assert len(stats.outcomes) == stats.trials == 40
+        assert stats.successes == sum(o.success for o in stats.outcomes)
+        for o in stats.outcomes:
+            assert o.success == (o.decoded == o.sent)
+            assert o.margin == 2 * (t + rho)
+            assert o.channel_distance == distance_naive(o.sent, o.received)
+            assert o.channel_distance <= t + rho
+            assert (t + rho - o.channel_distance) % 2 == 0
+            assert o.received.k == o.sent.k - rho + t

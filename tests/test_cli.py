@@ -256,6 +256,25 @@ def _one_error_line(err: str) -> bool:
     return len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("delta", ["0", "-1"])
+def test_construct_multilevel_refuses_delta_below_one(tmp_path, capsys, delta):
+    out = tmp_path / "c.json"
+    argv = ["construct", "multilevel", "--n", "6", "--k", "3", "--delta", delta, "--out", str(out)]
+    rc, stdout, err = run_capture(capsys, argv)
+    assert (rc, stdout) == (1, "") and _one_error_line(err)
+    assert err == f"error: need delta >= 1, got delta={delta}\n"
+    assert not out.exists()
+
+
+def test_bound_attainability_refuses_negative_tries(capsys):
+    argv = ["experiment", "bound-attainability", "--zeros", "0,0,0", "--cols", "3", "--dist", "3"]
+    rc, stdout, err = run_capture(capsys, [*argv, "--tries", "-5"])
+    assert (rc, stdout) == (1, "") and _one_error_line(err)
+    assert err == "error: need tries >= 0, got tries=-5\n"
+    rc, stdout, err = run_capture(capsys, [*argv, "--tries", "0"])
+    assert (rc, err) == (0, "") and json.loads(stdout)["tries"] == 0
+
+
 @pytest.mark.parametrize(
     "codewords,message",
     [

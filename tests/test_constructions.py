@@ -89,6 +89,20 @@ def test_lift_gabidulin_builds_no_matrix_per_codeword(gf2, matrices_built):
     assert min_distance(code) == 6
 
 
+def test_multilevel_refuses_delta_below_one(gf2):
+    # supplied level codes would otherwise build a code whose distance is
+    # not the promised 2 * delta, and the built-in ones would ask for a code
+    # that no one can supply
+    cw = ConstantWeightCode.from_strings(["11000", "00110"])
+    codes = {w: default_ferrers_code(gf2, echelon_ferrers_shape(IdVector(w)), 1, cw.k) for w in cw.words}
+    for delta in (0, -1):
+        with pytest.raises(BadParams, match=f"need delta >= 1, got delta={delta}"):
+            multilevel(cw, delta, gf2, ferrers_codes=codes)
+        with pytest.raises(BadParams, match=f"need delta >= 1, got delta={delta}"):
+            multilevel(cw, delta, gf2)
+    assert len(multilevel(cw, 1, gf2, ferrers_codes=codes)) == 2**6 + 2**2
+
+
 def test_constant_weight_code_validation():
     cw = ConstantWeightCode.from_strings(["11000", "00110"])
     assert cw.n == 5 and cw.k == 2 and cw.dmin == 4
@@ -183,6 +197,46 @@ FIXTURE_DIGESTS = {
 def test_fixture_code_files_are_pinned(name, q, aligned):
     text = dumps_code(multilevel_fixture(name, make_field(q, 1), puncture_aligned=aligned))
     assert hashlib.sha256(text.encode()).hexdigest() == FIXTURE_DIGESTS[name, q, aligned]
+
+
+# sha256 of dumps_code of builds over a composite base field, whose level
+# codes and lifts expand through ExtensionView's inverted digit map; fixed
+# while expand still solved one linear system over GF(p) per call.
+COMPOSITE_DIGESTS = {
+    "w6k3 over GF(4)": (
+        lambda: multilevel_fixture("w6k3", make_field(2, 2)),
+        4117,
+        "0306dd8d77cf0ee25af6edabc62df9c1be56ecd8bfd86f18df8bc4004b9dea88",
+    ),
+    "w5k2 over GF(9)": (
+        lambda: multilevel_fixture("w5k2", make_field(3, 2)),
+        730,
+        "21c22d7ea2796eaf53140ff97a523adf5f0f611531fd9a637446affe6248e6c2",
+    ),
+    "Gabidulin n=3 d=2 over GF(4)": (
+        lambda: lift_gabidulin(extension_view(make_field(2, 2), 3), 3, 2),
+        4096,
+        "ce77771b1fbc2357cab75502bedeede2945635304480aff18ff8c9e8659ce7b0",
+    ),
+    "Gabidulin n=2 d=1 over GF(9)": (
+        lambda: lift_gabidulin(extension_view(make_field(3, 2), 2), 2, 1),
+        6561,
+        "fe6b3045c7695e5df2bcc1284334bda53e48d6a4cf61d9b40751004496d14cf4",
+    ),
+    "spread n=6 k=3 over GF(4)": (
+        lambda: spread_like(6, 3, make_field(2, 2)),
+        65,
+        "4a6fed8d85c74c2d06da19332723b526052405dad527838821f1320252cce1ab",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSITE_DIGESTS))
+def test_composite_field_code_files_are_pinned(name):
+    build, size, digest = COMPOSITE_DIGESTS[name]
+    code = build()
+    assert len(code) == size
+    assert hashlib.sha256(dumps_code(code).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("aligned", [False, True])

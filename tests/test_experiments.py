@@ -1,3 +1,6 @@
+import pytest
+
+from subspacecodes.errors import BadParams
 from subspacecodes.experiments import bound_attainability, hamming_skeleton
 from subspacecodes.fixtures import CONSTANT_WEIGHT_WORDS
 
@@ -24,3 +27,9 @@ def test_bound_attainability_search_reports_only(gf2):
     doc = bound_attainability((0, 0, 0), 4, 3, gf2, tries=3, seed=1)
     assert doc["method"] in ("random search", "construction")
     assert "found" in doc
+
+
+def test_bound_attainability_refuses_negative_tries(gf2):
+    with pytest.raises(BadParams, match="need tries >= 0, got tries=-5"):
+        bound_attainability((0, 0, 0), 3, 3, gf2, tries=-5)
+    assert bound_attainability((0, 0, 0), 3, 3, gf2, tries=0)["tries"] == 0

@@ -322,3 +322,36 @@ def test_zero_pattern_validation():
     pat = ZeroPattern((0, 1, 3), 3)
     assert pat.row_dots == (3, 2, 0)
     assert pat.col_dots() == (1, 2, 2)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2)])
+def test_min_rank_distance_against_the_definition(p, m):
+    # the minimum over the nonzero codewords of the MatGF rank, on seeded
+    # span codes, and None for the zero code
+    spec = make_field(p, m)
+    rng = random.Random(31 * p + m)
+    for _ in range(12):
+        nr, nc = rng.randrange(1, 4), rng.randrange(1, 4)
+        size = rng.randrange(0, 4)
+        basis = [[[rng.randrange(spec.order) for _ in range(nc)] for _ in range(nr)] for _ in range(size)]
+        code = span_code(basis, spec)
+        ranks = [rank(cw) for cw in code.codewords() if any(map(any, cw.entries))]
+        assert code.min_rank_distance() == min(ranks, default=None)
+    assert span_code([], spec).min_rank_distance() is None
+    assert span_code([[[0, 0], [0, 0]]], spec).min_rank_distance() is None
+
+
+def test_min_rank_distance_builds_no_matrix_per_codeword(gf2, matrices_built):
+    code = span_code(D2_BASIS_4X4, gf2)
+    matrices_built.clear()
+    assert code.min_rank_distance() == 2
+    assert matrices_built == []
+
+
+@pytest.mark.parametrize("p,m,deg", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 2, 2)])
+def test_rank_norm_is_the_rank_of_the_matrix_form(p, m, deg):
+    view = extension_view(make_field(p, m), deg)
+    rng = random.Random(p * m * deg)
+    for _ in range(60):
+        cw = RankCodeword(view, [rng.randrange(view.ext.order) for _ in range(rng.randrange(0, 4))])
+        assert cw.rank_norm == rank(cw.matrix_form)
