@@ -31,14 +31,13 @@ from .errors import (
 from .fields import FieldSpec, extension_view
 from .matrices import MatGF, row_form
 from .packed import PackedCode
-from .rankcodes import ENUMERATION_CAP, FerrersRankCode, ZeroPattern, ferrers_d2_code, gabidulin
+from .rankcodes import ENUMERATION_CAP, FerrersRankCode, ZeroPattern, ferrers_bound, ferrers_d2_code, gabidulin
 from .subspaces import (
     FerrersShape,
     IdVector,
     Subspace,
     echelon_ferrers_shape,
     fill_free_entries,
-    fits_shape,
     full_space,
     zero_subspace,
 )
@@ -198,21 +197,18 @@ def _rect_mrd_code(spec: FieldSpec, k: int, width: int) -> FerrersRankCode:
     for i in range(code.k):
         for b in view.basis:
             cw = code.encode([0] * i + [b] + [0] * (code.k - i - 1))
-            basis.append(MatGF(spec, tuple(map(view.expand, cw.coords)), cols=width))
-    return FerrersRankCode(spec, pattern, k, tuple(basis))
+            basis.append([view.expand(c) for c in cw.coords])
+    return FerrersRankCode(spec, pattern, k, basis)
 
 
 def _full_shape_code(spec: FieldSpec, shape: FerrersShape) -> FerrersRankCode:
     """Every matrix fitting the shape (rank distance 1)."""
     pattern = ZeroPattern.from_shape(shape)
     k, w = pattern.nrows, pattern.ncols
-    basis = []
-    for r in range(k):
-        for c in range(pattern.zeros[r], w):
-            m = [[0] * w for _ in range(k)]
-            m[r][c] = 1
-            basis.append(MatGF(spec, m, cols=w))
-    return FerrersRankCode(spec, pattern, 1, tuple(basis))
+    # one matrix per dot, 1 there and 0 elsewhere
+    basis = [[[int((i, j) == (r, c)) for j in range(w)] for i in range(k)]
+             for r in range(k) for c in range(pattern.zeros[r], w)]
+    return FerrersRankCode(spec, pattern, 1, basis)
 
 
 def default_ferrers_code(
@@ -224,6 +220,9 @@ def default_ferrers_code(
     if delta == 2:
         return ferrers_d2_code(shape, spec)
     pattern = ZeroPattern.from_shape(shape)
+    if ferrers_bound(pattern, delta) == 0:
+        # no matrix of the shape has rank delta: the zero code, one word, is the largest
+        return FerrersRankCode(spec, pattern, delta, ())
     if delta == k and all(z == 0 for z in pattern.zeros):
         return _rect_mrd_code(spec, k, pattern.ncols)
     raise DeltaUnsupported(
@@ -272,10 +271,8 @@ def _levels(cw, delta, spec, ferrers_codes, verify_supplied):
         if ferrers_codes is not None and w in ferrers_codes:
             level = ferrers_codes[w]
             if verify_supplied:
-                pattern = ZeroPattern.from_shape(shape)
-                for b in level.basis:
-                    if not pattern.admits(b):
-                        raise BadParams("supplied code does not fit the shape")
+                if _dots(shape, level) is None:
+                    raise BadParams("supplied code does not fit the shape")
                 md = level.min_rank_distance()
                 if md is not None and md < delta:
                     raise BadParams("supplied code has too small a rank distance")
@@ -284,14 +281,30 @@ def _levels(cw, delta, spec, ferrers_codes, verify_supplied):
         yield v, level
 
 
+def _dots(shape: FerrersShape, level: FerrersRankCode) -> list | None:
+    """The positions of the shape's dots in the level's flattened
+    codewords, in row-major dot order, or None unless every codeword fits
+    the shape: the code's pattern has the shape's size and its reduced
+    basis rows are zero off the dots.  Fitting the shape is a linear
+    condition, so the basis fits exactly when those rows do."""
+    nr, nc, cols = level.pattern.nrows, level.pattern.ncols, shape.box_columns
+    if (nr, nc) != (len(shape.free_positions), len(cols)):
+        return None
+    col_of = {c: j for j, c in enumerate(cols)}
+    dots = [r * nc + col_of[c] for r, free in enumerate(shape.free_positions) for c in free]
+    off, entry = set(range(nr * nc)).difference(dots), row_form(level.spec, nr * nc).entry
+    if any(entry(b, i) for b in level._reduced_basis for i in off):
+        return None
+    return dots
+
+
 def _plant(v: IdVector, level: FerrersRankCode, spec: FieldSpec, shared: dict) -> list:
     """The rows of each codeword of the level planted into the echelon form
     of v, in ``flat_codewords`` order: the subspace with identifying vector
     v whose free entries are the codeword's entries at the shape's dots.
 
-    A codeword's columns are the shape's box columns.  Every codeword is a
-    combination of the basis matrices, so it fits the shape when they all
-    do and the code has the shape's size; both are checked once, here, and
+    A codeword's columns are the shape's box columns.  Every codeword must
+    fit the shape (``_dots``), which is checked once, here, and
     ShapeViolation raised otherwise.  Planting is affine: the zero codeword
     plants to the echelon form G_0 of v with no free entry set, and a
     combination of codewords to G_0 plus that combination of what each adds
@@ -300,16 +313,12 @@ def _plant(v: IdVector, level: FerrersRankCode, spec: FieldSpec, shared: dict) -
     are planted one by one (``fill_free_entries``).  ``shared`` maps each
     row to one object that every word with that row keeps.
     """
-    shape = echelon_ferrers_shape(v)
-    nr, nc = level.pattern.nrows, level.pattern.ncols
-    for m in (((0,) * nc,) * nr, *(b.entries for b in level.basis)):
-        if not fits_shape(shape, m):
-            raise ShapeViolation(f"matrix does not fit the echelon form of {v}")
+    dots = _dots(echelon_ferrers_shape(v), level)
+    if dots is None:
+        raise ShapeViolation(f"matrix does not fit the echelon form of {v}")
     if level.size > ENUMERATION_CAP:
         raise TooLarge(f"code has {level.size} codewords, cap is {ENUMERATION_CAP}")
-    col_of = {c: j for j, c in enumerate(shape.box_columns)}
-    dots = [r * nc + col_of[c] for r, free in enumerate(shape.free_positions) for c in free]
-    entry, form = row_form(level.spec, nr * nc).entry, row_form(spec, v.n)
+    entry, form = row_form(level.spec, level.pattern.nrows * level.pattern.ncols).entry, row_form(spec, v.n)
 
     def planted(entries):
         return form.flatten(fill_free_entries(v, entries, spec).rows)
@@ -336,9 +345,7 @@ def _fixture_levels(name: str, spec: FieldSpec, puncture_aligned: bool):
                 continue
             shape = echelon_ferrers_shape(IdVector(word))
             pattern = ZeroPattern.from_shape(shape)
-            codes[word] = FerrersRankCode(
-                spec, pattern, 2, tuple(MatGF(spec, m) for m in basis)
-            )
+            codes[word] = FerrersRankCode(spec, pattern, 2, basis)
     return cw, codes
 
 

@@ -15,7 +15,6 @@ from itertools import product
 from .constructions import ConstantWeightCode, multilevel
 from .errors import BadParams
 from .fields import FieldSpec
-from .matrices import MatGF
 from .rankcodes import FerrersRankCode, ZeroPattern, ferrers_bound, ferrers_d2_code
 
 
@@ -56,19 +55,12 @@ def bound_attainability(
         report["method"] = "zero code"
         return report
 
-    dots = [
-        (r, c) for r, z in enumerate(pattern.zeros) for c in range(z, ncols)
-    ]
     rng = random.Random(seed)
     q = spec.order
-    k, w = pattern.nrows, ncols
     for trial in range(tries):
-        basis = []
-        for _ in range(target_dim):
-            m = [[0] * w for _ in range(k)]
-            for r, c in dots:
-                m[r][c] = rng.randrange(q)
-            basis.append(MatGF(spec, m, cols=w))
+        # random entries at the pattern's dots, row by row
+        basis = [[[rng.randrange(q) if c >= z else 0 for c in range(ncols)] for z in pattern.zeros]
+                 for _ in range(target_dim)]
         code = FerrersRankCode(spec, pattern, d, basis)
         if code.dim != target_dim or code.size > 1 << 16:
             continue
@@ -77,9 +69,7 @@ def bound_attainability(
             report["found"] = True
             report["tries"] = trial + 1
             report["method"] = "random search"
-            report["basis"] = [
-                [list(row) for row in b.entries] for b in basis
-            ]
+            report["basis"] = basis
             return report
     report["tries"] = tries
     report["method"] = "random search"

@@ -12,7 +12,9 @@ highest bit (``pack``, ``unpack``), and the elimination is XOR on those
 integers (``gf2_rank``, ``gf2_rref``); over every other field a row is a
 tuple and the elimination is field arithmetic (``_rref_generic``, which also
 runs on GF(2) rows as the oracle for the XOR path).  ``rref``, ``rank`` and
-``mat_mul`` go through the form, and so does every module that keeps rows.
+``mat_mul`` go through the form, and so does every module that keeps rows;
+``null_space(form, rows)`` takes and returns rows.  ``MatGF`` is the type
+the public API takes and returns; inside, only ``Subspace.gen`` builds one.
 """
 
 from __future__ import annotations
@@ -431,16 +433,19 @@ def mat_mul(a: MatGF, b: MatGF) -> MatGF:
     return MatGF(a.spec, out, cols=b.cols)
 
 
-def null_space(m: MatGF) -> MatGF:
-    """Basis of {x : m @ x^T = 0}, one vector per row (may have 0 rows)."""
-    spec = m.spec
-    r, rk, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * m.cols
-        vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = spec.neg(r.entries[i][fc])
-        basis.append(tuple(vec))
-    return MatGF(spec, tuple(basis)) if basis else MatGF.zero(spec, 0, m.cols)
+def null_space(form: RowForm, rows) -> list:
+    """Basis of {x : r . x = 0 for every r of ``rows``} in the row form
+    ``form`` of GF(q)^n: one row per free column f of the rows' reduced
+    echelon form, 1 at f, minus that form's column f at its pivots, and 0
+    elsewhere; none for full rank, and the identity for no rows."""
+    reduced, n, neg = form.rref(rows), form.n, form.spec.neg
+    pivots = form.check(reduced)
+    at = [c for c in range(n) if pivots >> (n - 1 - c) & 1]  # the pivot columns, row by row
+    out = []
+    for f in (c for c in range(n) if c not in at):
+        vec = [0] * n
+        vec[f] = 1
+        for c, row in zip(at, reduced):
+            vec[c] = neg(form.entry(row, f))
+        out.append(form.row_of(vec))
+    return out

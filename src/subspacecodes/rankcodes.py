@@ -4,13 +4,15 @@ Contains the maximum-rank-distance (Gabidulin) construction, the size bound
 for rank-metric codes whose codewords carry a prescribed staircase of leading
 zeros, and an explicit construction of distance-2 codes meeting that bound
 for any such zero pattern (built by solving a linear system over the base
-field inside a distance-2 Gabidulin code).
+field inside a distance-2 Gabidulin code).  The codes compute on the base
+field's row form: a Ferrers-diagram code keeps each basis matrix as one
+flattened row, and ``MatGF`` appears only where the API returns one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 
 from .errors import BadParams, ShapeMismatch, TooLarge
 from .fields import ExtensionView, FieldSpec, extension_view
@@ -168,11 +170,14 @@ class ZeroPattern:
             sum(1 for z in self.zeros if z <= c) for c in range(self.ncols)
         )
 
-    def admits(self, m: MatGF) -> bool:
-        if m.rows != self.nrows or m.cols != self.ncols:
-            return False
-        return all(
-            not any(row[:z]) for row, z in zip(m.entries, self.zeros)
+    def admits(self, m) -> bool:
+        """Whether m, a MatGF or its entry rows, fits the pattern."""
+        if isinstance(m, MatGF):
+            if m.cols != self.ncols:
+                return False
+            m = m.entries
+        return len(m) == self.nrows and all(
+            len(row) == self.ncols and not any(row[:z]) for row, z in zip(m, self.zeros)
         )
 
     @classmethod
@@ -202,33 +207,38 @@ def ferrers_bound(pattern: ZeroPattern | FerrersShape, d: int) -> int:
 class FerrersRankCode:
     """Linear rank-metric code whose codewords respect a zero pattern.
 
-    The basis matrices are flattened to rows of nrows * ncols entries in the
-    field's row form and reduced once, here; ``flat_codewords`` is the span
-    of those rows, and ``min_rank_distance`` ranks each codeword on its
-    rows, unflattened.
+    Each basis matrix, a ``MatGF`` or its entry rows, is checked against
+    the pattern once, here, and kept flattened to one row of nrows * ncols
+    entries in the field's row form; those rows are also reduced once.
+    ``basis`` builds the matrices from the kept rows on each read,
+    ``flat_codewords`` is the span of the reduced rows, and
+    ``min_rank_distance`` ranks each codeword on its rows, unflattened.
     """
 
     def __init__(self, spec: FieldSpec, pattern: ZeroPattern, d: int, basis):
-        self.spec = spec
-        self.pattern = pattern
-        self.d = d
-        self.basis = tuple(basis)
-        for b in self.basis:
+        self.spec, self.pattern, self.d = spec, pattern, d
+        nr, nc = pattern.nrows, pattern.ncols
+        rows, flat = row_form(spec, nc), []
+        for b in basis:
             if not pattern.admits(b):
                 raise BadParams("basis matrix violates the zero pattern")
-        rows = row_form(spec, pattern.ncols)
-        self._reduced_basis = row_form(spec, pattern.nrows * pattern.ncols).rref(
-            [rows.flatten(rows.from_entries(b.entries)) for b in self.basis]
-        )
-        self._dim = len(self._reduced_basis)
+            flat.append(rows.flatten([rows.vector(row) for row in (b.entries if isinstance(b, MatGF) else b)]))
+        self._basis = tuple(flat)
+        self._reduced_basis = row_form(spec, nr * nc).rref(flat)
+        self.dim = len(self._reduced_basis)
 
     @property
-    def dim(self) -> int:
-        return self._dim
+    def basis(self) -> tuple[MatGF, ...]:
+        """The basis matrices, built from the kept rows on each read."""
+        return tuple(map(self._matrix, self._basis))
+
+    def _matrix(self, flat) -> MatGF:
+        rows = row_form(self.spec, self.pattern.ncols)
+        return MatGF(self.spec, rows.to_entries(rows.unflatten(flat, self.pattern.nrows)), cols=rows.n)
 
     @property
     def size(self) -> int:
-        return self.spec.order**self._dim
+        return self.spec.order**self.dim
 
     def flat_codewords(self, cap: int = ENUMERATION_CAP):
         """Every codeword in the span, each exactly once, flattened to one
@@ -244,10 +254,7 @@ class FerrersRankCode:
     def codewords(self, cap: int = ENUMERATION_CAP):
         """Every matrix in the span, each exactly once, in the order of
         ``flat_codewords``."""
-        nr, nc = self.pattern.nrows, self.pattern.ncols
-        rows = row_form(self.spec, nc)
-        for f in self.flat_codewords(cap):
-            yield MatGF(self.spec, rows.to_entries(rows.unflatten(f, nr)), cols=nc)
+        yield from map(self._matrix, self.flat_codewords(cap))
 
     def min_rank_distance(self, cap: int = ENUMERATION_CAP) -> int | None:
         """Minimum rank over nonzero codewords; None for the zero code.
@@ -265,20 +272,14 @@ def span_code(basis, spec: FieldSpec, d: int = 2) -> FerrersRankCode:
     claimed distance d is a label to be verified by the caller
     (min_rank_distance does the exhaustive check).
     """
-    mats = [b if isinstance(b, MatGF) else MatGF(spec, b) for b in basis]
+    mats = [b.entries if isinstance(b, MatGF) else b for b in basis]
     if not mats:
         return FerrersRankCode(spec, ZeroPattern((), 0), d, ())
-    nr, nc = mats[0].rows, mats[0].cols
-    zeros = []
-    for r in range(nr):
-        z = nc
-        for m in mats:
-            if m.rows != nr or m.cols != nc:
-                raise ShapeMismatch("basis matrices differ in shape")
-            row = m.entries[r]
-            lead = next((j for j, x in enumerate(row) if x), nc)
-            z = min(z, lead)
-        zeros.append(z)
+    nr, nc = len(mats[0]), len(mats[0][0]) if mats[0] else 0
+    if any(len(m) != nr or any(len(row) != nc for row in m) for m in mats):
+        raise ShapeMismatch("basis matrices differ in shape")
+    # per row, the leftmost nonzero column over every matrix
+    zeros = [min(next((j for j, x in enumerate(m[r]) if x), nc) for m in mats) for r in range(nr)]
     pattern = ZeroPattern(_monotone_floor(zeros), nc)
     return FerrersRankCode(spec, pattern, d, mats)
 
@@ -303,13 +304,9 @@ def _anti_transpose_pattern(pat: ZeroPattern) -> ZeroPattern:
     return ZeroPattern(new_zeros, m)
 
 
-def _anti_transpose_matrix(m: MatGF) -> MatGF:
-    rows, cols = m.rows, m.cols
-    out = tuple(
-        tuple(m.entries[rows - 1 - r][cols - 1 - t] for r in range(rows))
-        for t in range(cols)
-    )
-    return MatGF(m.spec, out, cols=rows)
+def _anti_transpose_matrix(m: tuple) -> tuple:
+    """The entry rows m transposed and turned 180 degrees."""
+    return tuple(zip(*(row[::-1] for row in reversed(m))))
 
 
 def _normalize_pattern(pat: ZeroPattern):
@@ -336,15 +333,15 @@ def _normalize_pattern(pat: ZeroPattern):
         return cur, ops
 
 
-def _denormalize_matrix(m: MatGF, ops) -> MatGF:
-    spec = m.spec
+def _denormalize_matrix(m: tuple, ops) -> tuple:
+    """The entry rows m of the normalized pattern, mapped back by ``ops``."""
     for op in reversed(ops):
         if op[0] == "anti_transpose":
             m = _anti_transpose_matrix(m)
         elif op[0] == "pad_rows":
-            m = MatGF(spec, m.entries + tuple((0,) * m.cols for _ in range(op[1])), cols=m.cols)
+            m = m + ((0,) * len(m[0]),) * op[1]
         elif op[0] == "pad_cols":
-            m = MatGF(spec, tuple((0,) * op[1] + row for row in m.entries), cols=m.cols + op[1])
+            m = tuple((0,) * op[1] + row for row in m)
     return m
 
 
@@ -366,15 +363,15 @@ def ferrers_d2_code(
     mm, nn = norm.nrows, norm.ncols
 
     if mm <= 1 or norm.dot_count <= nn:
-        basis: tuple = ()
-        return FerrersRankCode(spec, pattern, 2, basis)
+        return FerrersRankCode(spec, pattern, 2, ())
 
     view, form = extension_view(spec, nn), row_form(spec, nn)
     # column j of A, the matrix of multiplication by alpha over the base
     # field, expands alpha * basis_j
     acols = [view.expand(view.ext.mul(view.alpha, b)) for b in view.basis]
-    arows = list(zip(*acols))
-    zero = (0,) * nn
+    columns, arows = form.from_entries(acols), form.from_entries(list(zip(*acols)))
+    eye = form.from_entries([tuple(int(i == t) for i in range(nn)) for t in range(nn)])
+    zero = form.row_of((0,) * nn)
     # row r of a codeword expands a_{r-1} + alpha * a_r, that is
     # a_{r-1} + A a_r, with a_{-1} = a_{mm-1} = 0.  Over blocks 0..mm for
     # a_{-1}..a_{mm-1}, the zero in column t of row r is e_t in block r
@@ -383,18 +380,13 @@ def ferrers_d2_code(
     for r, zr in enumerate(norm.zeros):
         for t in range(zr):
             blocks = [zero] * (mm + 1)
-            blocks[r], blocks[r + 1] = tuple(int(i == t) for i in range(nn)), arows[t]
-            constraints.append(tuple(chain.from_iterable(blocks[1:mm])))
-    sols = null_space(MatGF(spec, tuple(constraints), cols=(mm - 1) * nn))
+            blocks[r], blocks[r + 1] = eye[t], arows[t]
+            constraints.append(form.flatten(blocks[1:mm]))
 
-    columns = form.from_entries(acols)
-    basis_mats = []
-    for x in sols.entries:
-        a = [zero, *(x[i * nn : (i + 1) * nn] for i in range(mm - 1)), zero]
-        blocks = form.from_entries(a)
-        rows = [form.combine((1, *a[r + 1]), (blocks[r], *columns)) for r in range(mm)]
-        m = MatGF(spec, form.to_entries(rows), cols=nn)
-        assert norm.admits(m)
-        basis_mats.append(_denormalize_matrix(m, ops))
-
-    return FerrersRankCode(spec, pattern, 2, tuple(basis_mats))
+    basis = []
+    for x in null_space(row_form(spec, (mm - 1) * nn), constraints):
+        a = [zero, *form.unflatten(x, mm - 1), zero]
+        coeffs = form.to_entries(a)
+        rows = [form.combine((1, *coeffs[r + 1]), (a[r], *columns)) for r in range(mm)]
+        basis.append(_denormalize_matrix(tuple(form.to_entries(rows)), ops))
+    return FerrersRankCode(spec, pattern, 2, basis)

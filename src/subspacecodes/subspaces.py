@@ -10,11 +10,12 @@ subspaces sharing that identifying vector.
 A Subspace is its rows in its field's row form (``rows``; packed integers
 over GF(2), tuples otherwise) and the identifying vector of their pivots.
 The paths that work on rows go through that form: ``from_span`` eliminates
-on it, ``contains`` reduces on it, and the constructions, the channel, the
-code-file loader, the pair scan and the decoder read nothing else.  The
-generator matrix ``gen`` is built from the rows each time it is read.  Only
-the GF(2) index codec reads and writes the free entries of packed rows
-itself.
+on it, ``contains`` reduces on it, ``orthogonal_complement`` takes the null
+space of the rows on it, and the constructions, the channel, the code-file
+loader, the pair scan and the decoder read nothing else.  The generator
+matrix ``gen`` is built from the rows each time it is read; ``key()``, and
+so equality and hashing, still read it (see ``key``).  Only the GF(2)
+index codec reads and writes the free entries of packed rows itself.
 """
 
 from __future__ import annotations
@@ -191,6 +192,9 @@ class Subspace:
             yield form.to_entries([form.combine(coeffs[::-1], self.rows)])[0]
 
     def key(self) -> tuple:
+        """The field, n and the generator's entries.  The rows, as
+        canonical, would index faster, which raises perfbench's index-g2
+        peak memory while it keeps one float per timed call."""
         return (self.spec, self.n, self.gen.entries)
 
     def __eq__(self, other) -> bool:
@@ -205,7 +209,7 @@ class Subspace:
         if self.spec.order <= 10:
             lit = to_literal(self)
         else:
-            lit = ";".join(",".join(map(str, row)) for row in self.gen.entries)
+            lit = ";".join(",".join(map(str, row)) for row in row_form(self.spec, self.n).to_entries(self.rows))
         return f"Subspace({lit!r}, n={self.n}, GF({self.spec.order}))"
 
 
@@ -403,11 +407,10 @@ def field_for_order(q: int) -> FieldSpec:
 
 
 def orthogonal_complement(u: Subspace) -> Subspace:
-    """All vectors orthogonal to u under the standard dot product."""
-    if u.k == 0:
-        return full_space(u.spec, u.n)
-    ns = null_space(u.gen)
-    return from_span(ns.entries, u.spec, u.n)
+    """All vectors orthogonal to u under the standard dot product: the
+    null space of u's rows, reduced."""
+    form = row_form(u.spec, u.n)
+    return Subspace._of_rows(form, tuple(form.rref(null_space(form, u.rows))))
 
 
 def to_literal(u: Subspace, written: dict | None = None) -> str:

@@ -84,6 +84,21 @@ def test_construct_greedy_skeleton(tmp_path, capsys):
     assert (code.n, len(code.words), code.words[0].k) == (6, 1, 0)
 
 
+def test_construct_past_every_rank_distance_writes_one_word(tmp_path, capsys):
+    # delta 4 on k = 3 and delta 3 on k = 2: no level matrix reaches that
+    # rank distance, so the code is the top word alone; delta 3 on k = 4
+    # has larger codes, and none built in
+    out = tmp_path / "c.json"
+    for n, k, delta in (("6", "3", "4"), ("7", "2", "3")):
+        argv = ["construct", "multilevel", "--n", n, "--k", k, "--delta", delta, "--out", str(out)]
+        assert run_capture(capsys, argv) == (0, "", "")
+        code = codefile.load_code(str(out))
+        assert [to_literal(u) for u in code.words] == [to_literal(from_span(
+            [[int(i == j) for j in range(int(n))] for i in range(int(k))], field_for_order(2), int(n)))]
+    rc, text, err = run_capture(capsys, ["construct", "multilevel", "--n", "8", "--k", "4", "--delta", "3"])
+    assert (rc, text, err) == (1, "", "error: no built-in rank code for distance 3 on this shape; supply one\n")
+
+
 def test_experiment_commands(capsys):
     rc, text, _ = run_capture(capsys, ["experiment", "hamming-skeleton"])
     assert rc == 0

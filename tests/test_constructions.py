@@ -163,6 +163,19 @@ def test_multilevel_delta_unsupported(gf2):
         multilevel(cw, 3, gf2)
 
 
+@pytest.mark.parametrize("word,delta", [("111000", 4), ("1100000", 3), ("111000", 6)])
+def test_level_past_every_rank_distance_is_the_zero_code(word, delta, gf2, gf3):
+    # no matrix of the shape has rank delta (ferrers_bound is 0), so the
+    # largest level code is the zero code and the level one word
+    v = IdVector.from_string(word)
+    shape = echelon_ferrers_shape(v)
+    for spec in (gf2, gf3):
+        level = default_ferrers_code(spec, shape, delta, v.weight)
+        assert (level.size, level.basis, level.d, level.pattern) == (1, (), delta, ZeroPattern.from_shape(shape))
+        code = multilevel(ConstantWeightCode.from_strings([word]), delta, spec)
+        assert [u.rows for u in code] == [fill_shape(v, [[0] * len(shape.box_columns)] * v.weight, spec).rows]
+
+
 def test_multilevel_delta1_is_whole_grassmannian(gf2):
     from subspacecodes.subspaces import gaussian, identifying_vectors
 
@@ -301,6 +314,26 @@ def test_multilevel_builds_one_matrix_per_word(gf2, matrices_built):
     code = multilevel_fixture("w6k3", gf2)
     assert len(code) == 71
     assert len(matrices_built) <= len(code) + bases
+
+
+def test_builds_construct_no_matrix(gf2, gf3, matrices_built):
+    # the level codes keep their bases as rows, and the distance-2 code
+    # solves and maps back on rows, so no build constructs a MatGF
+    from subspacecodes.experiments import bound_attainability
+    from subspacecodes.rankcodes import ferrers_d2_code
+
+    gf4 = make_field(2, 2)
+    matrices_built.clear()
+    assert len(multilevel_fixture("w8k4", gf2)) == len(multilevel_fixture("w8k4", gf2, puncture_aligned=True)) == 4573
+    assert len(multilevel_fixture("w7k3", gf3)) == 6685
+    assert len(spread_like(6, 3, gf4)) == spread_like_size(6, 3, 4)
+    assert len(spread_like(7, 2, gf2)) == spread_like_size(7, 2, 2)
+    for spec in (gf2, gf3, gf4):
+        for word in ("111000", "100110", "1001100", "0101010"):
+            assert ferrers_d2_code(echelon_ferrers_shape(IdVector.from_string(word)), spec).size > 1
+    assert bound_attainability((0, 0, 0), 4, 3, gf2, tries=300, seed=5)["tries"] == 300
+    assert bound_attainability((0, 1, 2), 3, 2, gf3)["found"]
+    assert matrices_built == []
 
 
 def test_puncture_aligned_fixture_matches_defaults(gf2):

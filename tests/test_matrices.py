@@ -209,15 +209,43 @@ def test_zero_row_matrices(gf2):
 
 def test_null_space(gf3):
     m = MatGF(gf3, [(1, 0, 2), (0, 1, 1)])
-    ns = null_space(m)
-    assert ns.rows == 1
+    form = row_form(gf3, 3)
+    ns = form.to_entries(null_space(form, form.from_entries(m.entries)))
+    assert len(ns) == 1
     # every null vector is orthogonal to every row
     for row in m.entries:
-        for v in ns.entries:
+        for v in ns:
             acc = 0
             for a, b in zip(row, v):
                 acc = gf3.add(acc, gf3.mul(a, b))
             assert acc == 0
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_null_space_against_the_definition(p, m):
+    # over fields where -1 != 1 too: each basis row is orthogonal to each
+    # row given, by field arithmetic, and the basis is n - rank independent
+    # rows, ranks counted by enumerating spans; the cases include no rows
+    # (the identity), full rank (no row) and dependent rows
+    spec = make_field(p, m)
+    q, rng = spec.order, random.Random(13 * p + m)
+    for n in range(5):
+        form = row_form(spec, n)
+        eye = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        cases = [[], [(0,) * n], eye, eye[1:] + eye[-1:]]
+        for _ in range(6):
+            rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randrange(1, 4))]
+            c = rng.randrange(1, q)  # and one row that is c times the first plus the last
+            cases.append(rows + [tuple(spec.add(spec.mul(c, x), y) for x, y in zip(rows[0], rows[-1]))])
+        for rows in cases:
+            basis = form.to_entries(null_space(form, form.from_entries(rows)))
+            assert q ** (n - len(basis)) == span_size(spec, rows, n), rows
+            assert span_size(spec, basis, n) == q ** len(basis), rows
+            for row in rows:
+                for v in basis:
+                    assert reduce(spec.add, map(spec.mul, row, v), 0) == 0, (rows, v)
+        assert form.to_entries(null_space(form, [])) == eye
+        assert null_space(form, form.from_entries(eye)) == []
 
 
 def test_mat_mul(gf2):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from subspacecodes.errors import BadParams
+from subspacecodes.errors import BadParams, ShapeMismatch
 from subspacecodes.fields import extension_view, make_field
 from subspacecodes.matrices import MatGF, rank
 from subspacecodes.rankcodes import (
@@ -306,6 +306,40 @@ def test_codewords_in_product_order(p, m):
         got = [cw.entries for cw in code.codewords()]
         assert got == want and len(set(got)) == spec.order**dim == code.size
         assert all(cw.cols == nc for cw in code.codewords())
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2)])
+def test_rank_code_of_entry_rows_equals_the_one_of_matrices(p, m, matrices_built):
+    # a FerrersRankCode built from each basis matrix's entry rows, lists or
+    # tuples, equals the one built from the same MatGFs: the same basis
+    # read back, codewords and distance; only reading builds matrices
+    from subspacecodes.rankcodes import FerrersRankCode
+
+    spec = make_field(p, m)
+    rng = random.Random(41 * p + m)
+    for zeros, nc in (((0, 0), 3), ((0, 1, 1), 3), ((0, 0, 2, 4), 4), ((), 2)):
+        pattern = ZeroPattern(zeros, nc)
+        entries = [
+            [[rng.randrange(spec.order) if c >= z else 0 for c in range(nc)] for z in zeros]
+            for _ in range(rng.randrange(1, 4))
+        ]
+        mats = [MatGF(spec, e, cols=nc) for e in entries]
+        built = len(matrices_built)
+        of_rows = FerrersRankCode(spec, pattern, 2, entries)
+        of_tuples = FerrersRankCode(spec, pattern, 2, [tuple(map(tuple, e)) for e in entries])
+        assert len(matrices_built) == built
+        of_mats = FerrersRankCode(spec, pattern, 2, mats)
+        assert of_rows.basis == of_tuples.basis == of_mats.basis == tuple(mats)
+        assert list(of_rows.codewords()) == list(of_mats.codewords())
+        assert of_rows.min_rank_distance() == of_tuples.min_rank_distance() == of_mats.min_rank_distance()
+    with pytest.raises(BadParams, match="^basis matrix violates the zero pattern$"):
+        FerrersRankCode(spec, ZeroPattern((0, 1), 2), 2, [[[0, 1], [1, 1]]])
+    # entry rows are checked as a MatGF checks its entries
+    for bad in ([[[0, 1], [1, spec.order]]], [[[0, 1], [-1, 0]]]):
+        with pytest.raises(ShapeMismatch, match="^entry -?[0-9]+ outside GF"):
+            span_code(bad, spec)
+    with pytest.raises(ShapeMismatch, match="^basis matrices differ in shape$"):
+        span_code([[[0, 1], [1]]], spec)
 
 
 def test_span_code_empty(gf2):
